@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_CLASSES = 14
+from .labels import N_CLASSES
+
 DEFAULT_TREE_COUNTS = (50, 100, 2000)
 
 FOREST_FORMAT = "hwr-rf/1"

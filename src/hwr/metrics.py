@@ -14,7 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-N_CLASSES = 14
+from .labels import N_CLASSES
 
 REPORT_HEADER = "Label  Precision  Recall  f1-score  Support"
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_CLASSES = 14
+from .labels import N_CLASSES
+
 HIDDEN_LAYER_SWEEP = (50, 100, 150, 350)
 
 MLP_FORMAT = "hwr-mlp/1"

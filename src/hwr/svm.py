@@ -12,10 +12,23 @@ average margin-exact bias over unbounded support vectors).  Pair steps are
 budgeted at 10*n passes of n steps each; exceeding the budget raises
 ConvergenceError with diagnostics.
 
-Multiclass is one-vs-one (91 machines for 14 classes) with majority voting;
-vote ties break by summed |decision| and then the lowest class id.  Grid
-search runs stratified k-fold cross-validation over (C, gamma) and prefers
-smaller C, then smaller gamma, on ties.
+Machines are solved in lockstep batches: the solver holds every machine of
+a batch as one row of padded (machines, n) arrays and performs, per
+iteration, one vectorized pair selection and one vectorized pair update for
+all machines not yet converged.  The Python iteration count is thus the
+largest step count in the batch, not the sum.  The schedule is exact: each
+machine's arithmetic is elementwise the same sequence of float64 operations
+as solving it alone, and its bias is reduced over its own samples, so every
+multiplier, bias, support vector and step count is bit-identical whatever
+the batch.  A machine that fails (step budget, stall, zero margin) fails
+alone.
+
+Multiclass is one-vs-one (91 machines for 14 classes, one batch) with
+majority voting; vote ties break by summed |decision| and then the lowest
+class id.  Grid search runs stratified k-fold cross-validation over
+(C, gamma), solving every pair at every C of one (fold, gamma) as one batch
+that shares each pair's Gram matrix, and prefers smaller C, then smaller
+gamma, on ties.
 """
 
 from __future__ import annotations
@@ -107,8 +120,32 @@ class BinarySvm:
         return self.dual_coef @ K + self.bias
 
 
+def _py_max(a, b):
+    """Elementwise ``max(a, b)`` with Python's semantics: ``a`` unless ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    """Elementwise ``min(a, b)`` with Python's semantics: ``a`` unless ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def _step_budget(n: np.ndarray, max_passes: int | None) -> np.ndarray:
+    """Pair steps allowed per machine: max_passes (default 10*n) passes of n steps."""
+    return (max_passes if max_passes is not None else 10 * n) * n
+
+
 class _Smo:
-    """State for one binary subproblem; K is the precomputed Gram matrix.
+    """Lockstep SMO over a batch of binary machines.
+
+    There is one machine per (C, problem): machine k*P + p solves the dual
+    for problem p of P (a Gram matrix and its labels) under box bound
+    costs[k], so the machines of one problem share its Gram matrix.  The
+    step budget of a machine of n samples is ``_step_budget(n, max_passes)``.
+    State is kept as padded (machines, n) arrays: sample positions past a
+    problem's size have zero kernel entries and are masked out of the
+    working sets.  Every iteration selects and updates one pair in each
+    active machine; a machine leaves the batch when it converges or fails.
 
     Pair selection is the maximal-violating-pair rule: with lambda_i =
     y_i - raw_i (the bias that would put point i exactly on its margin),
@@ -117,121 +154,218 @@ class _Smo:
     move the functional margin up/down.  Selecting the argmax/argmin pair
     keeps every step bias-free and guarantees progress, which avoids the
     bias see-saw a single running threshold is prone to.
+
+    Each machine's arithmetic is elementwise the sequence a solver for that
+    machine alone would perform, so results do not depend on the batch.
+    (The additive working-set masks assume finite kernel values.)
     """
 
-    def __init__(self, K: np.ndarray, y: np.ndarray, c: float, tol: float):
-        self.K = K
-        self.y = y.astype(np.float64)
-        self.C = float(c)
+    def __init__(self, grams: list[np.ndarray], labels: list[np.ndarray],
+                 costs: list[float], tol: float, max_passes: int | None = None):
+        sizes = np.array([len(y) for y in labels])
+        width = int(sizes.max())
+        self.K = np.zeros((len(grams), width, width))
+        ys = np.zeros((len(grams), width))
+        for p, (K, y) in enumerate(zip(grams, labels)):
+            self.K[p, :len(y), :len(y)] = K
+            ys[p, :len(y)] = y
+        problem = np.tile(np.arange(len(grams)), len(costs))
         self.tol = float(tol)
-        self.n = len(y)
-        self.alphas = np.zeros(self.n)
-        self.raw = np.zeros(self.n)  # sum_j alpha_j y_j K[i, j], no bias
-        self.b = 0.0
-        self._snap = 1e-12 * max(1.0, self.C)
+        self.outcomes: list = [None] * len(problem)
+        # state of the active machines, one row each; ids index outcomes
+        self.ids = np.arange(len(problem))
+        self.problem = problem
+        self.sizes = sizes[problem]
+        self.budget = _step_budget(self.sizes, max_passes)
+        self.y = ys[problem]
+        self.C = np.repeat(np.asarray(costs, dtype=np.float64), len(grams))
+        self.snap = 1e-12 * _py_max(1.0, self.C)
+        self.alphas = np.zeros(self.y.shape)
+        self.raw = np.zeros(self.y.shape)  # sum_j alpha_j y_j K[i, j], no bias
+        # I_up and I_low as additive masks (0 inside, -inf/+inf outside) at
+        # alphas = 0; padding (y = 0) is in neither
+        self.up = np.where(self.y > 0, 0.0, -np.inf)
+        self.low = np.where(self.y < 0, 0.0, np.inf)
+        self.iterations = np.zeros(len(problem), dtype=np.int64)
 
-    def _step(self, i1: int, i2: int) -> bool:
-        """Jointly optimize the pair (i1, i2); returns False on no movement."""
-        a1o, a2o = self.alphas[i1], self.alphas[i2]
-        y1, y2 = self.y[i1], self.y[i2]
+    def _select(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Maximal violating pair of every active machine and its gap.
+
+        A machine with an empty I_up or I_low gets gap -inf.
+        """
+        lam = self.y - self.raw
+        lam_up = lam + self.up
+        lam_low = lam + self.low
+        i = np.argmax(lam_up, axis=1)
+        j = np.argmin(lam_low, axis=1)
+        rows = np.arange(len(i))
+        return i, j, lam_up[rows, i] - lam_low[rows, j]
+
+    def _step(self, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+        """Jointly optimize pair (i1[m], i2[m]) of every active machine m.
+
+        Returns where a machine moved; a machine that did not is left in an
+        unspecified state.
+        """
+        rows = np.arange(len(i1))
+        C = self.C
+        a1o, a2o = self.alphas[rows, i1], self.alphas[rows, i2]
+        y1, y2 = self.y[rows, i1], self.y[rows, i2]
         s = y1 * y2
-        if s > 0:
-            L, H = max(0.0, a1o + a2o - self.C), min(self.C, a1o + a2o)
-        else:
-            L, H = max(0.0, a2o - a1o), min(self.C, self.C + a2o - a1o)
-        if H <= L:
-            return False
-        k11, k22, k12 = self.K[i1, i1], self.K[i2, i2], self.K[i1, i2]
+        L = np.where(s > 0, _py_max(0.0, a1o + a2o - C), _py_max(0.0, a2o - a1o))
+        H = np.where(s > 0, _py_min(C, a1o + a2o), _py_min(C, C + a2o - a1o))
+        moved = ~(H <= L)
+        K1 = self.K[self.problem, i1]
+        K2 = self.K[self.problem, i2]
+        k11, k22, k12 = K1[rows, i1], K2[rows, i2], K1[rows, i2]
         eta = k11 + k22 - 2.0 * k12
-        g1 = self.raw[i1] - y1
-        g2 = self.raw[i2] - y2
-        if eta > _STEP_EPS:
+        g1 = self.raw[rows, i1] - y1
+        g2 = self.raw[rows, i2] - y2
+        curved = eta > _STEP_EPS
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a2 = a2o + y2 * (g1 - g2) / eta
-            a2 = min(max(a2, L), H)
-        else:
-            # flat or concave direction: pick the better segment endpoint
-            f1 = y1 * g1 - a1o * k11 - s * a2o * k12
-            f2 = y2 * g2 - s * a1o * k12 - a2o * k22
-            L1 = a1o + s * (a2o - L)
-            H1 = a1o + s * (a2o - H)
-            psi_l = L1 * f1 + L * f2 + 0.5 * L1 * L1 * k11 + 0.5 * L * L * k22 + s * L * L1 * k12
-            psi_h = H1 * f1 + H * f2 + 0.5 * H1 * H1 * k11 + 0.5 * H * H * k22 + s * H * H1 * k12
-            if psi_l < psi_h - _STEP_EPS:
-                a2 = L
-            elif psi_h < psi_l - _STEP_EPS:
-                a2 = H
-            else:
-                return False
-        if a2 - a2o == 0.0:
-            return False
-        a1 = a1o + s * (a2o - a2)
-        # snap to the box so bound states stay exact
-        if a1 < self._snap:
-            a2 += s * a1
-            a1 = 0.0
-        elif a1 > self.C - self._snap:
-            a2 += s * (a1 - self.C)
-            a1 = self.C
-        if a2 < self._snap:
-            a2 = 0.0
-        elif a2 > self.C - self._snap:
-            a2 = self.C
-        d1 = y1 * (a1 - a1o)
-        d2 = y2 * (a2 - a2o)
-        if d1 == 0.0 and d2 == 0.0:
-            return False
-        self.raw += d1 * self.K[i1] + d2 * self.K[i2]
-        self.alphas[i1] = a1
-        self.alphas[i2] = a2
-        return True
+            a2 = _py_min(_py_max(a2, L), H)
+            if not curved.all():
+                # flat or concave direction: pick the better segment endpoint
+                f1 = y1 * g1 - a1o * k11 - s * a2o * k12
+                f2 = y2 * g2 - s * a1o * k12 - a2o * k22
+                L1 = a1o + s * (a2o - L)
+                H1 = a1o + s * (a2o - H)
+                psi_l = (L1 * f1 + L * f2 + 0.5 * L1 * L1 * k11 + 0.5 * L * L * k22
+                         + s * L * L1 * k12)
+                psi_h = (H1 * f1 + H * f2 + 0.5 * H1 * H1 * k11 + 0.5 * H * H * k22
+                         + s * H * H1 * k12)
+                to_l = psi_l < psi_h - _STEP_EPS
+                to_h = psi_h < psi_l - _STEP_EPS
+                a2 = np.where(curved, a2, np.where(to_l, L, H))
+                moved &= curved | to_l | to_h
+            moved &= ~(a2 - a2o == 0.0)
+            a1 = a1o + s * (a2o - a2)
+            # snap to the box so bound states stay exact
+            lo = a1 < self.snap
+            hi = ~lo & (a1 > C - self.snap)
+            a2 = np.where(lo, a2 + s * a1, np.where(hi, a2 + s * (a1 - C), a2))
+            a1 = np.where(lo, 0.0, np.where(hi, C, a1))
+            a2 = np.where(a2 < self.snap, 0.0, np.where(a2 > C - self.snap, C, a2))
+            d1 = y1 * (a1 - a1o)
+            d2 = y2 * (a2 - a2o)
+            moved &= ~((d1 == 0.0) & (d2 == 0.0))
+            # raw += d1 * K[i1] + d2 * K[i2], reusing the gathered rows
+            K1 *= d1[:, None]
+            K2 *= d2[:, None]
+            K1 += K2
+            self.raw += K1
+        for i, a, y in ((i1, a1, y1), (i2, a2, y2)):
+            self.alphas[rows, i] = a
+            movable_up, movable_dn = a < C, a > 0.0
+            self.up[rows, i] = np.where(np.where(y > 0, movable_up, movable_dn), 0.0, -np.inf)
+            self.low[rows, i] = np.where(np.where(y > 0, movable_dn, movable_up), 0.0, np.inf)
+        return moved
 
-    def _select(self) -> tuple[int, int, float]:
-        """Maximal violating pair and the current violation gap."""
-        lam = self.y - self.raw
-        pos = self.y > 0
-        movable_up = self.alphas < self.C
-        movable_dn = self.alphas > 0.0
-        up = (pos & movable_up) | (~pos & movable_dn)
-        low = (pos & movable_dn) | (~pos & movable_up)
-        if not up.any() or not low.any():
-            return -1, -1, -np.inf
-        lam_up = np.where(up, lam, -np.inf)
-        lam_low = np.where(low, lam, np.inf)
-        i = int(np.argmax(lam_up))
-        j = int(np.argmin(lam_low))
-        return i, j, float(lam_up[i] - lam_low[j])
+    def _keep(self, keep: np.ndarray) -> None:
+        """Drop the machines that left the batch from the active state."""
+        for name in ("ids", "problem", "sizes", "budget", "y", "C", "snap", "alphas", "raw",
+                     "up", "low", "iterations"):
+            setattr(self, name, getattr(self, name)[keep])
 
-    def solve(self, max_iter: int) -> int:
-        iterations = 0
-        while True:
-            i, j, gap = self._select()
-            if gap <= self.tol:
-                break
-            iterations += 1
-            if iterations > max_iter:
-                raise ConvergenceError(
-                    f"SMO did not converge within {max_iter} pair steps "
-                    f"(n={self.n}, C={self.C}): KKT gap {gap:.3e} > tol {self.tol:.0e}"
-                )
-            if not self._step(i, j):
-                raise ConvergenceError(
-                    f"SMO stalled after {iterations} pair steps "
-                    f"(n={self.n}, C={self.C}): KKT gap {gap:.3e} > tol {self.tol:.0e} "
-                    f"but pair ({i}, {j}) admits no progress"
-                )
-        # bias: average the margin-exact bias over unbounded support vectors,
-        # falling back to the midpoint of the feasible interval
-        lam = self.y - self.raw
-        free = (self.alphas > 0.0) & (self.alphas < self.C)
+    def _finish(self, r: int, i: int, j: int, gap: float) -> None:
+        """Record the solution of converged row r, with its bias.
+
+        The bias averages the margin-exact bias over unbounded support
+        vectors, falling back to the midpoint of the feasible interval.
+        """
+        n, C = self.sizes[r], self.C[r]
+        alphas, raw = self.alphas[r, :n].copy(), self.raw[r, :n].copy()
+        lam = self.y[r, :n] - raw
+        free = (alphas > 0.0) & (alphas < C)
         if free.any():
-            self.b = float(lam[free].mean())
+            b = float(lam[free].mean())
+        elif gap == -np.inf:
+            b = 0.0
         else:
-            i, j, _ = self._select()
-            if i < 0:
-                self.b = 0.0
-            else:
-                self.b = 0.5 * float(lam[i] + lam[j])
-        return iterations
+            b = 0.5 * float(lam[i] + lam[j])
+        self.outcomes[self.ids[r]] = (alphas, raw, b, int(self.iterations[r]))
+
+    def _fail(self, r: int, what: str, gap: float, why: str = "") -> None:
+        self.outcomes[self.ids[r]] = ConvergenceError(
+            f"SMO {what} (n={self.sizes[r]}, C={float(self.C[r])}): "
+            f"KKT gap {gap:.3e} > tol {self.tol:.0e}{why}"
+        )
+
+    def solve(self) -> list:
+        """Per machine, (alphas, raw, bias, pair steps) or its ConvergenceError."""
+        while len(self.ids):
+            i, j, gap = self._select()
+            done = gap <= self.tol
+            self.iterations += ~done
+            over = self.iterations > self.budget
+            leave = done | over
+            if leave.any():
+                for r in np.flatnonzero(done):
+                    self._finish(r, i[r], j[r], gap[r])
+                for r in np.flatnonzero(over):
+                    self._fail(r, f"did not converge within {self.budget[r]} pair steps", gap[r])
+                keep = ~leave
+                self._keep(keep)
+                i, j, gap = i[keep], j[keep], gap[keep]
+            moved = self._step(i, j)
+            if not moved.all():
+                for r in np.flatnonzero(~moved):
+                    self._fail(r, f"stalled after {self.iterations[r]} pair steps", gap[r],
+                               f" but pair ({i[r]}, {j[r]}) admits no progress")
+                self._keep(moved)
+        return self.outcomes
+
+
+def _train(
+    problems: list[tuple[np.ndarray, np.ndarray]],
+    costs: list[float],
+    gamma: float,
+    tol: float,
+    kernel: str,
+    degree: int = 3,
+    coef0: float = 0.0,
+    max_passes: int | None = None,
+) -> list[list[BinarySvm | TrainingError]]:
+    """Train a machine for every (C, problem) in one lockstep batch.
+
+    ``problems`` are (X, y) pairs with y in {-1, +1}.  Entry [k][p] of the
+    result is the machine for costs[k] on problems[p], or the TrainingError
+    that machine raised; a failure leaves the other machines untouched.
+    Each problem's Gram matrix is computed once and shared by every C.
+    """
+    for c in costs:
+        if c <= 0:
+            raise ValueError(f"C must be > 0, got {c}")
+    solver = _Smo([kernel_matrix(X, X, kernel, gamma, degree, coef0) for X, _ in problems],
+                  [y for _, y in problems], costs, tol, max_passes)
+    outcomes = iter(solver.solve())
+    return [[_machine(X, y, next(outcomes), c, gamma, kernel, degree, coef0)
+             for X, y in problems] for c in costs]
+
+
+def _machine(X, y, outcome, c, gamma, kernel, degree, coef0) -> BinarySvm | TrainingError:
+    if isinstance(outcome, TrainingError):
+        return outcome
+    alphas, raw, bias, passes = outcome
+    decision = raw + bias
+    if float(decision.max() - decision.min()) < 1e-9:
+        return DegenerateDataError(
+            "decision function is constant over the training data (zero margin); "
+            "inputs carry no separating information"
+        )
+    sv = alphas > _SV_EPS
+    return BinarySvm(
+        support_vectors=X[sv].copy(),
+        dual_coef=(alphas * y)[sv],
+        bias=bias,
+        c=float(c),
+        gamma=float(gamma),
+        kernel=kernel,
+        degree=degree,
+        coef0=coef0,
+        passes=passes,
+    )
 
 
 def smo_train(
@@ -258,30 +392,10 @@ def smo_train(
         raise ValueError("labels must be -1 or +1")
     if X.shape[0] < 2 or len(np.unique(y)) < 2:
         raise TrainingError("training needs at least 2 samples covering both classes")
-    if c <= 0:
-        raise ValueError(f"C must be > 0, got {c}")
-    n = X.shape[0]
-    K = kernel_matrix(X, X, kernel, gamma, degree, coef0)
-    solver = _Smo(K, y, c, tol)
-    iterations = solver.solve((max_passes if max_passes is not None else 10 * n) * n)
-    decision = solver.raw + solver.b
-    if float(decision.max() - decision.min()) < 1e-9:
-        raise DegenerateDataError(
-            "decision function is constant over the training data (zero margin); "
-            "inputs carry no separating information"
-        )
-    sv = solver.alphas > _SV_EPS
-    return BinarySvm(
-        support_vectors=X[sv].copy(),
-        dual_coef=(solver.alphas * y)[sv],
-        bias=solver.b,
-        c=float(c),
-        gamma=float(gamma),
-        kernel=kernel,
-        degree=degree,
-        coef0=coef0,
-        passes=iterations,
-    )
+    [[machine]] = _train([(X, y)], [c], gamma, tol, kernel, degree, coef0, max_passes)
+    if isinstance(machine, TrainingError):
+        raise machine
+    return machine
 
 
 def dual_objective(machine_alphas: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
@@ -316,14 +430,9 @@ class SvmModel:
             magnitude[wins_a, ia] += np.abs(f[wins_a])
             magnitude[~wins_a, ib] += np.abs(f[~wins_a])
         # ranking: votes, then summed |decision|, then lowest class id
-        out = np.empty(X.shape[0], dtype=np.intp)
-        for i in range(X.shape[0]):
-            best = min(
-                range(len(self.classes)),
-                key=lambda j: (-votes[i, j], -magnitude[i, j], self.classes[j]),
-            )
-            out[i] = self.classes[best]
-        return out
+        classes = np.asarray(self.classes, dtype=np.intp)
+        keys = (np.broadcast_to(classes, votes.shape), -magnitude, -votes)
+        return classes[np.lexsort(keys, axis=1)[:, 0]]
 
     def save(self, path: str | os.PathLike) -> None:
         doc = {
@@ -375,16 +484,10 @@ class SvmModel:
         )
 
 
-def ovo_train(
-    X: np.ndarray,
-    labels: np.ndarray,
-    c: float,
-    gamma: float,
-    tol: float = 1e-3,
-    kernel: str = "rbf",
-    classes: list[int] | None = None,
-) -> SvmModel:
-    """One binary machine per unordered class pair.
+def _ovo_problems(
+    X: np.ndarray, labels: np.ndarray, classes: list[int] | None = None
+) -> tuple[list[int], dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]]:
+    """Sorted classes and the binary problem (X, y) of every class pair.
 
     Within pair (a, b), a < b, class a maps to +1, so decision > 0 votes a.
     """
@@ -400,15 +503,36 @@ def ovo_train(
             raise ValueError(f"classes {thin} have fewer than 2 samples")
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    machines: dict[tuple[int, int], BinarySvm] = {}
+    problems = {}
     for a, b in itertools.combinations(sorted(classes), 2):
         mask = (labels == a) | (labels == b)
         for cls in (a, b):
             if not np.any(labels == cls):
                 raise TrainingError(f"pair ({a}, {b}): class {cls} has no samples")
-        y = np.where(labels[mask] == a, 1.0, -1.0)
-        machines[(a, b)] = smo_train(X[mask], y, c, gamma, tol, kernel)
-    return SvmModel(classes=sorted(classes), machines=machines, c=float(c),
+        problems[(a, b)] = (X[mask], np.where(labels[mask] == a, 1.0, -1.0))
+    return sorted(classes), problems
+
+
+def ovo_train(
+    X: np.ndarray,
+    labels: np.ndarray,
+    c: float,
+    gamma: float,
+    tol: float = 1e-3,
+    kernel: str = "rbf",
+    classes: list[int] | None = None,
+) -> SvmModel:
+    """One binary machine per unordered class pair, all solved in one batch.
+
+    Within pair (a, b), a < b, class a maps to +1, so decision > 0 votes a.
+    The first pair (in sorted order) whose machine fails raises its error.
+    """
+    classes, problems = _ovo_problems(X, labels, classes)
+    [machines] = _train(list(problems.values()), [c], gamma, tol, kernel)
+    for machine in machines:
+        if isinstance(machine, TrainingError):
+            raise machine
+    return SvmModel(classes=classes, machines=dict(zip(problems, machines)), c=float(c),
                     gamma=float(gamma), kernel=kernel)
 
 
@@ -476,27 +600,40 @@ def grid_search(
 
     Accuracy is pooled over folds (total correct / total samples).  Cells
     whose machines fail to train (degenerate folds) score 0 rather than
-    aborting the sweep.
+    aborting the sweep.  The machines of one (fold, gamma), every pair at
+    every C still in the running, are solved as one lockstep batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
     folds = stratified_folds(labels, spec.folds, seed)
     n = labels.shape[0]
     all_idx = np.arange(n)
+    c_values, gamma_values = sorted(spec.c_values), sorted(spec.gamma_values)
+    # correct predictions per cell, None once one of its machines failed
+    correct: dict[tuple[float, float], int | None] = {
+        (c, gamma): 0 for c in c_values for gamma in gamma_values}
+    for held in folds:
+        train_idx = np.setdiff1d(all_idx, held)
+        classes, problems = _ovo_problems(X[train_idx], labels[train_idx])
+        # a value listed twice in the spec is trained once and tabled twice
+        for gamma in dict.fromkeys(gamma_values):
+            live = [c for c in dict.fromkeys(c_values) if correct[c, gamma] is not None]
+            if not live:
+                continue
+            fits = _train(list(problems.values()), live, gamma, tol, kernel)
+            for c, machines in zip(live, fits):
+                if any(isinstance(m, TrainingError) for m in machines):
+                    correct[c, gamma] = None
+                    continue
+                model = SvmModel(classes=classes, machines=dict(zip(problems, machines)),
+                                 c=float(c), gamma=float(gamma), kernel=kernel)
+                correct[c, gamma] += int((model.predict_batch(X[held]) == labels[held]).sum())
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []
-    for c in sorted(spec.c_values):
-        for gamma in sorted(spec.gamma_values):
-            correct = 0
-            try:
-                for held in folds:
-                    train_idx = np.setdiff1d(all_idx, held)
-                    model = ovo_train(X[train_idx], labels[train_idx], c, gamma,
-                                      tol=tol, kernel=kernel)
-                    correct += int((model.predict_batch(X[held]) == labels[held]).sum())
-                accuracy = correct / n
-            except TrainingError:
-                accuracy = 0.0
+    for c in c_values:
+        for gamma in gamma_values:
+            hits = correct[c, gamma]
+            accuracy = hits / n if hits is not None else 0.0
             table.append((c, gamma, accuracy))
             if best is None or accuracy > best[2]:
                 best = (c, gamma, accuracy)

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import imaging
 from .dataset import Manifest, write_manifest
-
-N_CLASSES = 14
+from .labels import N_CLASSES
 
 ROTATION_DEG = 5.0
 SCALE_RANGE = (0.9, 1.1)

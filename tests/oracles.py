@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: the SVM dual optimum
 comes from exhaustive active-set enumeration, gradients from central finite
-differences.
+differences, and the exact SMO reference solves one machine at a time with
+scalar pair steps, the schedule the batched solver must reproduce bit for
+bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,17 @@ import itertools
 import numpy as np
 
 from hwr.mlp import batch_gradients, batch_loss
-from hwr.svm import dual_objective
+from hwr.svm import (
+    BinarySvm,
+    ConvergenceError,
+    DegenerateDataError,
+    SvmModel,
+    dual_objective,
+    kernel_matrix,
+)
+
+_STEP_EPS = 1e-8       # curvature/objective margin below which a direction is flat
+_SV_EPS = 1e-12        # alpha > this counts as a support vector
 
 
 def brute_force_dual(K: np.ndarray, y: np.ndarray, c: float) -> float:
@@ -52,6 +64,164 @@ def brute_force_dual(K: np.ndarray, y: np.ndarray, c: float) -> float:
             continue
         best = max(best, dual_objective(a, y, K))
     return best
+
+
+class ScalarSmo:
+    """State for one binary subproblem; K is the precomputed Gram matrix.
+
+    Pair selection is the maximal-violating-pair rule: with lambda_i =
+    y_i - raw_i (the bias that would put point i exactly on its margin),
+    KKT holds within tol iff max(lambda over I_up) - min(lambda over I_low)
+    <= tol, where I_up/I_low are the index sets whose multipliers can still
+    move the functional margin up/down.  Selecting the argmax/argmin pair
+    keeps every step bias-free and guarantees progress, which avoids the
+    bias see-saw a single running threshold is prone to.
+    """
+
+    def __init__(self, K: np.ndarray, y: np.ndarray, c: float, tol: float):
+        self.K = K
+        self.y = y.astype(np.float64)
+        self.C = float(c)
+        self.tol = float(tol)
+        self.n = len(y)
+        self.alphas = np.zeros(self.n)
+        self.raw = np.zeros(self.n)  # sum_j alpha_j y_j K[i, j], no bias
+        self.b = 0.0
+        self._snap = 1e-12 * max(1.0, self.C)
+
+    def _step(self, i1: int, i2: int) -> bool:
+        """Jointly optimize the pair (i1, i2); returns False on no movement."""
+        a1o, a2o = self.alphas[i1], self.alphas[i2]
+        y1, y2 = self.y[i1], self.y[i2]
+        s = y1 * y2
+        if s > 0:
+            L, H = max(0.0, a1o + a2o - self.C), min(self.C, a1o + a2o)
+        else:
+            L, H = max(0.0, a2o - a1o), min(self.C, self.C + a2o - a1o)
+        if H <= L:
+            return False
+        k11, k22, k12 = self.K[i1, i1], self.K[i2, i2], self.K[i1, i2]
+        eta = k11 + k22 - 2.0 * k12
+        g1 = self.raw[i1] - y1
+        g2 = self.raw[i2] - y2
+        if eta > _STEP_EPS:
+            a2 = a2o + y2 * (g1 - g2) / eta
+            a2 = min(max(a2, L), H)
+        else:
+            # flat or concave direction: pick the better segment endpoint
+            f1 = y1 * g1 - a1o * k11 - s * a2o * k12
+            f2 = y2 * g2 - s * a1o * k12 - a2o * k22
+            L1 = a1o + s * (a2o - L)
+            H1 = a1o + s * (a2o - H)
+            psi_l = L1 * f1 + L * f2 + 0.5 * L1 * L1 * k11 + 0.5 * L * L * k22 + s * L * L1 * k12
+            psi_h = H1 * f1 + H * f2 + 0.5 * H1 * H1 * k11 + 0.5 * H * H * k22 + s * H * H1 * k12
+            if psi_l < psi_h - _STEP_EPS:
+                a2 = L
+            elif psi_h < psi_l - _STEP_EPS:
+                a2 = H
+            else:
+                return False
+        if a2 - a2o == 0.0:
+            return False
+        a1 = a1o + s * (a2o - a2)
+        # snap to the box so bound states stay exact
+        if a1 < self._snap:
+            a2 += s * a1
+            a1 = 0.0
+        elif a1 > self.C - self._snap:
+            a2 += s * (a1 - self.C)
+            a1 = self.C
+        if a2 < self._snap:
+            a2 = 0.0
+        elif a2 > self.C - self._snap:
+            a2 = self.C
+        d1 = y1 * (a1 - a1o)
+        d2 = y2 * (a2 - a2o)
+        if d1 == 0.0 and d2 == 0.0:
+            return False
+        self.raw += d1 * self.K[i1] + d2 * self.K[i2]
+        self.alphas[i1] = a1
+        self.alphas[i2] = a2
+        return True
+
+    def _select(self) -> tuple[int, int, float]:
+        """Maximal violating pair and the current violation gap."""
+        lam = self.y - self.raw
+        pos = self.y > 0
+        movable_up = self.alphas < self.C
+        movable_dn = self.alphas > 0.0
+        up = (pos & movable_up) | (~pos & movable_dn)
+        low = (pos & movable_dn) | (~pos & movable_up)
+        if not up.any() or not low.any():
+            return -1, -1, -np.inf
+        lam_up = np.where(up, lam, -np.inf)
+        lam_low = np.where(low, lam, np.inf)
+        i = int(np.argmax(lam_up))
+        j = int(np.argmin(lam_low))
+        return i, j, float(lam_up[i] - lam_low[j])
+
+    def solve(self, max_iter: int) -> int:
+        iterations = 0
+        while True:
+            i, j, gap = self._select()
+            if gap <= self.tol:
+                break
+            iterations += 1
+            if iterations > max_iter:
+                raise ConvergenceError(
+                    f"SMO did not converge within {max_iter} pair steps "
+                    f"(n={self.n}, C={self.C}): KKT gap {gap:.3e} > tol {self.tol:.0e}"
+                )
+            if not self._step(i, j):
+                raise ConvergenceError(
+                    f"SMO stalled after {iterations} pair steps "
+                    f"(n={self.n}, C={self.C}): KKT gap {gap:.3e} > tol {self.tol:.0e} "
+                    f"but pair ({i}, {j}) admits no progress"
+                )
+        # bias: average the margin-exact bias over unbounded support vectors,
+        # falling back to the midpoint of the feasible interval
+        lam = self.y - self.raw
+        free = (self.alphas > 0.0) & (self.alphas < self.C)
+        if free.any():
+            self.b = float(lam[free].mean())
+        else:
+            i, j, _ = self._select()
+            if i < 0:
+                self.b = 0.0
+            else:
+                self.b = 0.5 * float(lam[i] + lam[j])
+        return iterations
+
+
+def scalar_smo_train(X, y, c, gamma=1.0, tol=1e-3, kernel="rbf", max_iter=None,
+                     coef0=0.0) -> BinarySvm:
+    """One binary machine by the scalar solver; max_iter defaults to 10*n^2."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    solver = ScalarSmo(kernel_matrix(X, X, kernel, gamma, coef0=coef0), y, c, tol)
+    iterations = solver.solve(max_iter if max_iter is not None else 10 * n * n)
+    decision = solver.raw + solver.b
+    if float(decision.max() - decision.min()) < 1e-9:
+        raise DegenerateDataError("decision function is constant over the training data")
+    sv = solver.alphas > _SV_EPS
+    return BinarySvm(support_vectors=X[sv].copy(), dual_coef=(solver.alphas * y)[sv],
+                     bias=solver.b, c=float(c), gamma=float(gamma), kernel=kernel,
+                     coef0=coef0, passes=iterations)
+
+
+def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, kernel="rbf", max_iter=None) -> SvmModel:
+    """One-vs-one model whose machines are trained one after another by the scalar solver."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.intp)
+    classes = sorted(int(v) for v in np.unique(labels))
+    machines = {}
+    for a, b in itertools.combinations(classes, 2):
+        mask = (labels == a) | (labels == b)
+        y = np.where(labels[mask] == a, 1.0, -1.0)
+        machines[(a, b)] = scalar_smo_train(X[mask], y, c, gamma, tol, kernel, max_iter)
+    return SvmModel(classes=classes, machines=machines, c=float(c), gamma=float(gamma),
+                    kernel=kernel)
 
 
 def recover_alphas(machine, X: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from hwr import svm
 from hwr.svm import (
     DEFAULT_GRID,
+    BinarySvm,
+    ConvergenceError,
     DegenerateDataError,
     GridSpec,
     SvmModel,
@@ -24,7 +27,8 @@ from hwr.svm import (
 )
 
 
-from oracles import brute_force_dual, recover_alphas
+import oracles
+from oracles import brute_force_dual, recover_alphas, scalar_ovo_train, scalar_smo_train
 
 
 class TestRbfKernel:
@@ -288,3 +292,207 @@ class TestSerialization:
         assert np.array_equal(m0.support_vectors, m1.support_vectors)
         assert np.array_equal(m0.dual_coef, m1.dual_coef)
         assert m0.bias == m1.bias
+
+
+def _assert_same_machine(machine, ref):
+    """Bit-for-bit equality with the scalar reference."""
+    assert machine.passes == ref.passes
+    assert machine.bias == ref.bias
+    assert machine.dual_coef.shape == ref.dual_coef.shape
+    assert (machine.dual_coef == ref.dual_coef).all()
+    assert (machine.support_vectors == ref.support_vectors).all()
+
+
+def _sequential_grid(X, labels, spec, seed, train):
+    """grid_search's table, one cell and one fold at a time with ``train``."""
+    folds = stratified_folds(labels, spec.folds, seed)
+    table = []
+    for c in sorted(spec.c_values):
+        for gamma in sorted(spec.gamma_values):
+            correct = 0
+            try:
+                for held in folds:
+                    train_idx = np.setdiff1d(np.arange(len(labels)), held)
+                    model = train(X[train_idx], labels[train_idx], c, gamma)
+                    correct += int((model.predict_batch(X[held]) == labels[held]).sum())
+                accuracy = correct / len(labels)
+            except TrainingError:
+                accuracy = 0.0
+            table.append((c, gamma, accuracy))
+    return table
+
+
+@pytest.fixture
+def flat_steps(monkeypatch):
+    """Counts the scalar reference's pair steps along a flat direction."""
+    count = [0]
+    step = oracles.ScalarSmo._step
+
+    def counting(self, i1, i2):
+        if self.K[i1, i1] + self.K[i2, i2] - 2.0 * self.K[i1, i2] <= oracles._STEP_EPS:
+            count[0] += 1
+        return step(self, i1, i2)
+
+    monkeypatch.setattr(oracles.ScalarSmo, "_step", counting)
+    return count
+
+
+# (columns of small_features, C, gamma, kernel): every alpha at the bound, a large
+# C, and a linear kernel on 10 columns whose duplicate rows give flat directions
+EXACT_CASES = {
+    "bound": (None, 2.0**-5, 2.0**-3, "rbf"),
+    "large-c": (None, 2.0**7, 2.0**-9, "rbf"),
+    "linear-flat": (10, 2.0**7, 1.0, "linear"),
+}
+
+
+class TestLockstepExactness:
+    """The batched solver reproduces the scalar one-machine-at-a-time solver exactly."""
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_smo_train_matches_scalar(self, small_features, flat_steps, case):
+        cols, c, gamma, kernel = EXACT_CASES[case]
+        X, labels = small_features
+        mask = (labels == 2) | (labels == 3)
+        Xp, y = X[mask][:, :cols], np.where(labels[mask] == 2, 1.0, -1.0)
+        ref = scalar_smo_train(Xp, y, c, gamma, kernel=kernel)
+        _assert_same_machine(smo_train(Xp, y, c, gamma, kernel=kernel), ref)
+        if case == "bound":
+            assert (np.abs(ref.dual_coef) == c).sum() >= len(y) // 2
+        if case == "linear-flat":
+            assert flat_steps[0] > 0
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_ovo_train_matches_scalar(self, small_features, flat_steps, case):
+        cols, c, gamma, kernel = EXACT_CASES[case]
+        X, labels = small_features
+        ref = scalar_ovo_train(X[:, :cols], labels, c, gamma, kernel=kernel)
+        model = ovo_train(X[:, :cols], labels, c, gamma, kernel=kernel)
+        assert list(model.machines) == list(ref.machines)
+        for pair, machine in model.machines.items():
+            _assert_same_machine(machine, ref.machines[pair])
+        if case == "bound":
+            at_bound = sum(int((np.abs(m.dual_coef) == c).sum()) for m in ref.machines.values())
+            assert at_bound >= len(labels) * 6  # half of the 12 samples of each machine
+        if case == "linear-flat":
+            assert flat_steps[0] > 0
+
+    def test_concave_directions_match_scalar(self, flat_steps):
+        # the sigmoid kernel is not positive semidefinite, so some pair directions are
+        # concave and the step must pick the better end of the segment
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            X, y = gen.normal(size=(10, 2)), np.tile([1.0, -1.0], 5)
+            gamma, coef0, c = 2.0, float(gen.choice([-1.0, 0.0, 1.0])), 10.0
+            try:
+                ref = scalar_smo_train(X, y, c, gamma, kernel="sigmoid", coef0=coef0)
+            except TrainingError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    smo_train(X, y, c, gamma, kernel="sigmoid", coef0=coef0)
+            else:
+                _assert_same_machine(smo_train(X, y, c, gamma, kernel="sigmoid", coef0=coef0),
+                                     ref)
+        assert flat_steps[0] > 0
+
+    @pytest.mark.parametrize("cols, c, error", [(1, 2.0**7, ConvergenceError),
+                                                (5, 1.0, DegenerateDataError)])
+    def test_ovo_failure_matches_scalar(self, small_features, cols, c, error):
+        X, labels = small_features
+        with pytest.raises(error) as expected:
+            scalar_ovo_train(X[:, :cols], labels, c, 1.0, kernel="linear")
+        with pytest.raises(error) as raised:
+            ovo_train(X[:, :cols], labels, c, 1.0, kernel="linear")
+        if error is ConvergenceError:
+            assert str(raised.value) == str(expected.value)
+
+    def test_grid_table_matches_scalar_sequential(self, small_features):
+        X, labels = small_features
+        X = X[:, :40]
+        result = grid_search(X, labels, DEFAULT_GRID, seed=0)
+        assert result.table == _sequential_grid(X, labels, DEFAULT_GRID, 0, scalar_ovo_train)
+        assert len({acc for _, _, acc in result.table}) > 3
+
+
+class TestTrainingFailures:
+    def test_convergence_error_names_n_c_and_gap(self, small_features):
+        X, labels = small_features
+        mask = (labels == 2) | (labels == 3)
+        y = np.where(labels[mask] == 2, 1.0, -1.0)
+        with pytest.raises(ConvergenceError) as raised:
+            smo_train(X[mask], y, c=2.0**7, gamma=2.0**-9, max_passes=1)
+        message = str(raised.value)
+        assert "within 12 pair steps" in message
+        assert "n=12" in message and "C=128.0" in message
+        assert re.search(r"KKT gap \d\.\d{3}e[+-]\d+ > tol 1e-03", message)
+
+    def test_zero_margin_cells_score_zero(self, small_features):
+        # on 10 columns some cells have pairs with constant decisions
+        X, labels = small_features
+        X = X[:, :10]
+        result = grid_search(X, labels, DEFAULT_GRID, seed=0)
+        assert result.table == _sequential_grid(X, labels, DEFAULT_GRID, 0, ovo_train)
+        assert 0 < sum(acc == 0.0 for _, _, acc in result.table) < len(result.table)
+
+    def test_budget_failures_fail_only_their_cells(self, small_features, monkeypatch):
+        X, labels = small_features
+        X = X[:, :40]
+        unlimited = grid_search(X, labels, DEFAULT_GRID, seed=0).table
+        # 120 pair steps: enough for every machine at C = 0.5, too few for some at large C
+        monkeypatch.setattr(svm, "_step_budget", lambda n, max_passes: np.full_like(n, 120))
+        limited = grid_search(X, labels, DEFAULT_GRID, seed=0).table
+        assert limited == _sequential_grid(X, labels, DEFAULT_GRID, 0, ovo_train)
+        failed = {(c, gamma) for c, gamma, acc in limited if acc == 0.0}
+        assert failed and all(c > 0.5 for c, _ in failed) and len(failed) < len(limited)
+        for (c, gamma, acc), (_, _, before) in zip(limited, unlimited):
+            assert acc == (0.0 if (c, gamma) in failed else before)
+
+
+def _constant(bias: float) -> BinarySvm:
+    """A machine whose decision is ``bias`` everywhere."""
+    return BinarySvm(support_vectors=np.zeros((1, 1)), dual_coef=np.zeros(1), bias=bias,
+                     c=1.0, gamma=1.0)
+
+
+class TestTieBreak:
+    # a vote cycle: 2 beats 5, 5 beats 9, 9 beats 2, so every class has one vote
+    def _cycle(self, f25, f59, f29):
+        machines = {(2, 5): _constant(f25), (5, 9): _constant(f59), (2, 9): _constant(f29)}
+        return SvmModel(classes=[2, 5, 9], machines=machines, c=1.0, gamma=1.0)
+
+    def test_equal_votes_larger_magnitude_wins(self):
+        model = self._cycle(0.5, 0.9, -0.2)
+        assert model.predict_batch(np.zeros((3, 1))).tolist() == [5, 5, 5]
+
+    def test_equal_votes_equal_magnitudes_lowest_class(self):
+        model = self._cycle(0.5, 0.5, -0.5)
+        assert model.predict_batch(np.zeros((2, 1))).tolist() == [2, 2]
+
+    def test_two_way_tie_below_a_third_class(self):
+        # 9 beats both others; 2 and 5 tie on votes and magnitude
+        model = SvmModel(classes=[2, 5, 9], c=1.0, gamma=1.0, machines={
+            (2, 5): _constant(0.0), (2, 9): _constant(-0.5), (5, 9): _constant(-0.5)})
+        assert model.predict_batch(np.zeros((1, 1))).tolist() == [9]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranking_matches_tuple_order(self, seed):
+        gen = np.random.default_rng(seed)
+        classes = [1, 3, 4, 8, 11]
+        # a linear machine per pair, with few distinct slopes and offsets for many ties
+        machines = {pair: BinarySvm(support_vectors=np.ones((1, 1)),
+                                    dual_coef=gen.choice([-1.0, 0.0, 1.0], size=1),
+                                    bias=float(gen.choice([-0.5, 0.5])), c=1.0, gamma=1.0,
+                                    kernel="linear")
+                    for pair in itertools.combinations(classes, 2)}
+        model = SvmModel(classes=classes, machines=machines, c=1.0, gamma=1.0, kernel="linear")
+        X = gen.choice([-1.0, 0.0, 1.0], size=(40, 1))
+        votes = {cls: np.zeros(len(X)) for cls in classes}
+        magnitude = {cls: np.zeros(len(X)) for cls in classes}
+        for (a, b), machine in machines.items():
+            f = machine.decision(X)
+            for r, value in enumerate(f):
+                winner = a if value > 0.0 else b
+                votes[winner][r] += 1
+                magnitude[winner][r] += abs(value)
+        expected = [min(classes, key=lambda cls: (-votes[cls][r], -magnitude[cls][r], cls))
+                    for r in range(len(X))]
+        assert model.predict_batch(X).tolist() == expected
