@@ -7,13 +7,13 @@ the HWR_SEED environment variable (fallback 42) and expands per stage via
 hwr.rng.derive_seed, so repeated invocations with identical flags produce
 byte-identical artifacts.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or parameter error
+or a malformed input file (PGM, FMX1, manifest, label or model file).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -42,15 +42,7 @@ def _stage_seed(explicit: int | None, stage: str) -> int:
 
 def load_classifier(path: str | os.PathLike):
     """Open a serialized classifier, dispatching on its format tag."""
-    with open(path, encoding="utf-8") as fh:
-        fmt = json.load(fh).get("format")
-    if fmt == mlp.MLP_FORMAT:
-        return mlp.MlpModel.load(path)
-    if fmt == svm.SVM_FORMAT:
-        return svm.SvmModel.load(path)
-    if fmt == forest.FOREST_FORMAT:
-        return forest.ForestModel.load(path)
-    raise ValueError(f"unknown classifier format {fmt!r} in {path}")
+    return dataset.read_model(path, mlp.MlpModel, svm.SvmModel, forest.ForestModel)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

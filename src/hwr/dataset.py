@@ -1,14 +1,18 @@
-"""Dataset plumbing: manifests, train/test split, feature-matrix container.
+"""Dataset plumbing: manifests, train/test split, feature-matrix container,
+model files.
 
 The FMX1 container is binary and bit-exact: magic "FMX1", row and column
 counts as little-endian uint32, then row-major float64 little-endian values.
 Manifests are UTF-8 CSV files with header "path,label" and LF line endings;
-paths resolve relative to the manifest's directory.
+paths resolve relative to the manifest's directory.  Model files are UTF-8
+JSON objects whose "format" tag names the model kind; `read_model` is the
+only reader and parses each file once.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import struct
@@ -28,6 +32,10 @@ class ManifestError(ValueError):
 
 class FmxError(ValueError):
     """Malformed FMX1 container."""
+
+
+class ModelFileError(ValueError):
+    """Malformed model file, or one of another kind than expected."""
 
 
 @dataclass
@@ -171,3 +179,37 @@ def read_label_file(path: str | os.PathLike) -> np.ndarray:
     if not values:
         raise ValueError(f"{path}: no labels")
     return np.array(values, dtype=np.intp)
+
+
+def write_model(path: str | os.PathLike, doc: dict) -> None:
+    """Write a model document, its "format" tag first, as one line of JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def read_model(path: str | os.PathLike, *kinds):
+    """Parse a model file once and build the kind whose FORMAT matches its tag.
+
+    Each kind is a class with a FORMAT tag and a ``from_doc`` constructor.
+    Every decode failure raises ModelFileError naming the path: bad JSON or
+    UTF-8, a non-object document, an unexpected tag, a missing field, or a
+    field of the wrong type or one that cannot take its stated shape.  A
+    file that cannot be opened raises OSError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFileError(f"{path}: not a JSON model file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ModelFileError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    fmt = doc.get("format")
+    for kind in kinds:
+        if fmt == kind.FORMAT:
+            try:
+                return kind.from_doc(doc)
+            except (LookupError, TypeError, ValueError) as exc:
+                raise ModelFileError(
+                    f"{path}: malformed {fmt} model ({type(exc).__name__}: {exc})") from None
+    expected = " or ".join(kind.FORMAT for kind in kinds)
+    raise ModelFileError(f"{path}: format {fmt!r} is not {expected}")

@@ -19,7 +19,6 @@ jl_min_dim(n=736, eps=0.5/0.3/0.2) = 316/733/1523.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,13 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from . import rng
+from . import dataset, rng
 
 PCA_DEFAULT_DIMS = (50, 100)
 RP_DEFAULT_DIMS = (316, 733, 1523)
-
-PCA_FORMAT = "hwr-pca/1"
-RP_FORMAT = "hwr-rp/1"
 
 
 def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -47,6 +43,8 @@ def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
 
 @dataclass
 class PcaModel:
+    FORMAT = "hwr-pca/1"
+
     mean: np.ndarray                # (d,)
     components: np.ndarray          # (k, d), rows orthonormal
     explained_variance: np.ndarray  # (k,), non-increasing
@@ -69,29 +67,27 @@ class PcaModel:
         return Z @ self.components + self.mean
 
     def save(self, path: str | os.PathLike) -> None:
-        doc = {
-            "format": PCA_FORMAT,
+        dataset.write_model(path, {
+            "format": self.FORMAT,
             "d": self.d,
             "k": self.k,
             "mean": self.mean.tolist(),
             "components": self.components.ravel().tolist(),
             "explained_variance": self.explained_variance.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        })
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "PcaModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != PCA_FORMAT:
-            raise ValueError(f"not a PCA model file: format {doc.get('format')!r}")
+    def from_doc(cls, doc: dict) -> "PcaModel":
         d, k = int(doc["d"]), int(doc["k"])
         return cls(
             mean=np.array(doc["mean"], dtype=np.float64),
             components=np.array(doc["components"], dtype=np.float64).reshape(k, d),
             explained_variance=np.array(doc["explained_variance"], dtype=np.float64),
         )
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> "PcaModel":
+        return dataset.read_model(path, cls)
 
 
 def pca_fit(X: np.ndarray, k: int) -> PcaModel:
@@ -126,6 +122,8 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProjectionMatrix:
+    FORMAT = "hwr-rp/1"
+
     kind: str                 # "gaussian" | "sparse"
     seed: int
     matrix: np.ndarray | sparse.csr_array  # (k, d)
@@ -149,7 +147,7 @@ class ProjectionMatrix:
 
     def save(self, path: str | os.PathLike) -> None:
         doc = {
-            "format": RP_FORMAT,
+            "format": self.FORMAT,
             "kind": self.kind,
             "generator": self.generator,
             "seed": self.seed,
@@ -163,15 +161,10 @@ class ProjectionMatrix:
             doc["values"] = coo.data.tolist()
         else:
             doc["values"] = np.asarray(self.matrix).ravel().tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        dataset.write_model(path, doc)
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "ProjectionMatrix":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != RP_FORMAT:
-            raise ValueError(f"not a projection file: format {doc.get('format')!r}")
+    def from_doc(cls, doc: dict) -> "ProjectionMatrix":
         kind, d, k = doc["kind"], int(doc["d"]), int(doc["k"])
         if kind == "sparse":
             matrix = sparse.coo_array(
@@ -183,6 +176,10 @@ class ProjectionMatrix:
             matrix = np.array(doc["values"], dtype=np.float64).reshape(k, d)
         return cls(kind=kind, seed=int(doc["seed"]), matrix=matrix,
                    generator=doc.get("generator", rng.GENERATOR_NAME))
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> "ProjectionMatrix":
+        return dataset.read_model(path, cls)
 
 
 def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
@@ -231,11 +228,4 @@ def jl_min_dim(n: int, eps: float) -> int:
 
 def load_reducer(path: str | os.PathLike) -> PcaModel | ProjectionMatrix:
     """Open a serialized reduction model, dispatching on its format tag."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    fmt = doc.get("format")
-    if fmt == PCA_FORMAT:
-        return PcaModel.load(path)
-    if fmt == RP_FORMAT:
-        return ProjectionMatrix.load(path)
-    raise ValueError(f"unknown reduction model format {fmt!r} in {path}")
+    return dataset.read_model(path, PcaModel, ProjectionMatrix)

@@ -8,24 +8,21 @@ then the lower threshold.  Nodes stop at purity, at fewer than 2 samples,
 when no positive-gain split exists, or at the optional depth cap.
 
 The forest predicts by averaging the per-tree leaf distributions (soft
-voting); hard majority voting over per-tree argmax classes is available as
-an alternative mode.
+voting) and taking the most probable class, ties toward the lowest id.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
 from .labels import N_CLASSES
 
 DEFAULT_TREE_COUNTS = (50, 100, 2000)
-
-FOREST_FORMAT = "hwr-rf/1"
 
 _GAIN_EPS = 1e-12
 
@@ -165,6 +162,8 @@ def grow_tree(
 
 @dataclass
 class ForestModel:
+    FORMAT = "hwr-rf/1"
+
     trees: list[TreeNode]
     d: int
     seed: int
@@ -174,40 +173,31 @@ class ForestModel:
     def m(self) -> int:
         return len(self.trees)
 
-    @property
-    def feature_subset_size(self) -> int:
-        return max(1, math.floor(math.sqrt(self.d)))
-
-    def predict(self, x: np.ndarray) -> int:
-        return rf_predict(self, x)
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.array([rf_predict(self, x) for x in X], dtype=np.intp)
 
     def save(self, path: str | os.PathLike) -> None:
-        doc = {
-            "format": FOREST_FORMAT,
+        dataset.write_model(path, {
+            "format": self.FORMAT,
             "d": self.d,
             "seed": self.seed,
             "n_classes": self.n_classes,
             "trees": [t.to_dict() for t in self.trees],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        })
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "ForestModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != FOREST_FORMAT:
-            raise ValueError(f"not a forest model file: format {doc.get('format')!r}")
+    def from_doc(cls, doc: dict) -> "ForestModel":
         return cls(
             trees=[TreeNode.from_dict(t) for t in doc["trees"]],
             d=int(doc["d"]),
             seed=int(doc["seed"]),
             n_classes=int(doc["n_classes"]),
         )
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> "ForestModel":
+        return dataset.read_model(path, cls)
 
 
 def rf_train(
@@ -255,14 +245,6 @@ def rf_predict_proba(model: ForestModel, x: np.ndarray) -> np.ndarray:
     return probs / model.m
 
 
-def rf_predict(model: ForestModel, x: np.ndarray, mode: str = "average") -> int:
-    """Class id from averaged probabilities (default) or hard majority vote."""
-    if mode == "average":
-        return int(np.argmax(rf_predict_proba(model, x))) + 1
-    if mode == "vote":
-        x = np.asarray(x, dtype=np.float64)
-        votes = np.zeros(model.n_classes, dtype=np.int64)
-        for tree in model.trees:
-            votes[int(np.argmax(tree.leaf_for(x).counts))] += 1
-        return int(np.argmax(votes)) + 1
-    raise ValueError(f"mode must be 'average' or 'vote', got {mode!r}")
+def rf_predict(model: ForestModel, x: np.ndarray) -> int:
+    """Most probable class id of one sample; ties break toward the lowest id."""
+    return int(np.argmax(rf_predict_proba(model, x))) + 1

@@ -9,18 +9,16 @@ momentum or weight decay.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
 from .labels import N_CLASSES
 
 HIDDEN_LAYER_SWEEP = (50, 100, 150, 350)
-
-MLP_FORMAT = "hwr-mlp/1"
 
 _PROB_FLOOR = 1e-15
 
@@ -31,6 +29,8 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class MlpModel:
+    FORMAT = "hwr-mlp/1"
+
     w1: np.ndarray  # (h, m)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (o, h)
@@ -52,8 +52,8 @@ class MlpModel:
         return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
     def save(self, path: str | os.PathLike) -> None:
-        doc = {
-            "format": MLP_FORMAT,
+        dataset.write_model(path, {
+            "format": self.FORMAT,
             "m": self.m,
             "h": self.h,
             "o": self.o,
@@ -61,16 +61,10 @@ class MlpModel:
             "b1": self.b1.tolist(),
             "w2": self.w2.ravel().tolist(),
             "b2": self.b2.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        })
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "MlpModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != MLP_FORMAT:
-            raise ValueError(f"not an MLP model file: format {doc.get('format')!r}")
+    def from_doc(cls, doc: dict) -> "MlpModel":
         m, h, o = int(doc["m"]), int(doc["h"]), int(doc["o"])
         return cls(
             w1=np.array(doc["w1"], dtype=np.float64).reshape(h, m),
@@ -79,11 +73,13 @@ class MlpModel:
             b2=np.array(doc["b2"], dtype=np.float64),
         )
 
-    def predict(self, x: np.ndarray) -> int:
-        return predict(self, x)
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> "MlpModel":
+        return dataset.read_model(path, cls)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        _, probs = _forward_batch(self, _check_batch(self, X))
+        """Most probable class id per row; ties break toward the lowest id."""
+        _, probs = forward(self, X)
         return np.argmax(probs, axis=1) + 1
 
 
@@ -119,21 +115,6 @@ def mlp_init(m: int, h: int, o: int, seed: int) -> MlpModel:
     )
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _check_vector(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != model.m:
-        raise ValueError(f"input has shape {arr.shape}, model expects length {model.m}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input contains non-finite values")
-    return arr
-
-
 def _check_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.m:
@@ -141,19 +122,16 @@ def _check_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return arr
 
 
-def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and output probabilities for one sample."""
-    arr = _check_vector(model, x)
-    hidden = np.maximum(0.0, model.w1 @ arr + model.b1)
-    logits = model.w2 @ hidden + model.b2
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return hidden, e / e.sum()
+def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (n, h) and output probabilities (n, o) of the rows of X.
 
-
-def _forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.maximum(0.0, X @ model.w1.T + model.b1)
-    return hidden, _softmax_rows(hidden @ model.w2.T + model.b2)
+    X must be a 2-D matrix with one column per model input; a single
+    sample is a 1-row matrix.
+    """
+    hidden = np.maximum(0.0, _check_batch(model, X) @ model.w1.T + model.b1)
+    logits = hidden @ model.w2.T + model.b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return hidden, e / e.sum(axis=1, keepdims=True)
 
 
 def loss(probs: np.ndarray, label: int) -> float:
@@ -181,7 +159,7 @@ def batch_gradients(
     """Exact gradients of the mean cross-entropy over the batch."""
     X, y = _check_training_data(model, X, labels)
     n = X.shape[0]
-    hidden, probs = _forward_batch(model, X)
+    hidden, probs = forward(model, X)
     mean_loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y - 1], _PROB_FLOOR))))
     delta = probs.copy()
     delta[np.arange(n), y - 1] -= 1.0
@@ -200,7 +178,7 @@ def batch_gradients(
 def batch_loss(model: MlpModel, X: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the model over (X, labels)."""
     X, y = _check_training_data(model, X, labels)
-    _, probs = _forward_batch(model, X)
+    _, probs = forward(model, X)
     picked = probs[np.arange(X.shape[0]), y - 1]
     return float(-np.mean(np.log(np.maximum(picked, _PROB_FLOOR))))
 
@@ -225,13 +203,3 @@ def train(model: MlpModel, X, labels, cfg: TrainConfig) -> MlpModel:
             out.w2 -= cfg.learning_rate * grads["w2"]
             out.b2 -= cfg.learning_rate * grads["b2"]
     return out
-
-
-def predict_proba(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    _, probs = forward(model, x)
-    return probs
-
-
-def predict(model: MlpModel, x: np.ndarray) -> int:
-    """Most probable class id; ties break toward the lowest id."""
-    return int(np.argmax(predict_proba(model, x))) + 1

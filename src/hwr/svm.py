@@ -34,17 +34,16 @@ gamma, on ties.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataset
+
 # Grid from the practical-guide convention: coarse powers of two.
 DEFAULT_C_VALUES = (2.0**-1, 2.0**1, 2.0**3, 2.0**5, 2.0**7)
 DEFAULT_GAMMA_VALUES = (2.0**-9, 2.0**-7, 2.0**-5, 2.0**-3, 2.0**-1)
-
-SVM_FORMAT = "hwr-svm/1"
 
 _STEP_EPS = 1e-8       # curvature/objective margin below which a direction is flat
 _SV_EPS = 1e-12        # alpha > this counts as a support vector
@@ -407,14 +406,13 @@ def dual_objective(machine_alphas: np.ndarray, y: np.ndarray, K: np.ndarray) -> 
 
 @dataclass
 class SvmModel:
+    FORMAT = "hwr-svm/1"
+
     classes: list[int]
     machines: dict[tuple[int, int], BinarySvm]
     c: float
     gamma: float
     kernel: str = "rbf"
-
-    def predict(self, x: np.ndarray) -> int:
-        return ovo_predict(self, x)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -435,8 +433,8 @@ class SvmModel:
         return classes[np.lexsort(keys, axis=1)[:, 0]]
 
     def save(self, path: str | os.PathLike) -> None:
-        doc = {
-            "format": SVM_FORMAT,
+        dataset.write_model(path, {
+            "format": self.FORMAT,
             "classes": list(self.classes),
             "c": self.c,
             "gamma": self.gamma,
@@ -452,16 +450,10 @@ class SvmModel:
                 }
                 for (a, b), m in sorted(self.machines.items())
             ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        })
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "SvmModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != SVM_FORMAT:
-            raise ValueError(f"not an SVM model file: format {doc.get('format')!r}")
+    def from_doc(cls, doc: dict) -> "SvmModel":
         machines = {}
         for rec in doc["machines"]:
             a, b = rec["pair"]
@@ -482,6 +474,10 @@ class SvmModel:
             gamma=float(doc["gamma"]),
             kernel=doc["kernel"],
         )
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> "SvmModel":
+        return dataset.read_model(path, cls)
 
 
 def _ovo_problems(
@@ -534,13 +530,6 @@ def ovo_train(
             raise machine
     return SvmModel(classes=classes, machines=dict(zip(problems, machines)), c=float(c),
                     gamma=float(gamma), kernel=kernel)
-
-
-def ovo_predict(model: SvmModel, x: np.ndarray) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single feature vector, got shape {x.shape}")
-    return int(model.predict_batch(x[None, :])[0])
 
 
 @dataclass

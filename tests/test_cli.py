@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,44 @@ class TestTrainEvalPredict:
                            "--labels", str(pipeline_dir / "feat.fmx.labels"),
                            "--model", str(tmp_path / "mlp.json"), "--split-seed", "5")
         assert code == 0
+
+    def test_each_model_file_parsed_once(self, capsys, monkeypatch, pipeline_dir):
+        parsed = []
+        real_load = json.load
+
+        def counting_load(fh, **kwargs):
+            parsed.append(Path(fh.name).name)
+            return real_load(fh, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        code, _, _ = run(capsys, "predict",
+                         "--image", str(pipeline_dir / "imgs" / "c03_s001.pgm"),
+                         "--reducer", str(pipeline_dir / "pca.json"),
+                         "--model", str(pipeline_dir / "rf.json"))
+        assert code == 0
+        assert parsed == ["pca.json", "rf.json"]
+        parsed.clear()
+        code, _, _ = run(capsys, "eval", "--in", str(pipeline_dir / "reduced.fmx"),
+                         "--labels", str(pipeline_dir / "feat.fmx.labels"),
+                         "--model", str(pipeline_dir / "rf.json"), "--split-seed", "5")
+        assert code == 0
+        assert parsed == ["rf.json"]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "hwr-svm/1"}'])
+    def test_corrupt_model_exit_2_without_traceback(self, tmp_path, pipeline_dir, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hwr.cli", "predict",
+             "--image", str(pipeline_dir / "imgs" / "c01_s000.pgm"),
+             "--reducer", str(pipeline_dir / "pca.json"), "--model", str(bad)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {bad}: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestTopLevel:

@@ -208,12 +208,6 @@ class TestPredict:
             assert np.allclose(rf_predict_proba(model, x),
                                rf_predict_proba(reversed_model, x), atol=1e-15)
 
-    def test_majority_vote_mode(self):
-        model = self._two_leaf_forest()
-        assert rf_predict(model, np.zeros(2), mode="vote") == 3
-        with pytest.raises(ValueError):
-            rf_predict(model, np.zeros(2), mode="mean")
-
     def test_dimension_check(self):
         model = self._two_leaf_forest()
         with pytest.raises(ValueError, match="length"):

@@ -14,8 +14,6 @@ from hwr.mlp import (
     forward,
     loss,
     mlp_init,
-    predict,
-    predict_proba,
     train,
 )
 
@@ -60,29 +58,29 @@ class TestInit:
 class TestForward:
     def test_zero_model_uniform_probs(self):
         model = MlpModel(np.zeros((5, 3)), np.zeros(5), np.zeros((14, 5)), np.zeros(14))
-        _, probs = forward(model, np.array([1.0, -2.0, 3.0]))
+        _, probs = forward(model, np.array([[1.0, -2.0, 3.0]]))
         assert np.allclose(probs, 1 / 14)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_hidden_nonnegative(self):
         model = mlp_init(8, 6, 4, seed=3)
-        hidden, _ = forward(model, np.random.default_rng(4).normal(size=8))
+        hidden, _ = forward(model, np.random.default_rng(4).normal(size=(1, 8)))
         assert (hidden >= 0).all()
 
     def test_single_unit_toy(self):
         model = MlpModel(np.array([[2.0]]), np.array([-1.0]),
                          np.zeros((2, 1)), np.zeros(2))
-        hidden, _ = forward(model, np.array([2.0]))
-        assert hidden.tolist() == [3.0]
+        hidden, _ = forward(model, np.array([[2.0]]))
+        assert hidden.tolist() == [[3.0]]
 
     def test_length_mismatch(self):
         model = mlp_init(4, 3, 2, seed=0)
-        with pytest.raises(ValueError, match="length"):
-            forward(model, np.zeros(5))
+        with pytest.raises(ValueError, match="columns"):
+            forward(model, np.zeros((1, 5)))
 
     def test_probs_sum_to_one(self):
         model = mlp_init(10, 7, 14, seed=5)
-        _, probs = forward(model, np.random.default_rng(6).normal(size=10) * 50)
+        _, probs = forward(model, np.random.default_rng(6).normal(size=(1, 10)) * 50)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert (probs > 0).all() and (probs < 1).all()
 
@@ -138,8 +136,7 @@ class TestTraining:
         X, y = _blobs_2class()
         model = mlp_init(2, 8, 2, seed=0)
         model = train(model, X, y, TrainConfig(learning_rate=0.05, epochs=100, seed=1))
-        correct = sum(predict(model, x) == label for x, label in zip(X, y))
-        assert correct == len(y)
+        assert np.array_equal(model.predict_batch(X), y)
 
     def test_zero_epochs_unchanged(self):
         X, y = _blobs_2class(5)
@@ -188,19 +185,19 @@ class TestTraining:
 class TestPredict:
     def test_uniform_tie_breaks_to_class_one(self):
         model = MlpModel(np.zeros((4, 3)), np.zeros(4), np.zeros((14, 4)), np.zeros(14))
-        assert predict(model, np.array([0.5, -0.5, 1.0])) == 1
+        assert model.predict_batch(np.array([[0.5, -0.5, 1.0]])).tolist() == [1]
 
     def test_concentrated_probability(self):
         model = MlpModel(np.eye(3), np.zeros(3), np.zeros((14, 3)), np.zeros(14))
         model.b2[6] = 50.0  # class 7 logit dominates
-        assert predict(model, np.zeros(3)) == 7
+        assert model.predict_batch(np.zeros((1, 3))).tolist() == [7]
 
     def test_predict_is_argmax_of_proba(self):
         model = mlp_init(5, 6, 14, seed=12)
         gen = np.random.default_rng(13)
-        for _ in range(10):
-            x = gen.normal(size=5)
-            assert predict(model, x) == int(np.argmax(predict_proba(model, x))) + 1
+        X = gen.normal(size=(10, 5))
+        _, probs = forward(model, X)
+        assert np.array_equal(model.predict_batch(X), np.argmax(probs, axis=1) + 1)
 
 
 class TestSerialization:

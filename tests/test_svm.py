@@ -19,7 +19,6 @@ from hwr.svm import (
     dual_objective,
     grid_search,
     kernel_matrix,
-    ovo_predict,
     ovo_train,
     rbf_kernel,
     smo_train,
@@ -175,7 +174,7 @@ class TestOvo:
         machine = model.machines[(3, 9)]
         for x in X:
             expected = 3 if machine.decision(x[None, :])[0] > 0 else 9
-            assert ovo_predict(model, x) == expected
+            assert model.predict_batch(x[None]).tolist() == [expected]
 
     def test_three_blobs_held_out(self):
         gen = np.random.default_rng(6)
