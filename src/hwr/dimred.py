@@ -28,10 +28,6 @@ from scipy import sparse
 
 from . import dataset, rng
 
-PCA_DEFAULT_DIMS = (50, 100)
-RP_DEFAULT_DIMS = (316, 733, 1523)
-
-
 def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -80,9 +76,9 @@ class PcaModel:
     def from_doc(cls, doc: dict) -> "PcaModel":
         d, k = int(doc["d"]), int(doc["k"])
         return cls(
-            mean=np.array(doc["mean"], dtype=np.float64),
+            mean=np.array(doc["mean"], dtype=np.float64).reshape(d),
             components=np.array(doc["components"], dtype=np.float64).reshape(k, d),
-            explained_variance=np.array(doc["explained_variance"], dtype=np.float64),
+            explained_variance=np.array(doc["explained_variance"], dtype=np.float64).reshape(k),
         )
 
     @classmethod

@@ -4,11 +4,11 @@ Default geometry on the canonical 64x128 raster: 16x16 blocks, 8x8 stride,
 8x8 cells, 9 unsigned orientation bins -> 7 * 15 * 4 * 9 = 3780 values.
 
 Design follows the Dalal-Triggs reference descriptor: centered [-1, 0, 1]
-derivative masks with replicated edges, unsigned orientations over 9 bins of
-20 degrees with bin centers at 0, 20, ..., 160, magnitude-weighted bilinear
-voting into the two nearest bins, per-block L2-Hys normalization (epsilon
-1e-5, clip 0.2).  There is no spatial Gaussian weighting inside blocks and
-no gamma pre-normalization.
+derivative masks with replicated edges, unsigned orientations (the only kind
+offered) over 9 bins of 20 degrees with bin centers at 0, 20, ..., 160,
+magnitude-weighted bilinear voting into the two nearest bins, per-block
+L2-Hys normalization (epsilon 1e-5, clip 0.2).  There is no spatial Gaussian
+weighting inside blocks and no gamma pre-normalization.
 
 Emission order is fixed because model files depend on it: blocks row-major
 (top-to-bottom, then left-to-right), cells within a block row-major, bins in
@@ -34,7 +34,6 @@ class HogParams:
     block: tuple[int, int] = (16, 16)
     stride: tuple[int, int] = (8, 8)
     bins: int = 9
-    signed: bool = False
 
     def __post_init__(self) -> None:
         for name in ("cell", "block", "stride"):
@@ -88,8 +87,6 @@ def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndar
     votes its magnitude into the two orientation bins nearest its unsigned
     angle, split linearly.
     """
-    if params.signed:
-        raise NotImplementedError("signed-gradient HOG is not supported")
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
@@ -170,7 +167,6 @@ def extract_word_features(
     img: np.ndarray,
     params: HogParams = DEFAULT_HOG,
     include_scalars: bool = False,
-    dilate_radius: int = 1,
 ) -> np.ndarray:
     """Run the preprocessing chain on a raw word image and return features.
 
@@ -179,7 +175,7 @@ def extract_word_features(
     counts are normalized by the cropped word area and the length by the
     canonical width, so all features stay O(1).
     """
-    pre = imaging.preprocess(img, dilate_radius=dilate_radius)
+    pre = imaging.preprocess(img)
     descriptor = hog(pre.image, params)
     if not include_scalars:
         return descriptor

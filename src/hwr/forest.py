@@ -220,7 +220,7 @@ def rf_train(
     n = X.shape[0]
     trees = []
     for b in range(m):
-        boot = np.random.default_rng([seed, b, 0]).integers(0, n, size=n)
+        boot = bootstrap_indices(seed, b, n)
         trees.append(
             grow_tree(X[boot], labels[boot], tree_seed=[seed, b, 1],
                       n_classes=n_classes, max_depth=max_depth)

@@ -1,8 +1,9 @@
 """Word-image preprocessing.
 
-Decode scanned word images, binarize (Otsu), dilate to merge strokes, locate
-the word with a bounding box, crop the original grayscale, and resize to the
-canonical 64-row x 128-column raster with bicubic interpolation.
+Decode scanned grayscale word images (binary PGM), binarize (Otsu), dilate
+with a 3x3 square to merge strokes, locate the word with a bounding box, crop
+the original grayscale, and resize to the canonical 64-row x 128-column
+raster with bicubic interpolation.
 
 Images are plain numpy arrays: grayscale rasters are 2-D uint8, binary masks
 are 2-D bool with True = ink.
@@ -135,18 +136,6 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
         fh.write(encode_pgm(img))
 
 
-def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
-    """Luma conversion (0.299/0.587/0.114), rounded half-up.
-
-    Only needed for optional non-PGM ingestion; the PGM path is already gray.
-    """
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected an (h, w, 3) array, got shape {arr.shape}")
-    luma = arr[..., 0] * 0.299 + arr[..., 1] * 0.587 + arr[..., 2] * 0.114
-    return np.floor(luma + 0.5).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # Binarization and morphology
 
@@ -257,16 +246,16 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Standard chain
 
-def preprocess(img: np.ndarray, dilate_radius: int = 1) -> Preprocessed:
+def preprocess(img: np.ndarray) -> Preprocessed:
     """Grayscale -> binarize -> dilate -> bounding box -> crop -> resize.
 
-    Dilation only merges strokes so the box spans the whole word; the crop is
-    taken from the original grayscale, and the ink mask returned for scalar
-    features is the pre-dilation one.
+    Dilation (radius 1, a 3x3 square) only merges strokes so the box spans
+    the whole word; the crop is taken from the original grayscale, and the
+    ink mask returned for scalar features is the pre-dilation one.
     """
     gray = _as_gray(img)
     ink = binarize_otsu(gray)
-    box = bounding_box(dilate(ink, dilate_radius))
+    box = bounding_box(dilate(ink, 1))
     word = crop(gray, box)
     resized = resize_bicubic(word, CANONICAL_HEIGHT, CANONICAL_WIDTH)
     ink_crop = ink[box.top:box.top + box.height, box.left:box.left + box.width].copy()

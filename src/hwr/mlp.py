@@ -68,9 +68,9 @@ class MlpModel:
         m, h, o = int(doc["m"]), int(doc["h"]), int(doc["o"])
         return cls(
             w1=np.array(doc["w1"], dtype=np.float64).reshape(h, m),
-            b1=np.array(doc["b1"], dtype=np.float64),
+            b1=np.array(doc["b1"], dtype=np.float64).reshape(h),
             w2=np.array(doc["w2"], dtype=np.float64).reshape(o, h),
-            b2=np.array(doc["b2"], dtype=np.float64),
+            b2=np.array(doc["b2"], dtype=np.float64).reshape(o),
         )
 
     @classmethod
@@ -89,7 +89,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -190,7 +189,7 @@ def train(model: MlpModel, X, labels, cfg: TrainConfig) -> MlpModel:
     gen = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     for epoch in range(cfg.epochs):
-        order = gen.permutation(n) if cfg.shuffle else np.arange(n)
+        order = gen.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             grads, batch = batch_gradients(out, X[idx], y[idx])

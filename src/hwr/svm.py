@@ -1,6 +1,8 @@
 """RBF-kernel SVM trained by sequential minimal optimization.
 
-Binary machines solve the standard dual
+RBF is the only kernel, K(x, z) = exp(-gamma * ||x - z||^2); model files
+(hwr-svm/1) record it as "kernel": "rbf" and any other value is refused at
+load.  Binary machines solve the standard dual
 
     max  sum(a) - 0.5 * sum_ij a_i a_j y_i y_j K(x_i, x_j)
     s.t. 0 <= a_i <= C,  sum_i a_i y_i = 0
@@ -61,43 +63,16 @@ class DegenerateDataError(TrainingError):
     """Training data admits no separating information (zero margin)."""
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"vector shapes differ: {x.shape} vs {y.shape}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    diff = x - y
-    return float(np.exp(-gamma * (diff @ diff)))
-
-
-def kernel_matrix(
-    A: np.ndarray,
-    B: np.ndarray,
-    kernel: str = "rbf",
-    gamma: float = 1.0,
-    degree: int = 3,
-    coef0: float = 0.0,
-) -> np.ndarray:
-    """Gram matrix K[i, j] = k(A[i], B[j]) for the four classic kernels."""
+def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """RBF Gram matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2)."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"feature dims differ: {A.shape[1]} vs {B.shape[1]}")
-    if kernel == "rbf":
-        if gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-        return np.exp(-gamma * np.maximum(sq, 0.0))
-    if kernel == "linear":
-        return A @ B.T
-    if kernel == "poly":
-        return (gamma * (A @ B.T) + coef0) ** degree
-    if kernel == "sigmoid":
-        return np.tanh(gamma * (A @ B.T) + coef0)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 @dataclass
@@ -107,15 +82,11 @@ class BinarySvm:
     bias: float
     c: float
     gamma: float
-    kernel: str = "rbf"
-    degree: int = 3
-    coef0: float = 0.0
     passes: int = 0              # SMO pair-step count, diagnostic only
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        K = kernel_matrix(self.support_vectors, X, self.kernel, self.gamma,
-                          self.degree, self.coef0)
+        K = kernel_matrix(self.support_vectors, X, self.gamma)
         return self.dual_coef @ K + self.bias
 
 
@@ -321,9 +292,6 @@ def _train(
     costs: list[float],
     gamma: float,
     tol: float,
-    kernel: str,
-    degree: int = 3,
-    coef0: float = 0.0,
     max_passes: int | None = None,
 ) -> list[list[BinarySvm | TrainingError]]:
     """Train a machine for every (C, problem) in one lockstep batch.
@@ -336,14 +304,13 @@ def _train(
     for c in costs:
         if c <= 0:
             raise ValueError(f"C must be > 0, got {c}")
-    solver = _Smo([kernel_matrix(X, X, kernel, gamma, degree, coef0) for X, _ in problems],
+    solver = _Smo([kernel_matrix(X, X, gamma) for X, _ in problems],
                   [y for _, y in problems], costs, tol, max_passes)
     outcomes = iter(solver.solve())
-    return [[_machine(X, y, next(outcomes), c, gamma, kernel, degree, coef0)
-             for X, y in problems] for c in costs]
+    return [[_machine(X, y, next(outcomes), c, gamma) for X, y in problems] for c in costs]
 
 
-def _machine(X, y, outcome, c, gamma, kernel, degree, coef0) -> BinarySvm | TrainingError:
+def _machine(X, y, outcome, c, gamma) -> BinarySvm | TrainingError:
     if isinstance(outcome, TrainingError):
         return outcome
     alphas, raw, bias, passes = outcome
@@ -360,9 +327,6 @@ def _machine(X, y, outcome, c, gamma, kernel, degree, coef0) -> BinarySvm | Trai
         bias=bias,
         c=float(c),
         gamma=float(gamma),
-        kernel=kernel,
-        degree=degree,
-        coef0=coef0,
         passes=passes,
     )
 
@@ -373,9 +337,6 @@ def smo_train(
     c: float,
     gamma: float = 1.0,
     tol: float = 1e-3,
-    kernel: str = "rbf",
-    degree: int = 3,
-    coef0: float = 0.0,
     max_passes: int | None = None,
 ) -> BinarySvm:
     """Train one binary machine on labels in {-1, +1}.
@@ -391,7 +352,7 @@ def smo_train(
         raise ValueError("labels must be -1 or +1")
     if X.shape[0] < 2 or len(np.unique(y)) < 2:
         raise TrainingError("training needs at least 2 samples covering both classes")
-    [[machine]] = _train([(X, y)], [c], gamma, tol, kernel, degree, coef0, max_passes)
+    [[machine]] = _train([(X, y)], [c], gamma, tol, max_passes)
     if isinstance(machine, TrainingError):
         raise machine
     return machine
@@ -412,7 +373,6 @@ class SvmModel:
     machines: dict[tuple[int, int], BinarySvm]
     c: float
     gamma: float
-    kernel: str = "rbf"
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -438,7 +398,7 @@ class SvmModel:
             "classes": list(self.classes),
             "c": self.c,
             "gamma": self.gamma,
-            "kernel": self.kernel,
+            "kernel": "rbf",
             "machines": [
                 {
                     "pair": [a, b],
@@ -454,25 +414,26 @@ class SvmModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SvmModel":
+        if doc["kernel"] != "rbf":
+            raise ValueError(f"kernel {doc['kernel']!r} is not supported (only 'rbf')")
         machines = {}
         for rec in doc["machines"]:
             a, b = rec["pair"]
+            n = rec["n_support"]
             machines[(a, b)] = BinarySvm(
                 support_vectors=np.array(rec["support_vectors"], dtype=np.float64).reshape(
-                    rec["n_support"], rec["dim"]
+                    n, rec["dim"]
                 ),
-                dual_coef=np.array(rec["dual_coef"], dtype=np.float64),
+                dual_coef=np.array(rec["dual_coef"], dtype=np.float64).reshape(n),
                 bias=float(rec["bias"]),
                 c=float(doc["c"]),
                 gamma=float(doc["gamma"]),
-                kernel=doc["kernel"],
             )
         return cls(
             classes=[int(c) for c in doc["classes"]],
             machines=machines,
             c=float(doc["c"]),
             gamma=float(doc["gamma"]),
-            kernel=doc["kernel"],
         )
 
     @classmethod
@@ -515,7 +476,6 @@ def ovo_train(
     c: float,
     gamma: float,
     tol: float = 1e-3,
-    kernel: str = "rbf",
     classes: list[int] | None = None,
 ) -> SvmModel:
     """One binary machine per unordered class pair, all solved in one batch.
@@ -524,12 +484,12 @@ def ovo_train(
     The first pair (in sorted order) whose machine fails raises its error.
     """
     classes, problems = _ovo_problems(X, labels, classes)
-    [machines] = _train(list(problems.values()), [c], gamma, tol, kernel)
+    [machines] = _train(list(problems.values()), [c], gamma, tol)
     for machine in machines:
         if isinstance(machine, TrainingError):
             raise machine
     return SvmModel(classes=classes, machines=dict(zip(problems, machines)), c=float(c),
-                    gamma=float(gamma), kernel=kernel)
+                    gamma=float(gamma))
 
 
 @dataclass
@@ -583,7 +543,6 @@ def grid_search(
     spec: GridSpec = DEFAULT_GRID,
     seed: int = 0,
     tol: float = 1e-3,
-    kernel: str = "rbf",
 ) -> GridSearchResult:
     """Cross-validated accuracy for every (C, gamma) cell; returns the argmax.
 
@@ -609,13 +568,13 @@ def grid_search(
             live = [c for c in dict.fromkeys(c_values) if correct[c, gamma] is not None]
             if not live:
                 continue
-            fits = _train(list(problems.values()), live, gamma, tol, kernel)
+            fits = _train(list(problems.values()), live, gamma, tol)
             for c, machines in zip(live, fits):
                 if any(isinstance(m, TrainingError) for m in machines):
                     correct[c, gamma] = None
                     continue
                 model = SvmModel(classes=classes, machines=dict(zip(problems, machines)),
-                                 c=float(c), gamma=float(gamma), kernel=kernel)
+                                 c=float(c), gamma=float(gamma))
                 correct[c, gamma] += int((model.predict_batch(X[held]) == labels[held]).sum())
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []

@@ -193,24 +193,22 @@ class ScalarSmo:
         return iterations
 
 
-def scalar_smo_train(X, y, c, gamma=1.0, tol=1e-3, kernel="rbf", max_iter=None,
-                     coef0=0.0) -> BinarySvm:
+def scalar_smo_train(X, y, c, gamma=1.0, tol=1e-3, max_iter=None) -> BinarySvm:
     """One binary machine by the scalar solver; max_iter defaults to 10*n^2."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
-    solver = ScalarSmo(kernel_matrix(X, X, kernel, gamma, coef0=coef0), y, c, tol)
+    solver = ScalarSmo(kernel_matrix(X, X, gamma), y, c, tol)
     iterations = solver.solve(max_iter if max_iter is not None else 10 * n * n)
     decision = solver.raw + solver.b
     if float(decision.max() - decision.min()) < 1e-9:
         raise DegenerateDataError("decision function is constant over the training data")
     sv = solver.alphas > _SV_EPS
     return BinarySvm(support_vectors=X[sv].copy(), dual_coef=(solver.alphas * y)[sv],
-                     bias=solver.b, c=float(c), gamma=float(gamma), kernel=kernel,
-                     coef0=coef0, passes=iterations)
+                     bias=solver.b, c=float(c), gamma=float(gamma), passes=iterations)
 
 
-def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, kernel="rbf", max_iter=None) -> SvmModel:
+def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, max_iter=None) -> SvmModel:
     """One-vs-one model whose machines are trained one after another by the scalar solver."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
@@ -219,9 +217,8 @@ def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, kernel="rbf", max_iter=None)
     for a, b in itertools.combinations(classes, 2):
         mask = (labels == a) | (labels == b)
         y = np.where(labels[mask] == a, 1.0, -1.0)
-        machines[(a, b)] = scalar_smo_train(X[mask], y, c, gamma, tol, kernel, max_iter)
-    return SvmModel(classes=classes, machines=machines, c=float(c), gamma=float(gamma),
-                    kernel=kernel)
+        machines[(a, b)] = scalar_smo_train(X[mask], y, c, gamma, tol, max_iter)
+    return SvmModel(classes=classes, machines=machines, c=float(c), gamma=float(gamma))
 
 
 def recover_alphas(machine, X: np.ndarray) -> np.ndarray:
@@ -239,7 +236,7 @@ def max_kkt_residual(machine, X: np.ndarray, y: np.ndarray, c: float) -> float:
     from hwr.svm import kernel_matrix
 
     alphas = recover_alphas(machine, X)
-    K = kernel_matrix(X, machine.support_vectors, machine.kernel, machine.gamma)
+    K = kernel_matrix(X, machine.support_vectors, machine.gamma)
     margins = y * (K @ machine.dual_coef + machine.bias)
     worst = 0.0
     for alpha, margin in zip(alphas, margins):

@@ -170,7 +170,7 @@ def test_criterion_05_smo_oracle_equivalence():
             y[0] = -y[0]
         c = float(gen.uniform(0.5, 8.0))
         gamma = float(gen.uniform(0.2, 2.0))
-        K = kernel_matrix(X, X, "rbf", gamma)
+        K = kernel_matrix(X, X, gamma)
         machine = smo_train(X, y, c=c, gamma=gamma, tol=1e-5)
         smo_value = dual_objective(recover_alphas(machine, X), y, K)
         oracle = brute_force_dual(K, y, c)

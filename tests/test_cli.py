@@ -18,6 +18,15 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+# A one-machine svm file for the 8 PCA columns of pipeline_dir; it would load and
+# predict with "kernel": "rbf"
+POLY_SVM = json.dumps({
+    "format": "hwr-svm/1", "classes": [1, 2], "c": 1.0, "gamma": 1.0, "kernel": "poly",
+    "machines": [{"pair": [1, 2], "support_vectors": [0.0] * 8, "n_support": 1, "dim": 8,
+                  "dual_coef": [1.0], "bias": 0.0}],
+})
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """Tiny pipeline run shared by the CLI tests."""
@@ -216,7 +225,8 @@ class TestTrainEvalPredict:
         assert code == 0
         assert parsed == ["rf.json"]
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "hwr-svm/1"}'])
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "hwr-svm/1"}',
+                                      pytest.param(POLY_SVM, id="poly-kernel")])
     def test_corrupt_model_exit_2_without_traceback(self, tmp_path, pipeline_dir, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

@@ -91,10 +91,6 @@ class TestHogValues:
         order2 = np.lexsort(h2.T)
         assert np.allclose(h1[order1], h2[order2], atol=1e-9)
 
-    def test_signed_variant_not_supported(self):
-        with pytest.raises(NotImplementedError):
-            hog(_random_canonical(), HogParams(signed=True))
-
 
 class TestScalarFeatures:
     def test_all_background(self):

@@ -273,12 +273,3 @@ class TestPreprocess:
     def test_no_ink_raises(self):
         with pytest.raises(NoInkError):
             preprocess(np.full((10, 10), 99, dtype=np.uint8))
-
-
-def test_rgb_to_gray_luma_weights():
-    rgb = np.zeros((1, 3, 3), dtype=np.uint8)
-    rgb[0, 0] = (255, 0, 0)
-    rgb[0, 1] = (0, 255, 0)
-    rgb[0, 2] = (0, 0, 255)
-    gray = imaging.rgb_to_gray(rgb)
-    assert gray.tolist() == [[76, 150, 29]]  # round(255 * weight)

@@ -89,6 +89,33 @@ def test_malformed_file_raises_model_file_error(loader, tag, bad, tmp_path):
     assert str(info.value).startswith(f"{path}: ")
 
 
+# Each edit makes a saved model disagree with itself: a vector one entry shorter
+# than its stated shape (pca d and k, mlp h and o, svm n_support), or a kernel
+# other than rbf.
+INCONSISTENT = {
+    "pca-mean": ("hwr-pca/1", lambda doc: doc["mean"].pop()),
+    "pca-explained_variance": ("hwr-pca/1", lambda doc: doc["explained_variance"].pop()),
+    "mlp-b1": ("hwr-mlp/1", lambda doc: doc["b1"].pop()),
+    "mlp-b2": ("hwr-mlp/1", lambda doc: doc["b2"].pop()),
+    "svm-dual_coef": ("hwr-svm/1", lambda doc: doc["machines"][0]["dual_coef"].pop()),
+    "svm-poly-kernel": ("hwr-svm/1", lambda doc: doc.update(kernel="poly")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_inconsistent_model_raises_model_file_error(case, tmp_path):
+    layout, edit = INCONSISTENT[case]
+    model = _tiny_model(layout)
+    path = tmp_path / "model.json"
+    model.save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError) as info:
+        type(model).load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def _load_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)

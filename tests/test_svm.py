@@ -20,7 +20,6 @@ from hwr.svm import (
     grid_search,
     kernel_matrix,
     ovo_train,
-    rbf_kernel,
     smo_train,
     stratified_folds,
 )
@@ -33,10 +32,10 @@ from oracles import brute_force_dual, recover_alphas, scalar_ovo_train, scalar_s
 class TestRbfKernel:
     def test_self_similarity_is_one(self):
         x = np.array([0.3, -1.2, 5.0])
-        assert rbf_kernel(x, x, 2.5) == 1.0
+        assert kernel_matrix(x, x, 2.5)[0, 0] == 1.0
 
     def test_unit_distance(self):
-        assert rbf_kernel(np.array([0.0]), np.array([1.0]), 1.0) == pytest.approx(
+        assert kernel_matrix(np.array([0.0]), np.array([1.0]), 1.0)[0, 0] == pytest.approx(
             math.exp(-1), abs=1e-12
         )
 
@@ -44,39 +43,21 @@ class TestRbfKernel:
         gen = np.random.default_rng(0)
         for _ in range(5):
             x, y = gen.normal(size=(2, 4))
-            assert rbf_kernel(x, y, 0.7) == pytest.approx(rbf_kernel(y, x, 0.7), abs=1e-15)
+            assert kernel_matrix(x, y, 0.7)[0, 0] == pytest.approx(
+                kernel_matrix(y, x, 0.7)[0, 0], abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            rbf_kernel(np.zeros(2), np.zeros(3), 1.0)
+            kernel_matrix(np.zeros(2), np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            rbf_kernel(np.zeros(2), np.zeros(2), 0.0)
+            kernel_matrix(np.zeros(2), np.zeros(2), 0.0)
 
     def test_kernel_matrix_psd_with_jitter(self):
         gen = np.random.default_rng(1)
         X = gen.normal(size=(12, 5))
-        K = kernel_matrix(X, X, "rbf", gamma=0.8)
+        K = kernel_matrix(X, X, gamma=0.8)
         assert np.allclose(K, K.T, atol=1e-12)
         np.linalg.cholesky(K + 1e-9 * np.eye(12))  # raises if not PSD
-
-    def test_other_kernel_options(self):
-        A = np.array([[1.0, 2.0]])
-        B = np.array([[3.0, -1.0]])
-        assert kernel_matrix(A, B, "linear")[0, 0] == 1.0
-        assert kernel_matrix(A, B, "poly", gamma=1.0, degree=2, coef0=1.0)[0, 0] == 4.0
-        assert kernel_matrix(A, B, "sigmoid", gamma=1.0, coef0=0.0)[0, 0] == pytest.approx(
-            math.tanh(1.0)
-        )
-        with pytest.raises(ValueError, match="kernel"):
-            kernel_matrix(A, B, "laplacian")
-
-    def test_linear_kernel_training(self):
-        gen = np.random.default_rng(21)
-        X = np.vstack([gen.normal(-2, 0.4, (10, 2)), gen.normal(2, 0.4, (10, 2))])
-        y = np.repeat([-1.0, 1.0], 10)
-        machine = smo_train(X, y, c=5.0, kernel="linear")
-        assert (np.sign(machine.decision(X)) == y).all()
-        assert machine.kernel == "linear"
 
 
 class TestSmoTrain:
@@ -128,7 +109,7 @@ class TestSmoTrain:
         y = np.repeat([-1.0, 1.0], 20)
         c, tol = 2.0, 1e-3
         machine = smo_train(X, y, c=c, gamma=0.7, tol=tol)
-        K = kernel_matrix(X, machine.support_vectors, "rbf", 0.7)
+        K = kernel_matrix(X, machine.support_vectors, 0.7)
         f = K @ machine.dual_coef + machine.bias
         margins = y * f
         # recover alpha per training point (zero for non-SVs) by matching rows
@@ -157,7 +138,7 @@ class TestSmoTrain:
             y[0] = -y[0]
         c = float(gen.uniform(0.5, 8.0))
         gamma = float(gen.uniform(0.2, 2.0))
-        K = kernel_matrix(X, X, "rbf", gamma)
+        K = kernel_matrix(X, X, gamma)
         machine = smo_train(X, y, c=c, gamma=gamma, tol=1e-5)
         smo_value = dual_objective(recover_alphas(machine, X), y, K)
         oracle = brute_force_dual(K, y, c)
@@ -199,7 +180,7 @@ class TestOvo:
         shuffled = SvmModel(
             classes=model.classes,
             machines=dict(reversed(list(model.machines.items()))),
-            c=model.c, gamma=model.gamma, kernel=model.kernel,
+            c=model.c, gamma=model.gamma,
         )
         probe = gen.normal(1.5, 2.0, size=(20, 2))
         assert np.array_equal(model.predict_batch(probe), shuffled.predict_batch(probe))
@@ -336,12 +317,12 @@ def flat_steps(monkeypatch):
     return count
 
 
-# (columns of small_features, C, gamma, kernel): every alpha at the bound, a large
-# C, and a linear kernel on 10 columns whose duplicate rows give flat directions
+# (columns of small_features, C, gamma): every alpha at the bound, a large C, and
+# 10 columns whose duplicate rows give flat directions
 EXACT_CASES = {
-    "bound": (None, 2.0**-5, 2.0**-3, "rbf"),
-    "large-c": (None, 2.0**7, 2.0**-9, "rbf"),
-    "linear-flat": (10, 2.0**7, 1.0, "linear"),
+    "bound": (None, 2.0**-5, 2.0**-3),
+    "large-c": (None, 2.0**7, 2.0**-9),
+    "flat": (10, 2.0**7, 1.0),
 }
 
 
@@ -350,47 +331,51 @@ class TestLockstepExactness:
 
     @pytest.mark.parametrize("case", EXACT_CASES)
     def test_smo_train_matches_scalar(self, small_features, flat_steps, case):
-        cols, c, gamma, kernel = EXACT_CASES[case]
+        cols, c, gamma = EXACT_CASES[case]
         X, labels = small_features
         mask = (labels == 2) | (labels == 3)
         Xp, y = X[mask][:, :cols], np.where(labels[mask] == 2, 1.0, -1.0)
-        ref = scalar_smo_train(Xp, y, c, gamma, kernel=kernel)
-        _assert_same_machine(smo_train(Xp, y, c, gamma, kernel=kernel), ref)
+        ref = scalar_smo_train(Xp, y, c, gamma)
+        _assert_same_machine(smo_train(Xp, y, c, gamma), ref)
         if case == "bound":
             assert (np.abs(ref.dual_coef) == c).sum() >= len(y) // 2
-        if case == "linear-flat":
+        if case == "flat":
             assert flat_steps[0] > 0
 
     @pytest.mark.parametrize("case", EXACT_CASES)
     def test_ovo_train_matches_scalar(self, small_features, flat_steps, case):
-        cols, c, gamma, kernel = EXACT_CASES[case]
+        cols, c, gamma = EXACT_CASES[case]
         X, labels = small_features
-        ref = scalar_ovo_train(X[:, :cols], labels, c, gamma, kernel=kernel)
-        model = ovo_train(X[:, :cols], labels, c, gamma, kernel=kernel)
+        ref = scalar_ovo_train(X[:, :cols], labels, c, gamma)
+        model = ovo_train(X[:, :cols], labels, c, gamma)
         assert list(model.machines) == list(ref.machines)
         for pair, machine in model.machines.items():
             _assert_same_machine(machine, ref.machines[pair])
         if case == "bound":
             at_bound = sum(int((np.abs(m.dual_coef) == c).sum()) for m in ref.machines.values())
             assert at_bound >= len(labels) * 6  # half of the 12 samples of each machine
-        if case == "linear-flat":
+        if case == "flat":
             assert flat_steps[0] > 0
 
     def test_concave_directions_match_scalar(self, flat_steps):
-        # the sigmoid kernel is not positive semidefinite, so some pair directions are
-        # concave and the step must pick the better end of the segment
+        # a sigmoid Gram matrix is not positive semidefinite, so some pair directions
+        # are concave and the step must pick the better end of the segment
         for seed in range(20):
             gen = np.random.default_rng(seed)
             X, y = gen.normal(size=(10, 2)), np.tile([1.0, -1.0], 5)
-            gamma, coef0, c = 2.0, float(gen.choice([-1.0, 0.0, 1.0])), 10.0
+            gamma, coef0, c, tol = 2.0, float(gen.choice([-1.0, 0.0, 1.0])), 10.0, 1e-3
+            K = np.tanh(gamma * (X @ X.T) + coef0)
+            [outcome] = svm._Smo([K], [y], [c], tol).solve()
+            ref = oracles.ScalarSmo(K, y, c, tol)
             try:
-                ref = scalar_smo_train(X, y, c, gamma, kernel="sigmoid", coef0=coef0)
-            except TrainingError as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    smo_train(X, y, c, gamma, kernel="sigmoid", coef0=coef0)
+                steps = ref.solve(10 * len(y) ** 2)
+            except ConvergenceError as exc:
+                assert isinstance(outcome, ConvergenceError)
+                assert str(outcome) == str(exc)
             else:
-                _assert_same_machine(smo_train(X, y, c, gamma, kernel="sigmoid", coef0=coef0),
-                                     ref)
+                alphas, raw, bias, passes = outcome
+                assert (alphas == ref.alphas).all() and (raw == ref.raw).all()
+                assert bias == ref.b and passes == steps
         assert flat_steps[0] > 0
 
     @pytest.mark.parametrize("cols, c, error", [(1, 2.0**7, ConvergenceError),
@@ -398,9 +383,9 @@ class TestLockstepExactness:
     def test_ovo_failure_matches_scalar(self, small_features, cols, c, error):
         X, labels = small_features
         with pytest.raises(error) as expected:
-            scalar_ovo_train(X[:, :cols], labels, c, 1.0, kernel="linear")
+            scalar_ovo_train(X[:, :cols], labels, c, 1.0)
         with pytest.raises(error) as raised:
-            ovo_train(X[:, :cols], labels, c, 1.0, kernel="linear")
+            ovo_train(X[:, :cols], labels, c, 1.0)
         if error is ConvergenceError:
             assert str(raised.value) == str(expected.value)
 
@@ -476,13 +461,13 @@ class TestTieBreak:
     def test_ranking_matches_tuple_order(self, seed):
         gen = np.random.default_rng(seed)
         classes = [1, 3, 4, 8, 11]
-        # a linear machine per pair, with few distinct slopes and offsets for many ties
+        # a machine per pair whose kernel is 1 at x = 1 and underflows to 0 at x = 0, -1,
+        # with few distinct coefficients and offsets for many vote and magnitude ties
         machines = {pair: BinarySvm(support_vectors=np.ones((1, 1)),
                                     dual_coef=gen.choice([-1.0, 0.0, 1.0], size=1),
-                                    bias=float(gen.choice([-0.5, 0.5])), c=1.0, gamma=1.0,
-                                    kernel="linear")
+                                    bias=float(gen.choice([-0.5, 0.5])), c=1.0, gamma=1e3)
                     for pair in itertools.combinations(classes, 2)}
-        model = SvmModel(classes=classes, machines=machines, c=1.0, gamma=1.0, kernel="linear")
+        model = SvmModel(classes=classes, machines=machines, c=1.0, gamma=1e3)
         X = gen.choice([-1.0, 0.0, 1.0], size=(40, 1))
         votes = {cls: np.zeros(len(X)) for cls in classes}
         magnitude = {cls: np.zeros(len(X)) for cls in classes}
