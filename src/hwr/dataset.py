@@ -182,9 +182,48 @@ def read_label_file(path: str | os.PathLike) -> np.ndarray:
 
 
 def write_model(path: str | os.PathLike, doc: dict) -> None:
-    """Write a model document, its "format" tag first, as one line of JSON."""
+    """Write a model document, its "format" tag first, as one line of JSON.
+
+    The bytes are those of ``json.dumps(doc)``.  ``json.dump`` would run
+    CPython's pure-Python encoder, several times slower on the large float
+    lists of a model.  The C encoder that ``json.dumps`` uses builds its whole
+    output before returning, tens of MB beside the document for a large model,
+    so it is given one small piece at a time: each dict item, each element of
+    a list of containers, and flat lists in slices of about 10 KB of text.
+    Pieces of a few MB left the heap fragmented after a save often enough to
+    raise the process's peak RSS by ~15 MB later on.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        _write_json(fh, doc)
+
+
+_LIST_SLICE = 512  # list elements encoded per call
+
+
+def _write_json(fh, value) -> None:
+    """Write ``json.dumps(value)`` in pieces; dict keys must be strings."""
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(fh, item)
+        fh.write("}")
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        fh.write("[")
+        for i, item in enumerate(value):
+            if i:
+                fh.write(", ")
+            _write_json(fh, item)
+        fh.write("]")
+    elif isinstance(value, list):
+        fh.write("[")
+        for start in range(0, len(value), _LIST_SLICE):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(value[start:start + _LIST_SLICE])[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value))
 
 
 def read_model(path: str | os.PathLike, *kinds):

@@ -7,6 +7,23 @@ Gini impurity decrease.  Gain ties break toward the lower feature index,
 then the lower threshold.  Nodes stop at purity, at fewer than 2 samples,
 when no positive-gain split exists, or at the optional depth cap.
 
+A node's split search is one vectorized pass over its k candidate
+features.  Each tree keeps X transposed, so a node gathers only its (k, n)
+block and sorts all k rows at once.  The result is exactly that of scanning
+the features one at a time (the reference in tests/oracles.py):
+- the samples left of a cut are those whose value is at most the cut's, so
+  how the sort orders equal values does not matter;
+- the left and right class-count sums in the Gini terms are integers, exact
+  in float64: for each prefix, sum_c L_c^2 is a running sum of 2*rank+1
+  (rank: the sample's rank among earlier samples of its class), sum_c T_c*L_c
+  a running sum of the node count of each sample's class, and sum_c R_c^2 =
+  sum_c T_c^2 - 2*sum_c T_c*L_c + sum_c L_c^2;
+- the impurities and gains then take the same elementwise float operations
+  in the same order as the scan;
+- each feature's best cut is the first maximum over its cut positions, and
+  the features are then compared in ascending order with the same epsilon,
+  so every tie breaks the same way.
+
 The forest predicts by averaging the per-tree leaf distributions (soft
 voting) and taking the most probable class, ties toward the lowest id.
 """
@@ -56,14 +73,30 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
+    def from_dict(cls, doc: dict, d: int, n_classes: int) -> "TreeNode":
+        """Node of a forest over d features and n_classes classes, checked.
+
+        Raises ValueError for a leaf whose counts are not n_classes
+        non-negative integers with a positive sum, a split feature outside
+        [0, d), or a non-finite threshold.
+        """
         if "counts" in doc:
-            return cls(counts=np.array(doc["counts"], dtype=np.int64))
+            counts = np.array(doc["counts"], dtype=np.int64)
+            if counts.shape != (n_classes,) or (counts < 0).any() or counts.sum() < 1:
+                raise ValueError(f"leaf counts must be {n_classes} non-negative integers "
+                                 f"with a positive sum, got {doc['counts']!r}")
+            return cls(counts=counts)
+        feature = int(doc["feature"])
+        threshold = float(doc["threshold"])
+        if not 0 <= feature < d:
+            raise ValueError(f"split feature {feature} is outside [0, {d})")
+        if not math.isfinite(threshold):
+            raise ValueError(f"split threshold {threshold} is not finite")
         return cls(
-            feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
+            feature=feature,
+            threshold=threshold,
+            left=cls.from_dict(doc["left"], d, n_classes),
+            right=cls.from_dict(doc["right"], d, n_classes),
         )
 
 
@@ -82,34 +115,50 @@ def gini(counts) -> float:
 def _best_split(
     X: np.ndarray, y0: np.ndarray, features: np.ndarray, n_classes: int
 ) -> tuple[float, int, float] | None:
-    """Highest Gini-decrease (gain, feature, threshold) over midpoint cuts."""
+    """Highest Gini-decrease (gain, feature, threshold) over midpoint cuts.
+
+    X is (k, n): row i holds candidate feature features[i] over the node's
+    n samples, whose 0-based classes are y0.
+    """
     n = y0.shape[0]
-    total_counts = np.bincount(y0, minlength=n_classes).astype(np.float64)
-    parent = gini(total_counts)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y0] = 1.0
+    counts = np.bincount(y0, minlength=n_classes)
+    parent = gini(counts)
+    if n < 2:
+        return None
+    order = np.argsort(X, axis=1)  # not stable: ties never straddle a cut
+    sv = np.take_along_axis(X, order, axis=1)
+    ys = y0[order]
+    # rank[i, j]: how many samples before position j of row i share its class.
+    # A stable sort of the classes lists each class's positions in order, and
+    # every row is a permutation of the same samples, so the within-class
+    # offset of each sorted slot is one vector shared by all rows.
+    by_class = np.argsort(ys.astype(np.int16), axis=1, kind="stable")
+    sorted_classes = np.repeat(np.arange(n_classes), counts)
+    within = np.arange(n) - (np.cumsum(counts) - counts)[sorted_classes]
+    rank = np.empty_like(by_class)
+    np.put_along_axis(rank, by_class, np.broadcast_to(within, by_class.shape), axis=1)
+    # Over the prefix ending at j, with L the left counts and T the node's:
+    # sum L_c^2 grows by 2*rank+1 per sample, sum T_c*L_c by T of its class.
+    sum_l2 = np.cumsum(2 * rank + 1, axis=1)[:, :-1]
+    sum_tl = np.cumsum(counts[ys], axis=1)[:, :-1]
+    sum_r2 = int(counts @ counts) - 2 * sum_tl + sum_l2
+    nl = np.arange(1, n, dtype=np.float64)
+    nr = n - nl
+    gini_l = 1.0 - sum_l2.astype(np.float64) / (nl * nl)
+    gini_r = 1.0 - sum_r2.astype(np.float64) / (nr * nr)
+    gains = parent - (nl * gini_l + nr * gini_r) / n
+    is_cut = sv[:, :-1] < sv[:, 1:]
+    gains[~is_cut] = -np.inf
+    picks = np.argmax(gains, axis=1)
     best: tuple[float, int, float] | None = None
-    for f in features:
-        v = X[:, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-        if cuts.size == 0:
-            continue
-        left = np.cumsum(onehot[order], axis=0)[cuts]
-        nl = (cuts + 1).astype(np.float64)
-        nr = n - nl
-        right = total_counts[None, :] - left
-        gini_l = 1.0 - (left * left).sum(axis=1) / (nl * nl)
-        gini_r = 1.0 - (right * right).sum(axis=1) / (nr * nr)
-        gains = parent - (nl * gini_l + nr * gini_r) / n
-        pick = int(np.argmax(gains))
-        gain = float(gains[pick])
+    for i in np.nonzero(is_cut.any(axis=1))[0]:
+        cut = picks[i]
+        gain = float(gains[i, cut])
         if gain <= _GAIN_EPS:
             continue
-        threshold = float(0.5 * (sv[cuts[pick]] + sv[cuts[pick] + 1]))
+        threshold = float(0.5 * (sv[i, cut] + sv[i, cut + 1]))
         if best is None or gain > best[0] + _GAIN_EPS:
-            best = (gain, int(f), threshold)
+            best = (gain, int(features[i]), threshold)
     return best
 
 
@@ -135,6 +184,7 @@ def grow_tree(
     subset = min(subset, d)
     gen = np.random.default_rng(tree_seed)
     y0 = y - 1
+    XT = np.ascontiguousarray(X.T)
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
         counts = np.bincount(y0[idx], minlength=n_classes)
@@ -145,11 +195,11 @@ def grow_tree(
         ):
             return TreeNode(counts=counts)
         features = np.sort(gen.choice(d, size=subset, replace=False))
-        best = _best_split(X[idx], y0[idx], features, n_classes)
+        best = _best_split(XT[features][:, idx], y0[idx], features, n_classes)
         if best is None:
             return TreeNode(counts=counts)
         _, feature, threshold = best
-        goes_left = X[idx, feature] <= threshold
+        goes_left = XT[feature, idx] <= threshold
         return TreeNode(
             feature=feature,
             threshold=threshold,
@@ -157,7 +207,11 @@ def grow_tree(
             right=build(idx[~goes_left], depth + 1),
         )
 
-    return build(np.arange(X.shape[0]), 0)
+    tree = build(np.arange(X.shape[0]), 0)
+    # build's closure holds build itself; emptying the cell breaks that cycle,
+    # so XT is freed on return instead of at the next garbage collection.
+    del build
+    return tree
 
 
 @dataclass
@@ -188,11 +242,12 @@ class ForestModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForestModel":
+        d, n_classes = int(doc["d"]), int(doc["n_classes"])
         return cls(
-            trees=[TreeNode.from_dict(t) for t in doc["trees"]],
-            d=int(doc["d"]),
+            trees=[TreeNode.from_dict(t, d, n_classes) for t in doc["trees"]],
+            d=d,
             seed=int(doc["seed"]),
-            n_classes=int(doc["n_classes"]),
+            n_classes=n_classes,
         )
 
     @classmethod

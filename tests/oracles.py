@@ -2,17 +2,22 @@
 
 These deliberately avoid the code paths they check: the SVM dual optimum
 comes from exhaustive active-set enumeration, gradients from central finite
-differences, and the exact SMO reference solves one machine at a time with
+differences, the exact SMO reference solves one machine at a time with
 scalar pair steps, the schedule the batched solver must reproduce bit for
-bit.
+bit, and the exact forest reference searches splits one feature at a time
+over a one-hot class cumsum, the result the vectorized search must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from hwr.forest import _GAIN_EPS, TreeNode, gini
+from hwr.labels import N_CLASSES
 from hwr.mlp import batch_gradients, batch_loss
 from hwr.svm import (
     BinarySvm,
@@ -274,3 +279,87 @@ def relative_gradient_errors(model, X, y, delta: float = 1e-5) -> np.ndarray:
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
         errors.append(np.abs(analytic - numeric) / denom)
     return np.concatenate(errors)
+
+
+def scalar_best_split(
+    X: np.ndarray, y0: np.ndarray, features: np.ndarray, n_classes: int
+) -> tuple[float, int, float] | None:
+    """Highest Gini-decrease (gain, feature, threshold) over midpoint cuts.
+
+    X is (n, d); the candidate features are scanned one at a time.
+    """
+    n = y0.shape[0]
+    total_counts = np.bincount(y0, minlength=n_classes).astype(np.float64)
+    parent = gini(total_counts)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y0] = 1.0
+    best: tuple[float, int, float] | None = None
+    for f in features:
+        v = X[:, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        cuts = np.nonzero(sv[:-1] < sv[1:])[0]
+        if cuts.size == 0:
+            continue
+        left = np.cumsum(onehot[order], axis=0)[cuts]
+        nl = (cuts + 1).astype(np.float64)
+        nr = n - nl
+        right = total_counts[None, :] - left
+        gini_l = 1.0 - (left * left).sum(axis=1) / (nl * nl)
+        gini_r = 1.0 - (right * right).sum(axis=1) / (nr * nr)
+        gains = parent - (nl * gini_l + nr * gini_r) / n
+        pick = int(np.argmax(gains))
+        gain = float(gains[pick])
+        if gain <= _GAIN_EPS:
+            continue
+        threshold = float(0.5 * (sv[cuts[pick]] + sv[cuts[pick] + 1]))
+        if best is None or gain > best[0] + _GAIN_EPS:
+            best = (gain, int(f), threshold)
+    return best
+
+
+def scalar_grow_tree(
+    X: np.ndarray,
+    labels: np.ndarray,
+    tree_seed,
+    n_classes: int = N_CLASSES,
+    feature_subset: int | None = None,
+    max_depth: int | None = None,
+) -> TreeNode:
+    """grow_tree with the scalar split search on the node's full-width rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(labels, dtype=np.intp)
+    if y.shape[0] != X.shape[0]:
+        raise ValueError(f"{y.shape[0]} labels for {X.shape[0]} samples")
+    if y.shape[0] < 1:
+        raise ValueError("need at least one sample")
+    if y.min() < 1 or y.max() > n_classes:
+        raise ValueError(f"labels must lie in [1, {n_classes}]")
+    d = X.shape[1]
+    subset = feature_subset if feature_subset is not None else max(1, math.floor(math.sqrt(d)))
+    subset = min(subset, d)
+    gen = np.random.default_rng(tree_seed)
+    y0 = y - 1
+
+    def build(idx: np.ndarray, depth: int) -> TreeNode:
+        counts = np.bincount(y0[idx], minlength=n_classes)
+        if (
+            idx.shape[0] < 2
+            or (counts > 0).sum() == 1
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            return TreeNode(counts=counts)
+        features = np.sort(gen.choice(d, size=subset, replace=False))
+        best = scalar_best_split(X[idx], y0[idx], features, n_classes)
+        if best is None:
+            return TreeNode(counts=counts)
+        _, feature, threshold = best
+        goes_left = X[idx, feature] <= threshold
+        return TreeNode(
+            feature=feature,
+            threshold=threshold,
+            left=build(idx[goes_left], depth + 1),
+            right=build(idx[~goes_left], depth + 1),
+        )
+
+    return build(np.arange(X.shape[0]), 0)

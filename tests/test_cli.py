@@ -26,6 +26,14 @@ POLY_SVM = json.dumps({
                   "dual_coef": [1.0], "bias": 0.0}],
 })
 
+# A forest over the 8 PCA dimensions whose left leaf has one count instead of
+# 14; no image reaches it, since every projection exceeds the threshold.
+SHORT_LEAF_RF = json.dumps({
+    "format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14,
+    "trees": [{"feature": 0, "threshold": -1e300, "left": {"counts": [1]},
+               "right": {"counts": [1] + [0] * 13}}],
+})
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
@@ -226,7 +234,8 @@ class TestTrainEvalPredict:
         assert parsed == ["rf.json"]
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "hwr-svm/1"}',
-                                      pytest.param(POLY_SVM, id="poly-kernel")])
+                                      pytest.param(POLY_SVM, id="poly-kernel"),
+                                      pytest.param(SHORT_LEAF_RF, id="rf-short-leaf")])
     def test_corrupt_model_exit_2_without_traceback(self, tmp_path, pipeline_dir, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

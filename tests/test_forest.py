@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hwr import forest
 from hwr.forest import (
@@ -15,6 +18,7 @@ from hwr.forest import (
     rf_predict_proba,
     rf_train,
 )
+from oracles import scalar_best_split, scalar_grow_tree
 
 
 class TestGini:
@@ -133,6 +137,120 @@ class TestGrowTree:
             return _counts(node.left) + _counts(node.right)
 
         check(tree)
+
+
+def _vector_split(X, y0, features, n_classes):
+    """The vectorized search on the (k, n) block that grow_tree gathers."""
+    features = np.asarray(features)
+    return forest._best_split(np.ascontiguousarray(X[:, features].T), y0, features, n_classes)
+
+
+def _split_case(gen, n, d, n_classes, kind):
+    """A node matrix whose columns are drawn to tie in the given way.
+
+    Columns of three values tie within a column and often give gains that
+    differ between features only by rounding (below the gain epsilon); the
+    proportional halves repeat one class sequence twice and split it in the
+    middle, a cut whose gain is zero but rounds to about 1e-16.
+    """
+    y0 = gen.integers(0, n_classes, size=n)
+    if kind == "normal":
+        X = gen.normal(size=(n, d))
+    elif kind == "three-values":
+        X = gen.integers(0, 3, size=(n, d)).astype(np.float64)
+    elif kind == "constant-columns":
+        X = gen.normal(size=(n, d))
+        X[:, ::2] = 1.5
+    elif kind == "duplicate-rows":
+        X = np.repeat(gen.integers(0, 3, size=((n + 1) // 2, d)).astype(np.float64), 2,
+                      axis=0)[:n]
+    else:  # proportional halves
+        y0 = np.resize(y0[: (n + 1) // 2], n)
+        X = gen.integers(0, 3, size=(n, d)).astype(np.float64)
+        X[:, ::2] = (np.arange(n) >= (n + 1) // 2)[:, None]
+    return X, y0
+
+
+class TestSplitOracle:
+    """The vectorized split search equals the per-feature loop exactly."""
+
+    @pytest.mark.parametrize("kind", ["normal", "three-values", "constant-columns",
+                                      "duplicate-rows", "proportional-halves"])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 14])
+    @pytest.mark.parametrize("n", [2, 3, 12, 200])
+    def test_seeded_matrices(self, n, n_classes, kind):
+        gen = np.random.default_rng([n, n_classes, len(kind)])
+        for _ in range(20):
+            d = int(gen.integers(1, 30))
+            X, y0 = _split_case(gen, n, d, n_classes, kind)
+            features = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
+            expected = scalar_best_split(X, y0, features, n_classes)
+            assert _vector_split(X, y0, features, n_classes) == expected
+
+    def test_all_fourteen_classes_present(self):
+        gen = np.random.default_rng(14)
+        y0 = np.concatenate([np.arange(14), gen.integers(0, 14, size=86)])
+        X = gen.integers(0, 6, size=(100, 12)).astype(np.float64)
+        features = np.arange(12)
+        assert _vector_split(X, y0, features, 14) == scalar_best_split(X, y0, features, 14)
+
+    def test_rounding_tie_keeps_the_lower_feature(self):
+        # Both columns' best cuts gain 0.02 exactly; rounding puts the second
+        # 5.5e-17 above the first, less than the gain epsilon, so the first wins.
+        X = np.array([[1, 2, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 2, 2, 0, 1],
+                      [0, 2, 0, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 1]],
+                     dtype=np.float64).T
+        y0 = np.array([0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0])
+        gain_0 = scalar_best_split(X, y0, [0], 2)[0]
+        assert 0 < scalar_best_split(X, y0, [1], 2)[0] - gain_0 < forest._GAIN_EPS
+        assert scalar_best_split(X, y0, [0, 1], 2)[1] == 0
+        assert _vector_split(X, y0, [0, 1], 2) == scalar_best_split(X, y0, [0, 1], 2)
+
+    def test_no_cut_gives_none(self):
+        X = np.full((5, 3), 2.0)
+        y0 = np.array([0, 1, 0, 1, 1])
+        assert _vector_split(X, y0, [0, 1, 2], 2) is None
+        assert scalar_best_split(X, y0, [0, 1, 2], 2) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 40),
+        d=st.integers(1, 8),
+        n_classes=st.integers(1, 14),
+    )
+    def test_generated_matrices(self, data, n, d, n_classes):
+        values = st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+        X = data.draw(arrays(np.float64, (n, d), elements=values))
+        y0 = data.draw(arrays(np.intp, n, elements=st.integers(0, n_classes - 1)))
+        features = np.array(sorted(data.draw(
+            st.sets(st.integers(0, d - 1), min_size=1, max_size=d))))
+        assert _vector_split(X, y0, features, n_classes) == \
+            scalar_best_split(X, y0, features, n_classes)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("feature_subset, max_depth", [(None, None), (3, None), (None, 4),
+                                                            (40, 2)])
+    def test_grow_tree_matches_scalar_tree(self, seed, feature_subset, max_depth):
+        gen = np.random.default_rng(seed)
+        X = np.round(gen.normal(size=(120, 40)), 1)
+        y = gen.integers(1, 15, size=120)
+        kwargs = dict(tree_seed=[seed, 0, 1], feature_subset=feature_subset,
+                      max_depth=max_depth)
+        assert (grow_tree(X, y, **kwargs).to_dict()
+                == scalar_grow_tree(X, y, **kwargs).to_dict())
+
+    @pytest.mark.parametrize("seed", [3, 42])
+    def test_rf_train_matches_scalar_trees(self, seed):
+        gen = np.random.default_rng(seed)
+        X = gen.normal(size=(90, 25))
+        y = gen.integers(1, 15, size=90)
+        model = rf_train(X, y, m=6, seed=seed, max_depth=8)
+        for b, tree in enumerate(model.trees):
+            boot = bootstrap_indices(seed, b, 90)
+            expected = scalar_grow_tree(X[boot], y[boot], tree_seed=[seed, b, 1], max_depth=8)
+            assert tree.to_dict() == expected.to_dict()
 
 
 class TestRfTrain:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hwr import cli, dimred, forest, mlp, svm
+from hwr import cli, dataset, dimred, forest, mlp, svm
 from hwr.dataset import ModelFileError
 from hwr.dimred import PcaModel, ProjectionMatrix
 from hwr.forest import ForestModel
@@ -89,9 +89,23 @@ def test_malformed_file_raises_model_file_error(loader, tag, bad, tmp_path):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def _first_rf_node(doc: dict, leaf: bool) -> dict:
+    """The first leaf (or split) of a saved forest, depth first."""
+    todo = list(reversed(doc["trees"]))
+    while todo:
+        node = todo.pop()
+        if ("counts" in node) == leaf:
+            return node
+        if "counts" not in node:
+            todo += [node["right"], node["left"]]
+    raise AssertionError("the forest has no such node")
+
+
 # Each edit makes a saved model disagree with itself: a vector one entry shorter
-# than its stated shape (pca d and k, mlp h and o, svm n_support), or a kernel
-# other than rbf.
+# than its stated shape (pca d and k, mlp h and o, svm n_support), a kernel
+# other than rbf, a forest leaf that is not n_classes non-negative counts with a
+# positive sum, or a forest split on a feature outside [0, d) or at a
+# non-finite threshold (the tiny forest has d = 3 and 14 classes).
 INCONSISTENT = {
     "pca-mean": ("hwr-pca/1", lambda doc: doc["mean"].pop()),
     "pca-explained_variance": ("hwr-pca/1", lambda doc: doc["explained_variance"].pop()),
@@ -99,6 +113,18 @@ INCONSISTENT = {
     "mlp-b2": ("hwr-mlp/1", lambda doc: doc["b2"].pop()),
     "svm-dual_coef": ("hwr-svm/1", lambda doc: doc["machines"][0]["dual_coef"].pop()),
     "svm-poly-kernel": ("hwr-svm/1", lambda doc: doc.update(kernel="poly")),
+    "rf-leaf-short": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True)["counts"].pop()),
+    "rf-leaf-negative": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
+        counts=[-1, 2] + [0] * 12)),
+    "rf-leaf-zero-sum": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
+        counts=[0] * 14)),
+    "rf-feature-d": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(feature=3)),
+    "rf-feature-negative": ("hwr-rf/1",
+                            lambda doc: _first_rf_node(doc, leaf=False).update(feature=-1)),
+    "rf-threshold-nan": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        threshold=float("nan"))),
+    "rf-threshold-inf": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        threshold=float("-inf"))),
 }
 
 
@@ -114,6 +140,46 @@ def test_inconsistent_model_raises_model_file_error(case, tmp_path):
     with pytest.raises(ModelFileError) as info:
         type(model).load(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def _python_encoder_bytes(doc: dict) -> bytes:
+    """What ``json.dump`` writes: CPython's pure-Python encoder."""
+    return "".join(json.JSONEncoder().iterencode(doc)).encode()
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUT))
+def test_write_model_bytes_equal_json_dumps(layout, tmp_path, monkeypatch):
+    written = []
+    real_write = dataset.write_model
+
+    def recording_write(path, doc):
+        written.append(doc)
+        real_write(path, doc)
+
+    monkeypatch.setattr(dataset, "write_model", recording_write)
+    path = tmp_path / "model.json"
+    _tiny_model(layout).save(path)
+    [doc] = written
+    assert path.read_bytes() == json.dumps(doc).encode() == _python_encoder_bytes(doc)
+
+
+@pytest.mark.parametrize("list_slice", [1, 2, dataset._LIST_SLICE])
+def test_write_model_bytes_non_ascii_and_empty_lists(list_slice, tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_LIST_SLICE", list_slice)
+    doc = {
+        "format": "hwr-x/1",
+        "name": "\u00c4rger \u2713 \u65e5\u672c \U0001d11e \"q\" \\ \n",
+        "nested": [[], [[]], {"empty": [], "deeper": [[[]], {}]}],
+        "mixed": [1, [2, 3], {"a": []}, "s", [], {}],
+        "floats": [0.1, -0.0, 1e300, 5e-324, 1 / 3],
+        "ints": [0, -1, 2**63, True, None],
+        "\u00e9": [],
+        "empty": {},
+    }
+    path = tmp_path / "model.json"
+    dataset.write_model(path, doc)
+    assert path.read_bytes() == json.dumps(doc).encode() == _python_encoder_bytes(doc)
+    assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
 def _load_spans():
