@@ -6,11 +6,14 @@ counts as little-endian uint32, then row-major float64 little-endian values.
 Manifests are UTF-8 CSV files with header "path,label" and LF line endings;
 paths resolve relative to the manifest's directory.  Model files are UTF-8
 JSON objects whose "format" tag names the model kind; `read_model` is the
-only reader and parses each file once.
+only reader and parses each file once.  A model's float arrays are single
+strings, written by `pack` and read by `unpack`: base64 of the row-major
+values as little-endian float64, bit-exact.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
@@ -174,56 +177,44 @@ def write_label_file(label_ids, path: str | os.PathLike) -> None:
 
 
 def read_label_file(path: str | os.PathLike) -> np.ndarray:
+    values = []
     with open(path, encoding="utf-8") as fh:
-        values = [int(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: label {line.strip()!r} "
+                                 "is not an integer") from None
     if not values:
         raise ValueError(f"{path}: no labels")
     return np.array(values, dtype=np.intp)
 
 
-def write_model(path: str | os.PathLike, doc: dict) -> None:
-    """Write a model document, its "format" tag first, as one line of JSON.
+def pack(a) -> str:
+    """An array's values, row-major, as base64 text of little-endian float64."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
-    The bytes are those of ``json.dumps(doc)``.  ``json.dump`` would run
-    CPython's pure-Python encoder, several times slower on the large float
-    lists of a model.  The C encoder that ``json.dumps`` uses builds its whole
-    output before returning, tens of MB beside the document for a large model,
-    so it is given one small piece at a time: each dict item, each element of
-    a list of containers, and flat lists in slices of about 10 KB of text.
-    Pieces of a few MB left the heap fragmented after a save often enough to
-    raise the process's peak RSS by ~15 MB later on.
+
+def unpack(text: str, *shape: int) -> np.ndarray:
+    """The writable float64 array of the given shape that `pack` encoded.
+
+    Raises TypeError for a non-string and ValueError for text that is not
+    base64 or whose byte count is not 8 times the product of the shape.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"expected a base64 string, got {type(text).__name__}")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} payload bytes cannot take shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def write_model(path: str | os.PathLike, doc: dict) -> None:
+    """Write a model document, its "format" tag first, as one line of JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, doc)
-
-
-_LIST_SLICE = 512  # list elements encoded per call
-
-
-def _write_json(fh, value) -> None:
-    """Write ``json.dumps(value)`` in pieces; dict keys must be strings."""
-    if isinstance(value, dict):
-        fh.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_json(fh, item)
-        fh.write("}")
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-        fh.write("[")
-        for i, item in enumerate(value):
-            if i:
-                fh.write(", ")
-            _write_json(fh, item)
-        fh.write("]")
-    elif isinstance(value, list):
-        fh.write("[")
-        for start in range(0, len(value), _LIST_SLICE):
-            if start:
-                fh.write(", ")
-            fh.write(json.dumps(value[start:start + _LIST_SLICE])[1:-1])
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value))
+        fh.write(json.dumps(doc))
 
 
 def read_model(path: str | os.PathLike, *kinds):
@@ -231,14 +222,16 @@ def read_model(path: str | os.PathLike, *kinds):
 
     Each kind is a class with a FORMAT tag and a ``from_doc`` constructor.
     Every decode failure raises ModelFileError naming the path: bad JSON or
-    UTF-8, a non-object document, an unexpected tag, a missing field, or a
-    field of the wrong type or one that cannot take its stated shape.  A
-    file that cannot be opened raises OSError.
+    UTF-8, nesting too deep to parse, a non-object document, an unexpected
+    tag (an older version of a kind included), a missing field, a field of
+    the wrong type or one that cannot take its stated shape, or a stated
+    shape too large to allocate.  A file that cannot be opened raises
+    OSError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFileError(f"{path}: not a JSON model file ({exc})") from None
     if not isinstance(doc, dict):
         raise ModelFileError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -247,8 +240,9 @@ def read_model(path: str | os.PathLike, *kinds):
         if fmt == kind.FORMAT:
             try:
                 return kind.from_doc(doc)
-            except (LookupError, TypeError, ValueError) as exc:
+            except (LookupError, TypeError, ValueError, RecursionError, MemoryError) as exc:
                 raise ModelFileError(
                     f"{path}: malformed {fmt} model ({type(exc).__name__}: {exc})") from None
     expected = " or ".join(kind.FORMAT for kind in kinds)
-    raise ModelFileError(f"{path}: format {fmt!r} is not {expected}")
+    raise ModelFileError(f"{path}: format {fmt!r} is not {expected}; a file written by an "
+                         "older hwr must be made again with `hwr reduce` or `hwr train`")

@@ -6,7 +6,9 @@ and component signs are fixed so the largest-magnitude entry of each axis is
 positive, which makes serialized models reproducible.
 
 Random projections draw from the documented splitmix64 stream (see hwr.rng)
-so a matrix is fully determined by (kind, d, k, seed):
+so a matrix is fully determined by (kind, d, k, seed), and a projection file
+stores only those and the generator's name; loading it draws the matrix
+again:
 
 * gaussian: entry t (row-major) = sqrt(-2*ln(1 - u[2t])) * cos(2*pi*u[2t+1])
   / sqrt(k), i.e. one Box-Muller cosine draw per entry, N(0, 1/k).
@@ -21,12 +23,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from . import dataset, rng
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
 
 def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
@@ -39,7 +45,7 @@ def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
 
 @dataclass
 class PcaModel:
-    FORMAT = "hwr-pca/1"
+    FORMAT = "hwr-pca/2"
 
     mean: np.ndarray                # (d,)
     components: np.ndarray          # (k, d), rows orthonormal
@@ -67,18 +73,18 @@ class PcaModel:
             "format": self.FORMAT,
             "d": self.d,
             "k": self.k,
-            "mean": self.mean.tolist(),
-            "components": self.components.ravel().tolist(),
-            "explained_variance": self.explained_variance.tolist(),
+            "mean": dataset.pack(self.mean),
+            "components": dataset.pack(self.components),
+            "explained_variance": dataset.pack(self.explained_variance),
         })
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PcaModel":
         d, k = int(doc["d"]), int(doc["k"])
         return cls(
-            mean=np.array(doc["mean"], dtype=np.float64).reshape(d),
-            components=np.array(doc["components"], dtype=np.float64).reshape(k, d),
-            explained_variance=np.array(doc["explained_variance"], dtype=np.float64).reshape(k),
+            mean=dataset.unpack(doc["mean"], d),
+            components=dataset.unpack(doc["components"], k, d),
+            explained_variance=dataset.unpack(doc["explained_variance"], k),
         )
 
     @classmethod
@@ -118,12 +124,11 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProjectionMatrix:
-    FORMAT = "hwr-rp/1"
+    FORMAT = "hwr-rp/2"
 
     kind: str                 # "gaussian" | "sparse"
     seed: int
     matrix: np.ndarray | sparse.csr_array  # (k, d)
-    generator: str = field(default=rng.GENERATOR_NAME)
 
     @property
     def d(self) -> int:
@@ -142,36 +147,20 @@ class ProjectionMatrix:
         return np.asarray(self.matrix)
 
     def save(self, path: str | os.PathLike) -> None:
-        doc = {
+        dataset.write_model(path, {
             "format": self.FORMAT,
             "kind": self.kind,
-            "generator": self.generator,
+            "generator": rng.GENERATOR_NAME,
             "seed": self.seed,
             "d": self.d,
             "k": self.k,
-        }
-        if self.kind == "sparse":
-            coo = self.matrix.tocoo()
-            doc["rows"] = coo.row.tolist()
-            doc["cols"] = coo.col.tolist()
-            doc["values"] = coo.data.tolist()
-        else:
-            doc["values"] = np.asarray(self.matrix).ravel().tolist()
-        dataset.write_model(path, doc)
+        })
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ProjectionMatrix":
-        kind, d, k = doc["kind"], int(doc["d"]), int(doc["k"])
-        if kind == "sparse":
-            matrix = sparse.coo_array(
-                (np.array(doc["values"], dtype=np.float64),
-                 (np.array(doc["rows"]), np.array(doc["cols"]))),
-                shape=(k, d),
-            ).tocsr()
-        else:
-            matrix = np.array(doc["values"], dtype=np.float64).reshape(k, d)
-        return cls(kind=kind, seed=int(doc["seed"]), matrix=matrix,
-                   generator=doc.get("generator", rng.GENERATOR_NAME))
+        if doc["generator"] != rng.GENERATOR_NAME:
+            raise ValueError(f"generator {doc['generator']!r} is not {rng.GENERATOR_NAME!r}")
+        return rp_fit(doc["kind"], int(doc["d"]), int(doc["k"]), int(doc["seed"]))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ProjectionMatrix":
@@ -190,6 +179,8 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
         z = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
         matrix = (z / math.sqrt(k)).reshape(k, d)
     else:
+        from scipy import sparse  # only this kind needs scipy; it is slow to import
+
         u = rng.uniforms(seed, count)
         scale = math.sqrt(3.0 / k)
         nz = np.nonzero(u < 1.0 / 3.0)[0]

@@ -29,7 +29,7 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class MlpModel:
-    FORMAT = "hwr-mlp/1"
+    FORMAT = "hwr-mlp/2"
 
     w1: np.ndarray  # (h, m)
     b1: np.ndarray  # (h,)
@@ -57,20 +57,20 @@ class MlpModel:
             "m": self.m,
             "h": self.h,
             "o": self.o,
-            "w1": self.w1.ravel().tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.ravel().tolist(),
-            "b2": self.b2.tolist(),
+            "w1": dataset.pack(self.w1),
+            "b1": dataset.pack(self.b1),
+            "w2": dataset.pack(self.w2),
+            "b2": dataset.pack(self.b2),
         })
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MlpModel":
         m, h, o = int(doc["m"]), int(doc["h"]), int(doc["o"])
         return cls(
-            w1=np.array(doc["w1"], dtype=np.float64).reshape(h, m),
-            b1=np.array(doc["b1"], dtype=np.float64).reshape(h),
-            w2=np.array(doc["w2"], dtype=np.float64).reshape(o, h),
-            b2=np.array(doc["b2"], dtype=np.float64).reshape(o),
+            w1=dataset.unpack(doc["w1"], h, m),
+            b1=dataset.unpack(doc["b1"], h),
+            w2=dataset.unpack(doc["w2"], o, h),
+            b2=dataset.unpack(doc["b2"], o),
         )
 
     @classmethod

@@ -1,7 +1,7 @@
 """RBF-kernel SVM trained by sequential minimal optimization.
 
 RBF is the only kernel, K(x, z) = exp(-gamma * ||x - z||^2); model files
-(hwr-svm/1) record it as "kernel": "rbf" and any other value is refused at
+(hwr-svm/2) record it as "kernel": "rbf" and any other value is refused at
 load.  Binary machines solve the standard dual
 
     max  sum(a) - 0.5 * sum_ij a_i a_j y_i y_j K(x_i, x_j)
@@ -367,7 +367,7 @@ def dual_objective(machine_alphas: np.ndarray, y: np.ndarray, K: np.ndarray) -> 
 
 @dataclass
 class SvmModel:
-    FORMAT = "hwr-svm/1"
+    FORMAT = "hwr-svm/2"
 
     classes: list[int]
     machines: dict[tuple[int, int], BinarySvm]
@@ -402,10 +402,10 @@ class SvmModel:
             "machines": [
                 {
                     "pair": [a, b],
-                    "support_vectors": m.support_vectors.ravel().tolist(),
+                    "support_vectors": dataset.pack(m.support_vectors),
                     "n_support": int(m.support_vectors.shape[0]),
                     "dim": int(m.support_vectors.shape[1]),
-                    "dual_coef": m.dual_coef.tolist(),
+                    "dual_coef": dataset.pack(m.dual_coef),
                     "bias": m.bias,
                 }
                 for (a, b), m in sorted(self.machines.items())
@@ -419,12 +419,10 @@ class SvmModel:
         machines = {}
         for rec in doc["machines"]:
             a, b = rec["pair"]
-            n = rec["n_support"]
+            n = int(rec["n_support"])
             machines[(a, b)] = BinarySvm(
-                support_vectors=np.array(rec["support_vectors"], dtype=np.float64).reshape(
-                    n, rec["dim"]
-                ),
-                dual_coef=np.array(rec["dual_coef"], dtype=np.float64).reshape(n),
+                support_vectors=dataset.unpack(rec["support_vectors"], n, int(rec["dim"])),
+                dual_coef=dataset.unpack(rec["dual_coef"], n),
                 bias=float(rec["bias"]),
                 c=float(doc["c"]),
                 gamma=float(doc["gamma"]),

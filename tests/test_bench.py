@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hwr import dataset, forest
+from hwr import dataset, dimred, forest
 
 
 def test_bench_grow_tree(benchmark):
@@ -21,9 +21,21 @@ def test_bench_grow_tree(benchmark):
 
 
 def test_bench_write_model(benchmark, tmp_path):
-    """A ~5 MB model document: one long list of floats, as in svm.json."""
+    """A ~5 MB model document: one base64 payload, as in svm.json."""
     doc = {"format": "hwr-bench/1",
-           "values": np.random.default_rng(42).normal(size=250_000).tolist()}
+           "values": dataset.pack(np.random.default_rng(42).normal(size=480_000))}
     path = tmp_path / "model.json"
     benchmark(dataset.write_model, path, doc)
     assert path.stat().st_size > 4_000_000
+
+
+def test_bench_read_model(benchmark, tmp_path):
+    """A ~5 MB pca.json: 120 components over the 3780 HOG columns."""
+    gen = np.random.default_rng(42)
+    model = dimred.PcaModel(mean=gen.normal(size=3780), components=gen.normal(size=(120, 3780)),
+                            explained_variance=gen.random(120))
+    path = tmp_path / "pca.json"
+    model.save(path)
+    assert path.stat().st_size > 4_000_000
+    loaded = benchmark(dimred.PcaModel.load, path)
+    assert loaded.components.tobytes() == model.components.tobytes()

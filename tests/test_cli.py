@@ -18,12 +18,24 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def predict_in_subprocess(pipeline_dir: Path, reducer: Path, model: Path):
+    """`hwr predict` on one image in a fresh interpreter, as a user runs it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "hwr.cli", "predict",
+         "--image", str(pipeline_dir / "imgs" / "c01_s000.pgm"),
+         "--reducer", str(reducer), "--model", str(model)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
 # A one-machine svm file for the 8 PCA columns of pipeline_dir; it would load and
 # predict with "kernel": "rbf"
 POLY_SVM = json.dumps({
-    "format": "hwr-svm/1", "classes": [1, 2], "c": 1.0, "gamma": 1.0, "kernel": "poly",
-    "machines": [{"pair": [1, 2], "support_vectors": [0.0] * 8, "n_support": 1, "dim": 8,
-                  "dual_coef": [1.0], "bias": 0.0}],
+    "format": "hwr-svm/2", "classes": [1, 2], "c": 1.0, "gamma": 1.0, "kernel": "poly",
+    "machines": [{"pair": [1, 2], "support_vectors": dataset.pack(np.zeros(8)),
+                  "n_support": 1, "dim": 8, "dual_coef": dataset.pack([1.0]), "bias": 0.0}],
 })
 
 # A forest over the 8 PCA dimensions whose left leaf has one count instead of
@@ -33,6 +45,13 @@ SHORT_LEAF_RF = json.dumps({
     "trees": [{"feature": 0, "threshold": -1e300, "left": {"counts": [1]},
                "right": {"counts": [1] + [0] * 13}}],
 })
+
+# A tree of 3,000 splits, each with a leaf on its right; json.load, like
+# TreeNode.from_dict, recurses once per level.
+_LEAF = json.dumps({"counts": [1] + [0] * 13})
+DEEP_RF = ('{"format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14, "trees": ['
+           + '{"feature": 0, "threshold": 0.0, "left": ' * 3000 + _LEAF
+           + f', "right": {_LEAF}}}' * 3000 + "]}")
 
 
 @pytest.fixture(scope="module")
@@ -234,22 +253,39 @@ class TestTrainEvalPredict:
         assert parsed == ["rf.json"]
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "hwr-svm/1"}',
+                                      '{"format": "hwr-svm/2"}',
                                       pytest.param(POLY_SVM, id="poly-kernel"),
-                                      pytest.param(SHORT_LEAF_RF, id="rf-short-leaf")])
+                                      pytest.param(SHORT_LEAF_RF, id="rf-short-leaf"),
+                                      pytest.param("[" * 3000 + "]" * 3000, id="deep-json"),
+                                      pytest.param(DEEP_RF, id="deep-rf-tree")])
     def test_corrupt_model_exit_2_without_traceback(self, tmp_path, pipeline_dir, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
-        src = Path(cli.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "hwr.cli", "predict",
-             "--image", str(pipeline_dir / "imgs" / "c01_s000.pgm"),
-             "--reducer", str(pipeline_dir / "pca.json"), "--model", str(bad)],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
+        proc = predict_in_subprocess(pipeline_dir, pipeline_dir / "pca.json", bad)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {bad}: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("tag, role", [("hwr-pca/1", "reducer"), ("hwr-rp/1", "reducer"),
+                                           ("hwr-mlp/1", "model"), ("hwr-svm/1", "model")])
+    def test_version_1_model_file_exit_2(self, tmp_path, pipeline_dir, tag, role):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"format": tag}), encoding="utf-8")
+        files = {"reducer": pipeline_dir / "pca.json", "model": pipeline_dir / "rf.json"}
+        files[role] = old
+        proc = predict_in_subprocess(pipeline_dir, files["reducer"], files["model"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {old}: format {tag!r} is not ")
+        assert "hwr train" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_non_integer_label_exit_2(self, capsys, tmp_path, pipeline_dir):
+        bad = tmp_path / "bad.labels"
+        bad.write_text("1\n2\nthree\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
+                           "--labels", str(bad), "--classifier", "rf",
+                           "--out", str(tmp_path / "rf.json"))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: line 3: ")
 
 
 class TestTopLevel:
@@ -261,6 +297,14 @@ class TestTopLevel:
 
     def test_unknown_command_exits_2(self, capsys):
         assert cli.main(["bogus"]) == 2
+
+    def test_import_does_not_load_scipy(self):
+        """Only the sparse projection needs scipy, which is slow to import."""
+        src = Path(cli.__file__).resolve().parents[1]
+        subprocess.run(
+            [sys.executable, "-c", "import hwr.cli, sys; assert 'scipy' not in sys.modules"],
+            check=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
 
     def test_env_seed_must_be_int(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HWR_SEED", "not-a-number")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import hashlib
 
 import numpy as np
@@ -12,10 +13,12 @@ from hwr.dataset import (
     Manifest,
     ManifestError,
     load_manifest,
+    pack,
     read_fmx,
     read_label_file,
     split,
     stratified_split,
+    unpack,
     write_fmx,
     write_label_file,
     write_manifest,
@@ -168,3 +171,40 @@ class TestLabelFile:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError):
             read_label_file(path)
+
+    def test_non_integer_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "y.labels"
+        path.write_text("1\n\n2.5\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_label_file(path)
+        assert str(info.value) == f"{path}: line 3: label '2.5' is not an integer"
+
+
+class TestPayload:
+    def test_special_values_round_trip_bit_exact(self):
+        a = np.array([[0.0, -0.0, 5e-324, -1e300], [np.inf, -np.inf, np.nan, 1 / 3]])
+        text = pack(a)
+        assert text == base64.b64encode(a.astype("<f8").tobytes()).decode()
+        back = unpack(text, 2, 4)
+        assert back.dtype == np.float64 and back.shape == (2, 4)
+        assert back.tobytes() == a.tobytes()
+        back[0, 0] = 1.0  # writable
+
+    def test_empty(self):
+        assert pack(np.zeros((0, 3))) == ""
+        assert unpack("", 0, 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("text, error", [
+        ([0.5], TypeError),
+        (b"AAAAAAAA4D8=", TypeError),
+        ("AAAAAAAA4D8", ValueError),      # padding missing
+        ("AAAAAAAA 4D8=", ValueError),    # not in the base64 alphabet
+        ("\u00e9AAAAAAA4D8=", ValueError),
+        ("AAAAAAAA4D8=AAAA", ValueError),  # data after the padding
+        (pack([0.5, 1.0]), ValueError),    # two floats for shape (1,)
+        (pack([0.5])[:-4], ValueError),    # 6 bytes
+    ])
+    def test_bad_payload_rejected(self, text, error):
+        with pytest.raises(error):
+            unpack(text, 1)
+        assert unpack(pack([0.5]), 1).tolist() == [0.5]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -230,7 +231,7 @@ class TestSerialization:
         loaded = ProjectionMatrix.load(path)
         assert loaded.kind == kind
         assert loaded.seed == 21
-        assert loaded.generator == "splitmix64"
+        assert json.loads(path.read_text(encoding="utf-8"))["generator"] == "splitmix64"
         assert np.array_equal(loaded.dense(), P.dense())
 
     def test_load_reducer_dispatch(self, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import importlib.util
 import json
 from pathlib import Path
@@ -16,14 +17,13 @@ from hwr.forest import ForestModel
 from hwr.mlp import MlpModel
 from hwr.svm import SvmModel
 
-# Key order of each hwr-*/1 document, "format" first.
+# Key order of each model document, "format" first.
 LAYOUT = {
-    "hwr-pca/1": ["format", "d", "k", "mean", "components", "explained_variance"],
-    "hwr-rp/1 gaussian": ["format", "kind", "generator", "seed", "d", "k", "values"],
-    "hwr-rp/1 sparse": ["format", "kind", "generator", "seed", "d", "k",
-                        "rows", "cols", "values"],
-    "hwr-mlp/1": ["format", "m", "h", "o", "w1", "b1", "w2", "b2"],
-    "hwr-svm/1": ["format", "classes", "c", "gamma", "kernel", "machines"],
+    "hwr-pca/2": ["format", "d", "k", "mean", "components", "explained_variance"],
+    "hwr-rp/2 gaussian": ["format", "kind", "generator", "seed", "d", "k"],
+    "hwr-rp/2 sparse": ["format", "kind", "generator", "seed", "d", "k"],
+    "hwr-mlp/2": ["format", "m", "h", "o", "w1", "b1", "w2", "b2"],
+    "hwr-svm/2": ["format", "classes", "c", "gamma", "kernel", "machines"],
     "hwr-rf/1": ["format", "d", "seed", "n_classes", "trees"],
 }
 SVM_MACHINE_LAYOUT = ["pair", "support_vectors", "n_support", "dim", "dual_coef", "bias"]
@@ -39,12 +39,12 @@ def _blobs():
 def _tiny_model(layout: str):
     X, y = _blobs()
     return {
-        "hwr-pca/1": lambda: dimred.pca_fit(X, 2),
-        "hwr-rp/1 gaussian": lambda: dimred.rp_fit("gaussian", 3, 2, seed=1),
-        "hwr-rp/1 sparse": lambda: dimred.rp_fit("sparse", 3, 2, seed=1),
-        "hwr-mlp/1": lambda: mlp.train(mlp.mlp_init(3, 4, 14, seed=0), X, y,
+        "hwr-pca/2": lambda: dimred.pca_fit(X, 2),
+        "hwr-rp/2 gaussian": lambda: dimred.rp_fit("gaussian", 3, 2, seed=1),
+        "hwr-rp/2 sparse": lambda: dimred.rp_fit("sparse", 3, 2, seed=1),
+        "hwr-mlp/2": lambda: mlp.train(mlp.mlp_init(3, 4, 14, seed=0), X, y,
                                        mlp.TrainConfig(epochs=2, seed=0)),
-        "hwr-svm/1": lambda: svm.ovo_train(X, y, c=1.0, gamma=0.5),
+        "hwr-svm/2": lambda: svm.ovo_train(X, y, c=1.0, gamma=0.5),
         "hwr-rf/1": lambda: forest.rf_train(X, y, m=2, seed=0),
     }[layout]()
 
@@ -61,6 +61,58 @@ def test_layout_and_byte_stable_round_trip(layout, tmp_path):
         assert all(list(rec) == SVM_MACHINE_LAYOUT for rec in doc["machines"])
     type(model).load(first).save(second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _arrays(model) -> dict[str, np.ndarray]:
+    """Every array a model saves, by name."""
+    if isinstance(model, SvmModel):
+        return {f"{pair} {name}": getattr(machine, name)
+                for pair, machine in model.machines.items()
+                for name in ("support_vectors", "dual_coef")}
+    if isinstance(model, ProjectionMatrix):
+        return {"matrix": model.dense()}
+    return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("layout", sorted(set(LAYOUT) - {"hwr-rf/1"}))
+def test_saved_arrays_load_bit_equal(layout, tmp_path):
+    model = _tiny_model(layout)
+    model.save(tmp_path / "model.json")
+    loaded = type(model).load(tmp_path / "model.json")
+    saved, back = _arrays(model), _arrays(loaded)
+    assert saved and list(back) == list(saved)
+    for name, array in saved.items():
+        assert back[name].dtype == np.float64 and back[name].shape == array.shape, name
+        assert back[name].tobytes() == array.tobytes(), name
+        assert back[name].flags.writeable, name
+    if isinstance(model, ProjectionMatrix):
+        assert type(loaded.matrix) is type(model.matrix)
+
+
+# The smallest document of each kind's first version, each of which loaded
+# before the array fields became base64 payloads.
+VERSION_1 = [
+    (PcaModel, {"format": "hwr-pca/1", "d": 1, "k": 1, "mean": [0.0], "components": [1.0],
+                "explained_variance": [1.0]}),
+    (ProjectionMatrix, {"format": "hwr-rp/1", "kind": "gaussian", "generator": "splitmix64",
+                        "seed": 1, "d": 1, "k": 1, "values": [0.5]}),
+    (MlpModel, {"format": "hwr-mlp/1", "m": 1, "h": 1, "o": 1, "w1": [0.5], "b1": [0.0],
+                "w2": [1.0], "b2": [0.0]}),
+    (SvmModel, {"format": "hwr-svm/1", "classes": [1, 2], "c": 1.0, "gamma": 1.0,
+                "kernel": "rbf", "machines": [{"pair": [1, 2], "support_vectors": [0.0],
+                                               "n_support": 1, "dim": 1, "dual_coef": [1.0],
+                                               "bias": 0.0}]}),
+]
+
+
+@pytest.mark.parametrize("cls, doc", [pytest.param(cls, doc, id=doc["format"])
+                                      for cls, doc in VERSION_1])
+def test_version_1_file_refused(cls, doc, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError) as info:
+        cls.load(path)
+    assert str(info.value).startswith(f"{path}: format {doc['format']!r} is not {cls.FORMAT}; ")
 
 
 LOADERS = [
@@ -89,6 +141,21 @@ def test_malformed_file_raises_model_file_error(loader, tag, bad, tmp_path):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_recursion_while_building_raises_model_file_error(tmp_path):
+    class Endless:
+        FORMAT = "hwr-endless/1"
+
+        @classmethod
+        def from_doc(cls, doc):
+            return cls.from_doc(doc)
+
+    path = tmp_path / "model.json"
+    path.write_text('{"format": "hwr-endless/1"}', encoding="utf-8")
+    with pytest.raises(ModelFileError, match="RecursionError") as info:
+        dataset.read_model(path, Endless)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def _first_rf_node(doc: dict, leaf: bool) -> dict:
     """The first leaf (or split) of a saved forest, depth first."""
     todo = list(reversed(doc["trees"]))
@@ -101,18 +168,33 @@ def _first_rf_node(doc: dict, leaf: bool) -> dict:
     raise AssertionError("the forest has no such node")
 
 
-# Each edit makes a saved model disagree with itself: a vector one entry shorter
-# than its stated shape (pca d and k, mlp h and o, svm n_support), a kernel
-# other than rbf, a forest leaf that is not n_classes non-negative counts with a
-# positive sum, or a forest split on a feature outside [0, d) or at a
-# non-finite threshold (the tiny forest has d = 3 and 14 classes).
+def _one_short(record: dict, field: str) -> None:
+    """Drop the last float of a base64 payload."""
+    record[field] = base64.b64encode(base64.b64decode(record[field])[:-8]).decode()
+
+
+# Each edit makes a saved model disagree with itself or with the format: a
+# payload one float shorter than its stated shape (pca d and k, mlp h and o,
+# svm n_support), a payload that is not base64 or is a list of floats, a
+# projection from another generator, of an unknown kind or too large for any
+# address space (10**14 entries), a kernel other than
+# rbf, a forest leaf that is not n_classes non-negative counts with a positive
+# sum, or a forest split on a feature outside [0, d) or at a non-finite
+# threshold (the tiny forest has d = 3 and 14 classes).
 INCONSISTENT = {
-    "pca-mean": ("hwr-pca/1", lambda doc: doc["mean"].pop()),
-    "pca-explained_variance": ("hwr-pca/1", lambda doc: doc["explained_variance"].pop()),
-    "mlp-b1": ("hwr-mlp/1", lambda doc: doc["b1"].pop()),
-    "mlp-b2": ("hwr-mlp/1", lambda doc: doc["b2"].pop()),
-    "svm-dual_coef": ("hwr-svm/1", lambda doc: doc["machines"][0]["dual_coef"].pop()),
-    "svm-poly-kernel": ("hwr-svm/1", lambda doc: doc.update(kernel="poly")),
+    "pca-mean": ("hwr-pca/2", lambda doc: _one_short(doc, "mean")),
+    "pca-explained_variance": ("hwr-pca/2", lambda doc: _one_short(doc, "explained_variance")),
+    "mlp-b1": ("hwr-mlp/2", lambda doc: _one_short(doc, "b1")),
+    "mlp-b2": ("hwr-mlp/2", lambda doc: _one_short(doc, "b2")),
+    "svm-dual_coef": ("hwr-svm/2", lambda doc: _one_short(doc["machines"][0], "dual_coef")),
+    "pca-not-base64": ("hwr-pca/2", lambda doc: doc.update(components="not base64!")),
+    "svm-list-payload": ("hwr-svm/2", lambda doc: doc["machines"][0].update(
+        support_vectors=np.frombuffer(base64.b64decode(
+            doc["machines"][0]["support_vectors"])).tolist())),
+    "rp-generator": ("hwr-rp/2 sparse", lambda doc: doc.update(generator="pcg64")),
+    "rp-kind": ("hwr-rp/2 gaussian", lambda doc: doc.update(kind="foo")),
+    "rp-too-large": ("hwr-rp/2 gaussian", lambda doc: doc.update(d=10**7, k=10**7)),
+    "svm-poly-kernel": ("hwr-svm/2", lambda doc: doc.update(kernel="poly")),
     "rf-leaf-short": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True)["counts"].pop()),
     "rf-leaf-negative": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
         counts=[-1, 2] + [0] * 12)),
@@ -163,9 +245,7 @@ def test_write_model_bytes_equal_json_dumps(layout, tmp_path, monkeypatch):
     assert path.read_bytes() == json.dumps(doc).encode() == _python_encoder_bytes(doc)
 
 
-@pytest.mark.parametrize("list_slice", [1, 2, dataset._LIST_SLICE])
-def test_write_model_bytes_non_ascii_and_empty_lists(list_slice, tmp_path, monkeypatch):
-    monkeypatch.setattr(dataset, "_LIST_SLICE", list_slice)
+def test_write_model_bytes_non_ascii_and_empty_lists(tmp_path):
     doc = {
         "format": "hwr-x/1",
         "name": "\u00c4rger \u2713 \u65e5\u672c \U0001d11e \"q\" \\ \n",
@@ -200,7 +280,7 @@ def test_benchmark_span_hooks_install_and_record(tmp_path):
         X, y = _blobs()
         dimred.pca_fit(X, 2).save(tmp_path / "pca.json")
         dimred.load_reducer(tmp_path / "pca.json").transform(X)
-        for name in ("hwr-mlp/1", "hwr-svm/1", "hwr-rf/1"):
+        for name in ("hwr-mlp/2", "hwr-svm/2", "hwr-rf/1"):
             path = tmp_path / f"{name.split('/')[0]}.json"
             _tiny_model(name).save(path)
             cli.load_classifier(path).predict_batch(X[:1])
