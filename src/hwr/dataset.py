@@ -58,29 +58,30 @@ class Manifest:
 
 def load_manifest(path: str | os.PathLike) -> Manifest:
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 ({exc})") from None
+    if not rows:
+        raise ManifestError(f"{path}: empty manifest")
+    if rows[0] != ["path", "label"]:
+        raise ManifestError(f"{path}: expected header 'path,label', got {rows[0]}")
+    records = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2 or not row[0]:
+            raise ManifestError(f"{path}: line {lineno}: expected 'path,label', got {row}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty manifest") from None
-        if header != ["path", "label"]:
-            raise ManifestError(f"{path}: expected header 'path,label', got {header}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or not row[0]:
-                raise ManifestError(f"{path}: line {lineno}: expected 'path,label', got {row}")
-            try:
-                cid = int(row[1])
-            except ValueError:
-                raise ManifestError(f"{path}: line {lineno}: label {row[1]!r} is not an integer") from None
-            try:
-                labels_mod.label_to_unicode(cid)
-            except ValueError as exc:
-                raise ManifestError(f"{path}: line {lineno}: {exc}") from None
-            records.append((row[0], cid))
+            cid = int(row[1])
+        except ValueError:
+            raise ManifestError(f"{path}: line {lineno}: label {row[1]!r} is not an integer") from None
+        try:
+            labels_mod.label_to_unicode(cid)
+        except ValueError as exc:
+            raise ManifestError(f"{path}: line {lineno}: {exc}") from None
+        records.append((row[0], cid))
     return Manifest(records=records, root=path.parent)
 
 
@@ -177,16 +178,20 @@ def write_label_file(label_ids, path: str | os.PathLike) -> None:
 
 
 def read_label_file(path: str | os.PathLike) -> np.ndarray:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: label {line.strip()!r} "
-                                 "is not an integer") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: label {line.strip()!r} "
+                             "is not an integer") from None
     if not values:
         raise ValueError(f"{path}: no labels")
     return np.array(values, dtype=np.intp)

@@ -1,7 +1,7 @@
 """RBF-kernel SVM trained by sequential minimal optimization.
 
 RBF is the only kernel, K(x, z) = exp(-gamma * ||x - z||^2); model files
-(hwr-svm/2) record it as "kernel": "rbf" and any other value is refused at
+(hwr-svm/3) record it as "kernel": "rbf" and any other value is refused at
 load.  Binary machines solve the standard dual
 
     max  sum(a) - 0.5 * sum_ij a_i a_j y_i y_j K(x_i, x_j)
@@ -27,17 +27,19 @@ alone.
 
 Multiclass is one-vs-one (91 machines for 14 classes, one batch) with
 majority voting; vote ties break by summed |decision| and then the lowest
-class id.  Grid search runs stratified k-fold cross-validation over
-(C, gamma), solving every pair at every C of one (fold, gamma) as one batch
-that shares each pair's Gram matrix, and prefers smaller C, then smaller
-gamma, on ties.
+class id.  The machines share most of their support vectors, so a model
+keeps each distinct one once, as LIBSVM does (Chang & Lin, 2011), and a
+prediction is one kernel block and one matrix product for all machines.
+Grid search runs stratified k-fold cross-validation over (C, gamma),
+solving every pair at every C of one (fold, gamma) as one batch that shares
+each pair's Gram matrix, and prefers smaller C, then smaller gamma, on ties.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -366,73 +368,123 @@ def dual_objective(machine_alphas: np.ndarray, y: np.ndarray, K: np.ndarray) -> 
 
 
 @dataclass
+class _Shared:
+    """Machines over one matrix of distinct support vectors (LIBSVM's layout).
+
+    Row k of ``coef`` holds the dual coefficients of machine ``pairs[k]`` in
+    the columns of its support vectors, 0 elsewhere.
+    """
+
+    classes: InitVar[list[int]]
+    pairs: list[tuple[int, int]]
+    sv: np.ndarray     # (u, m)
+    coef: np.ndarray   # (len(pairs), u)
+    bias: np.ndarray   # (len(pairs),)
+    sides: np.ndarray = field(init=False)  # (2, len(pairs)): class indices of a, of b
+
+    def __post_init__(self, classes) -> None:
+        index = {c: i for i, c in enumerate(classes)}
+        self.sides = np.array([[index[a] for a, _ in self.pairs],
+                               [index[b] for _, b in self.pairs]], dtype=np.intp)
+
+
+def _share(classes, machines: dict[tuple[int, int], BinarySvm]) -> _Shared:
+    """Deduplicate support vectors by their bytes, in order of first use over sorted pairs."""
+    pairs = sorted(machines)
+    stacked = np.concatenate([machines[p].support_vectors for p in pairs])
+    columns: dict[bytes, int] = {}
+    column = np.array([columns.setdefault(row.tobytes(), len(columns)) for row in stacked],
+                      dtype=np.intp)
+    owner = np.repeat(np.arange(len(pairs)), [len(machines[p].dual_coef) for p in pairs])
+    coef = np.zeros((len(pairs), len(columns)))
+    # a row a machine holds twice gets the sum of its coefficients
+    np.add.at(coef, (owner, column), np.concatenate([machines[p].dual_coef for p in pairs]))
+    first = np.unique(column, return_index=True)[1]
+    return _Shared(classes, pairs, stacked[first], coef,
+                   np.array([machines[p].bias for p in pairs], dtype=np.float64))
+
+
+@dataclass
 class SvmModel:
-    FORMAT = "hwr-svm/2"
+    FORMAT = "hwr-svm/3"
 
     classes: list[int]
     machines: dict[tuple[int, int], BinarySvm]
     c: float
     gamma: float
+    _shared: _Shared | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def shared(self) -> _Shared:
+        """The machines over one support-vector matrix, derived on first use.
+
+        ``machines`` must not change after that.
+        """
+        if self._shared is None:
+            self._shared = _share(self.classes, self.machines)
+        return self._shared
+
+    def decisions(self, X: np.ndarray) -> np.ndarray:
+        """Decision values of every machine (rows, in ``shared.pairs`` order) on every sample."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        shared = self.shared
+        return shared.coef @ kernel_matrix(shared.sv, X, self.gamma) + shared.bias[:, None]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = np.zeros((X.shape[0], len(self.classes)))
-        magnitude = np.zeros_like(votes)
-        index = {cls: i for i, cls in enumerate(self.classes)}
-        for (a, b), machine in self.machines.items():
-            f = machine.decision(X)
-            wins_a = f > 0.0
-            ia, ib = index[a], index[b]
-            votes[wins_a, ia] += 1
-            votes[~wins_a, ib] += 1
-            magnitude[wins_a, ia] += np.abs(f[wins_a])
-            magnitude[~wins_a, ib] += np.abs(f[~wins_a])
+        F = self.decisions(X)
+        shared = self.shared
+        winner = np.where(F > 0.0, shared.sides[0, :, None], shared.sides[1, :, None])
+        n, k = F.shape[1], len(self.classes)
+        # bins of (sample, winning class), summed in machine order
+        bins = (np.arange(n) * k + winner).ravel()
+        votes = np.bincount(bins, minlength=n * k).reshape(n, k)
+        magnitude = np.bincount(bins, np.abs(F).ravel(), minlength=n * k).reshape(n, k)
         # ranking: votes, then summed |decision|, then lowest class id
         classes = np.asarray(self.classes, dtype=np.intp)
         keys = (np.broadcast_to(classes, votes.shape), -magnitude, -votes)
         return classes[np.lexsort(keys, axis=1)[:, 0]]
 
     def save(self, path: str | os.PathLike) -> None:
+        shared = self.shared
         dataset.write_model(path, {
             "format": self.FORMAT,
             "classes": list(self.classes),
             "c": self.c,
             "gamma": self.gamma,
             "kernel": "rbf",
-            "machines": [
-                {
-                    "pair": [a, b],
-                    "support_vectors": dataset.pack(m.support_vectors),
-                    "n_support": int(m.support_vectors.shape[0]),
-                    "dim": int(m.support_vectors.shape[1]),
-                    "dual_coef": dataset.pack(m.dual_coef),
-                    "bias": m.bias,
-                }
-                for (a, b), m in sorted(self.machines.items())
-            ],
+            "pairs": [[a, b] for a, b in shared.pairs],
+            "n_support": int(shared.sv.shape[0]),
+            "dim": int(shared.sv.shape[1]),
+            "support_vectors": dataset.pack(shared.sv),
+            "coef": dataset.pack(shared.coef),
+            "bias": dataset.pack(shared.bias),
         })
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SvmModel":
         if doc["kernel"] != "rbf":
             raise ValueError(f"kernel {doc['kernel']!r} is not supported (only 'rbf')")
+        classes = [int(c) for c in doc["classes"]]
+        c, gamma = float(doc["c"]), float(doc["gamma"])
+        pairs = [(a, b) for a, b in doc["pairs"]]
+        for a, b in pairs:
+            if not (a in classes and b in classes and a < b):
+                raise ValueError(f"pair {[a, b]} is not two classes a < b of {classes}")
+        if len(set(pairs)) != len(pairs):
+            raise ValueError("a pair is listed twice")
+        n, dim = int(doc["n_support"]), int(doc["dim"])
+        sv = dataset.unpack(doc["support_vectors"], n, dim)
+        coef = dataset.unpack(doc["coef"], len(pairs), n)
+        bias = dataset.unpack(doc["bias"], len(pairs))
+        # a trained machine has no zero coefficient: each support vector has alpha > _SV_EPS
         machines = {}
-        for rec in doc["machines"]:
-            a, b = rec["pair"]
-            n = int(rec["n_support"])
-            machines[(a, b)] = BinarySvm(
-                support_vectors=dataset.unpack(rec["support_vectors"], n, int(rec["dim"])),
-                dual_coef=dataset.unpack(rec["dual_coef"], n),
-                bias=float(rec["bias"]),
-                c=float(doc["c"]),
-                gamma=float(doc["gamma"]),
-            )
-        return cls(
-            classes=[int(c) for c in doc["classes"]],
-            machines=machines,
-            c=float(doc["c"]),
-            gamma=float(doc["gamma"]),
-        )
+        for k, pair in enumerate(pairs):
+            used = np.flatnonzero(coef[k])
+            machines[pair] = BinarySvm(support_vectors=sv[used], dual_coef=coef[k, used],
+                                       bias=float(bias[k]), c=c, gamma=gamma)
+        model = cls(classes=classes, machines=machines, c=c, gamma=gamma)
+        model._shared = _Shared(classes, pairs, sv, coef, bias)
+        return model
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "SvmModel":

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the SVM dual optimum
 comes from exhaustive active-set enumeration, gradients from central finite
 differences, the exact SMO reference solves one machine at a time with
 scalar pair steps, the schedule the batched solver must reproduce bit for
-bit, and the exact forest reference searches splits one feature at a time
+bit, one-vs-one prediction runs one machine and one kernel block at a
+time, and the exact forest reference searches splits one feature at a time
 over a one-hot class cumsum, the result the vectorized search must
 reproduce bit for bit.
 """
@@ -224,6 +225,30 @@ def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, max_iter=None) -> SvmModel:
         y = np.where(labels[mask] == a, 1.0, -1.0)
         machines[(a, b)] = scalar_smo_train(X[mask], y, c, gamma, tol, max_iter)
     return SvmModel(classes=classes, machines=machines, c=float(c), gamma=float(gamma))
+
+
+def per_machine_predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """One-vs-one prediction one machine at a time, each with its own kernel block.
+
+    The predict path that the shared support-vector layout replaced: votes
+    and |decision| magnitudes accumulate in the order of ``model.machines``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    votes = np.zeros((X.shape[0], len(model.classes)))
+    magnitude = np.zeros_like(votes)
+    index = {cls: i for i, cls in enumerate(model.classes)}
+    for (a, b), machine in model.machines.items():
+        f = machine.decision(X)
+        wins_a = f > 0.0
+        ia, ib = index[a], index[b]
+        votes[wins_a, ia] += 1
+        votes[~wins_a, ib] += 1
+        magnitude[wins_a, ia] += np.abs(f[wins_a])
+        magnitude[~wins_a, ib] += np.abs(f[~wins_a])
+    # ranking: votes, then summed |decision|, then lowest class id
+    classes = np.asarray(model.classes, dtype=np.intp)
+    keys = (np.broadcast_to(classes, votes.shape), -magnitude, -votes)
+    return classes[np.lexsort(keys, axis=1)[:, 0]]
 
 
 def recover_alphas(machine, X: np.ndarray) -> np.ndarray:

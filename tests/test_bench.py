@@ -6,9 +6,12 @@ options); time them with ``pytest --benchmark-enable -k bench``.
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
-from hwr import dataset, dimred, forest
+import numpy as np
+import pytest
+
+from hwr import dataset, dimred, forest, svm
 
 
 def test_bench_grow_tree(benchmark):
@@ -39,3 +42,21 @@ def test_bench_read_model(benchmark, tmp_path):
     assert path.stat().st_size > 4_000_000
     loaded = benchmark(dimred.PcaModel.load, path)
     assert loaded.components.tobytes() == model.components.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 148])
+def test_bench_svm_predict(benchmark, rows):
+    """The srp733 svm.json's shape: 91 machines over 471 distinct support vectors."""
+    gen = np.random.default_rng(42)
+    pool = gen.normal(size=(471, 733))
+    owner = np.arange(471) % 14 + 1  # the class each support vector belongs to
+    machines = {}
+    for a, b in itertools.combinations(range(1, 15), 2):
+        used = np.flatnonzero(((owner == a) | (owner == b)) & (gen.random(471) < 0.55))
+        machines[(a, b)] = svm.BinarySvm(support_vectors=pool[used],
+                                         dual_coef=gen.normal(size=len(used)),
+                                         bias=float(gen.normal()), c=0.5, gamma=2.0**-9)
+    model = svm.SvmModel(classes=list(range(1, 15)), machines=machines, c=0.5, gamma=2.0**-9)
+    assert model.shared.sv.shape == (471, 733)
+    X = gen.normal(size=(rows, 733))
+    assert benchmark(model.predict_batch, X).shape == (rows,)

@@ -33,9 +33,9 @@ def predict_in_subprocess(pipeline_dir: Path, reducer: Path, model: Path):
 # A one-machine svm file for the 8 PCA columns of pipeline_dir; it would load and
 # predict with "kernel": "rbf"
 POLY_SVM = json.dumps({
-    "format": "hwr-svm/2", "classes": [1, 2], "c": 1.0, "gamma": 1.0, "kernel": "poly",
-    "machines": [{"pair": [1, 2], "support_vectors": dataset.pack(np.zeros(8)),
-                  "n_support": 1, "dim": 8, "dual_coef": dataset.pack([1.0]), "bias": 0.0}],
+    "format": "hwr-svm/3", "classes": [1, 2], "c": 1.0, "gamma": 1.0, "kernel": "poly",
+    "pairs": [[1, 2]], "n_support": 1, "dim": 8, "support_vectors": dataset.pack(np.zeros(8)),
+    "coef": dataset.pack([1.0]), "bias": dataset.pack([0.0]),
 })
 
 # A forest over the 8 PCA dimensions whose left leaf has one count instead of
@@ -117,6 +117,15 @@ class TestFeatures:
         assert code == 1
         assert "broken.pgm" in err
         assert dataset.read_fmx(tmp_path / "f.fmx").shape == (1, 3780)
+
+    def test_non_utf8_manifest_exit_2(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"path,label\na\xff.pgm,1\n")
+        code, _, err = run(capsys, "features", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "f.fmx"))
+        assert code == 2
+        assert err.startswith(f"error: {manifest}: not UTF-8")
+        assert "Traceback" not in err
 
 
 class TestReduce:
@@ -253,7 +262,7 @@ class TestTrainEvalPredict:
         assert parsed == ["rf.json"]
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "hwr-svm/1"}',
-                                      '{"format": "hwr-svm/2"}',
+                                      '{"format": "hwr-svm/2"}', '{"format": "hwr-svm/3"}',
                                       pytest.param(POLY_SVM, id="poly-kernel"),
                                       pytest.param(SHORT_LEAF_RF, id="rf-short-leaf"),
                                       pytest.param("[" * 3000 + "]" * 3000, id="deep-json"),
@@ -267,7 +276,8 @@ class TestTrainEvalPredict:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("tag, role", [("hwr-pca/1", "reducer"), ("hwr-rp/1", "reducer"),
-                                           ("hwr-mlp/1", "model"), ("hwr-svm/1", "model")])
+                                           ("hwr-mlp/1", "model"), ("hwr-svm/1", "model"),
+                                           ("hwr-svm/2", "model")])
     def test_version_1_model_file_exit_2(self, tmp_path, pipeline_dir, tag, role):
         old = tmp_path / "old.json"
         old.write_text(json.dumps({"format": tag}), encoding="utf-8")
@@ -286,6 +296,16 @@ class TestTrainEvalPredict:
                            "--out", str(tmp_path / "rf.json"))
         assert code == 2
         assert err.startswith(f"error: {bad}: line 3: ")
+
+    def test_non_utf8_label_file_exit_2(self, capsys, tmp_path, pipeline_dir):
+        bad = tmp_path / "bad.labels"
+        bad.write_bytes(b"1\n\xff\n")
+        code, _, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
+                           "--labels", str(bad), "--classifier", "rf",
+                           "--out", str(tmp_path / "rf.json"))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8")
+        assert "Traceback" not in err
 
 
 class TestTopLevel:

@@ -23,10 +23,10 @@ LAYOUT = {
     "hwr-rp/2 gaussian": ["format", "kind", "generator", "seed", "d", "k"],
     "hwr-rp/2 sparse": ["format", "kind", "generator", "seed", "d", "k"],
     "hwr-mlp/2": ["format", "m", "h", "o", "w1", "b1", "w2", "b2"],
-    "hwr-svm/2": ["format", "classes", "c", "gamma", "kernel", "machines"],
+    "hwr-svm/3": ["format", "classes", "c", "gamma", "kernel", "pairs", "n_support", "dim",
+                  "support_vectors", "coef", "bias"],
     "hwr-rf/1": ["format", "d", "seed", "n_classes", "trees"],
 }
-SVM_MACHINE_LAYOUT = ["pair", "support_vectors", "n_support", "dim", "dual_coef", "bias"]
 
 
 def _blobs():
@@ -44,7 +44,7 @@ def _tiny_model(layout: str):
         "hwr-rp/2 sparse": lambda: dimred.rp_fit("sparse", 3, 2, seed=1),
         "hwr-mlp/2": lambda: mlp.train(mlp.mlp_init(3, 4, 14, seed=0), X, y,
                                        mlp.TrainConfig(epochs=2, seed=0)),
-        "hwr-svm/2": lambda: svm.ovo_train(X, y, c=1.0, gamma=0.5),
+        "hwr-svm/3": lambda: svm.ovo_train(X, y, c=1.0, gamma=0.5),
         "hwr-rf/1": lambda: forest.rf_train(X, y, m=2, seed=0),
     }[layout]()
 
@@ -57,8 +57,6 @@ def test_layout_and_byte_stable_round_trip(layout, tmp_path):
     doc = json.loads(first.read_text(encoding="utf-8"))
     assert list(doc) == LAYOUT[layout]
     assert doc["format"] == type(model).FORMAT == layout.split()[0]
-    if isinstance(model, SvmModel):
-        assert all(list(rec) == SVM_MACHINE_LAYOUT for rec in doc["machines"])
     type(model).load(first).save(second)
     assert second.read_bytes() == first.read_bytes()
 
@@ -66,9 +64,8 @@ def test_layout_and_byte_stable_round_trip(layout, tmp_path):
 def _arrays(model) -> dict[str, np.ndarray]:
     """Every array a model saves, by name."""
     if isinstance(model, SvmModel):
-        return {f"{pair} {name}": getattr(machine, name)
-                for pair, machine in model.machines.items()
-                for name in ("support_vectors", "dual_coef")}
+        shared = model.shared
+        return {"support_vectors": shared.sv, "coef": shared.coef, "bias": shared.bias}
     if isinstance(model, ProjectionMatrix):
         return {"matrix": model.dense()}
     return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
@@ -90,7 +87,8 @@ def test_saved_arrays_load_bit_equal(layout, tmp_path):
 
 
 # The smallest document of each kind's first version, each of which loaded
-# before the array fields became base64 payloads.
+# before the array fields became base64 payloads, and of hwr-svm/2, which
+# loaded before the machines shared one support-vector matrix.
 VERSION_1 = [
     (PcaModel, {"format": "hwr-pca/1", "d": 1, "k": 1, "mean": [0.0], "components": [1.0],
                 "explained_variance": [1.0]}),
@@ -101,6 +99,12 @@ VERSION_1 = [
     (SvmModel, {"format": "hwr-svm/1", "classes": [1, 2], "c": 1.0, "gamma": 1.0,
                 "kernel": "rbf", "machines": [{"pair": [1, 2], "support_vectors": [0.0],
                                                "n_support": 1, "dim": 1, "dual_coef": [1.0],
+                                               "bias": 0.0}]}),
+    (SvmModel, {"format": "hwr-svm/2", "classes": [1, 2], "c": 1.0, "gamma": 1.0,
+                "kernel": "rbf", "machines": [{"pair": [1, 2],
+                                               "support_vectors": dataset.pack([0.0]),
+                                               "n_support": 1, "dim": 1,
+                                               "dual_coef": dataset.pack([1.0]),
                                                "bias": 0.0}]}),
 ]
 
@@ -173,12 +177,19 @@ def _one_short(record: dict, field: str) -> None:
     record[field] = base64.b64encode(base64.b64decode(record[field])[:-8]).decode()
 
 
+def _coef_of_shape(doc: dict, rows: int, cols: int) -> None:
+    """Replace an svm file's coefficients by zeros of another shape."""
+    doc["coef"] = dataset.pack(np.zeros((rows, cols)))
+
+
 # Each edit makes a saved model disagree with itself or with the format: a
 # payload one float shorter than its stated shape (pca d and k, mlp h and o,
-# svm n_support), a payload that is not base64 or is a list of floats, a
-# projection from another generator, of an unknown kind or too large for any
-# address space (10**14 entries), a kernel other than
-# rbf, a forest leaf that is not n_classes non-negative counts with a positive
+# svm n_support, dim and pairs), svm coefficients with a row more than there
+# are pairs or a column more than n_support, an svm pair that is not two
+# classes a < b of the model or that is listed twice, a payload that is not
+# base64 or is a list of floats, a projection from another generator, of an
+# unknown kind or too large for any address space (10**14 entries), a
+# kernel other than rbf, a forest leaf that is not n_classes non-negative counts with a positive
 # sum, or a forest split on a feature outside [0, d) or at a non-finite
 # threshold (the tiny forest has d = 3 and 14 classes).
 INCONSISTENT = {
@@ -186,15 +197,24 @@ INCONSISTENT = {
     "pca-explained_variance": ("hwr-pca/2", lambda doc: _one_short(doc, "explained_variance")),
     "mlp-b1": ("hwr-mlp/2", lambda doc: _one_short(doc, "b1")),
     "mlp-b2": ("hwr-mlp/2", lambda doc: _one_short(doc, "b2")),
-    "svm-dual_coef": ("hwr-svm/2", lambda doc: _one_short(doc["machines"][0], "dual_coef")),
+    "svm-dual_coef": ("hwr-svm/3", lambda doc: _one_short(doc, "coef")),
+    "svm-support_vectors": ("hwr-svm/3", lambda doc: _one_short(doc, "support_vectors")),
+    "svm-bias": ("hwr-svm/3", lambda doc: _one_short(doc, "bias")),
+    "svm-coef-rows": ("hwr-svm/3", lambda doc: _coef_of_shape(
+        doc, len(doc["pairs"]) + 1, doc["n_support"])),
+    "svm-coef-columns": ("hwr-svm/3", lambda doc: _coef_of_shape(
+        doc, len(doc["pairs"]), doc["n_support"] + 1)),
+    "svm-pair-reversed": ("hwr-svm/3", lambda doc: doc["pairs"][0].reverse()),
+    "svm-pair-equal": ("hwr-svm/3", lambda doc: doc["pairs"][0].__setitem__(1, 1)),
+    "svm-pair-unknown-class": ("hwr-svm/3", lambda doc: doc["pairs"][0].__setitem__(1, 4)),
+    "svm-pair-twice": ("hwr-svm/3", lambda doc: doc["pairs"].__setitem__(1, [1, 2])),
     "pca-not-base64": ("hwr-pca/2", lambda doc: doc.update(components="not base64!")),
-    "svm-list-payload": ("hwr-svm/2", lambda doc: doc["machines"][0].update(
-        support_vectors=np.frombuffer(base64.b64decode(
-            doc["machines"][0]["support_vectors"])).tolist())),
+    "svm-list-payload": ("hwr-svm/3", lambda doc: doc.update(
+        support_vectors=np.frombuffer(base64.b64decode(doc["support_vectors"])).tolist())),
     "rp-generator": ("hwr-rp/2 sparse", lambda doc: doc.update(generator="pcg64")),
     "rp-kind": ("hwr-rp/2 gaussian", lambda doc: doc.update(kind="foo")),
     "rp-too-large": ("hwr-rp/2 gaussian", lambda doc: doc.update(d=10**7, k=10**7)),
-    "svm-poly-kernel": ("hwr-svm/2", lambda doc: doc.update(kernel="poly")),
+    "svm-poly-kernel": ("hwr-svm/3", lambda doc: doc.update(kernel="poly")),
     "rf-leaf-short": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True)["counts"].pop()),
     "rf-leaf-negative": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
         counts=[-1, 2] + [0] * 12)),
@@ -280,7 +300,7 @@ def test_benchmark_span_hooks_install_and_record(tmp_path):
         X, y = _blobs()
         dimred.pca_fit(X, 2).save(tmp_path / "pca.json")
         dimred.load_reducer(tmp_path / "pca.json").transform(X)
-        for name in ("hwr-mlp/2", "hwr-svm/2", "hwr-rf/1"):
+        for name in ("hwr-mlp/2", "hwr-svm/3", "hwr-rf/1"):
             path = tmp_path / f"{name.split('/')[0]}.json"
             _tiny_model(name).save(path)
             cli.load_classifier(path).predict_batch(X[:1])

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwr import svm
 from hwr.svm import (
@@ -26,7 +28,13 @@ from hwr.svm import (
 
 
 import oracles
-from oracles import brute_force_dual, recover_alphas, scalar_ovo_train, scalar_smo_train
+from oracles import (
+    brute_force_dual,
+    per_machine_predict,
+    recover_alphas,
+    scalar_ovo_train,
+    scalar_smo_train,
+)
 
 
 class TestRbfKernel:
@@ -480,3 +488,118 @@ class TestTieBreak:
         expected = [min(classes, key=lambda cls: (-votes[cls][r], -magnitude[cls][r], cls))
                     for r in range(len(X))]
         assert model.predict_batch(X).tolist() == expected
+
+
+@pytest.fixture(scope="module", params=[100, 733], ids=lambda m: f"width{m}")
+def seeded_model(request):
+    """A 14-class model on seeded blobs of the given width, and 148 wider-spread probe rows.
+
+    Some training rows are no support vector, so machines share some of their rows.
+    """
+    m = request.param
+    gen = np.random.default_rng(42)
+    centers = gen.normal(size=(14, m))
+    y = np.repeat(np.arange(1, 15), 20)
+    X = centers[y - 1] + gen.normal(scale=0.3, size=(len(y), m))
+    probe = centers[gen.integers(0, 14, size=148)] + gen.normal(scale=1.0, size=(148, m))
+    return ovo_train(X, y, c=8.0, gamma=0.1 / m), probe
+
+
+class TestSharedLayout:
+    """One kernel block per prediction agrees with one block per machine."""
+
+    def test_distinct_rows_shared(self, seeded_model):
+        model, _ = seeded_model
+        shared = model.shared
+        stored = sum(len(machine.dual_coef) for machine in model.machines.values())
+        assert len(shared.pairs) == 91
+        assert len({row.tobytes() for row in shared.sv}) == len(shared.sv) < stored
+        for k, pair in enumerate(shared.pairs):
+            machine = model.machines[pair]
+            used = np.flatnonzero(shared.coef[k])
+            assert (dict(zip(map(bytes, shared.sv[used]), shared.coef[k, used]))
+                    == dict(zip(map(bytes, machine.support_vectors), machine.dual_coef)))
+            assert shared.bias[k] == machine.bias
+
+    def test_batch_matches_per_machine(self, seeded_model):
+        model, probe = seeded_model
+        assert np.array_equal(model.predict_batch(probe), per_machine_predict(model, probe))
+
+    def test_single_rows_match_per_machine(self, seeded_model):
+        model, probe = seeded_model
+        for row in probe[:20]:
+            assert model.predict_batch(row).tolist() == per_machine_predict(model, row).tolist()
+
+    def test_decisions_match_each_machine(self, seeded_model):
+        model, probe = seeded_model
+        F = model.decisions(probe)
+        for k, pair in enumerate(model.shared.pairs):
+            assert np.abs(F[k] - model.machines[pair].decision(probe)).max() <= 1e-12
+
+    def test_loaded_model_predicts_as_saved(self, seeded_model, tmp_path):
+        model, probe = seeded_model
+        model.save(tmp_path / "svm.json")
+        loaded = SvmModel.load(tmp_path / "svm.json")
+        assert loaded.decisions(probe).tobytes() == model.decisions(probe).tobytes()
+        assert np.array_equal(loaded.predict_batch(probe), model.predict_batch(probe))
+        for pair, machine in model.machines.items():
+            rebuilt = loaded.machines[pair]
+            assert np.abs(rebuilt.decision(probe) - machine.decision(probe)).max() <= 1e-12
+
+    # Integer points and gamma = 1e3 make every kernel value exactly 1 (same point)
+    # or 0 (underflow), and coefficients are multiples of 0.5, so decision values are
+    # exact on both paths and every vote and magnitude tie must break alike.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_machine_on_exact_models(self, data):
+        dim = data.draw(st.integers(1, 3))
+        classes = sorted(data.draw(st.sets(st.integers(1, 14), min_size=2, max_size=6)))
+        points = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        pairs = list(itertools.combinations(classes, 2))
+        machines = {}
+        for pair in data.draw(st.permutations(pairs)):
+            rows = data.draw(st.lists(points, max_size=4))
+            machines[pair] = BinarySvm(
+                support_vectors=np.array(rows, dtype=np.float64).reshape(len(rows), dim),
+                dual_coef=np.array(data.draw(st.lists(
+                    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                    min_size=len(rows), max_size=len(rows)))),
+                bias=data.draw(st.sampled_from([-0.5, 0.0, 0.5])), c=1.0, gamma=1e3)
+        model = SvmModel(classes=classes, machines=machines, c=1.0, gamma=1e3)
+        X = np.array(data.draw(st.lists(points, min_size=1, max_size=8)), dtype=np.float64)
+        assert model.predict_batch(X).tolist() == per_machine_predict(model, X).tolist()
+        F = model.decisions(X)
+        for k, pair in enumerate(model.shared.pairs):
+            assert F[k].tolist() == machines[pair].decision(X).tolist()
+
+
+class TestKernelCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Per kernel_matrix call, whether it was a Gram matrix (both arguments the same)."""
+        calls = []
+        real = svm.kernel_matrix
+
+        def counting(A, B, gamma):
+            calls.append(A is B)
+            return real(A, B, gamma)
+
+        monkeypatch.setattr(svm, "kernel_matrix", counting)
+        return calls
+
+    def test_one_kernel_block_per_prediction(self, small_features, calls):
+        X, labels = small_features
+        model = ovo_train(X[:, :40], labels, c=8.0, gamma=0.125)
+        assert len(model.machines) == 91
+        calls.clear()
+        model.predict_batch(X[:, :40])
+        model.predict_batch(X[0, :40])
+        assert calls == [False, False]
+
+    def test_grid_scores_each_cell_with_one_block(self, small_features, calls):
+        X, labels = small_features
+        result = grid_search(X[:, :40], labels, DEFAULT_GRID, seed=0)
+        assert all(accuracy > 0.0 for _, _, accuracy in result.table)
+        # one held-out block per (fold, C, gamma) and one Gram matrix per (fold, gamma, pair)
+        assert calls.count(False) == DEFAULT_GRID.folds * len(result.table) == 75
+        assert calls.count(True) == DEFAULT_GRID.folds * len(DEFAULT_GRID.gamma_values) * 91
