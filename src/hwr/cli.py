@@ -129,7 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 raise ValueError("svm needs either --grid default or both --c and --gamma")
             c, gamma = args.c, args.gamma
         model = svm.ovo_train(Xtr, ytr, c, gamma)
-        print(f"svm trained on {len(ytr)} samples ({len(model.machines)} machines)")
+        print(f"svm trained on {len(ytr)} samples ({len(model.pairs)} machines)")
     else:
         model = forest.rf_train(Xtr, ytr, m=args.trees, seed=_stage_seed(args.seed, "train"))
         print(f"random forest trained on {len(ytr)} samples ({args.trees} trees)")

@@ -96,8 +96,6 @@ def write_manifest(manifest: Manifest, path: str | os.PathLike) -> None:
 class SplitResult:
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
-    ratio: float
 
 
 def split(n: int, ratio: float, seed: int) -> SplitResult:
@@ -111,8 +109,6 @@ def split(n: int, ratio: float, seed: int) -> SplitResult:
     return SplitResult(
         train_indices=np.sort(perm[:n_train]),
         test_indices=np.sort(perm[n_train:]),
-        seed=seed,
-        ratio=ratio,
     )
 
 
@@ -134,8 +130,6 @@ def stratified_split(labels: np.ndarray, ratio: float, seed: int) -> SplitResult
     return SplitResult(
         train_indices=np.sort(np.array(train, dtype=np.intp)),
         test_indices=np.sort(np.array(test, dtype=np.intp)),
-        seed=seed,
-        ratio=ratio,
     )
 
 

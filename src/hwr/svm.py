@@ -27,9 +27,10 @@ alone.
 
 Multiclass is one-vs-one (91 machines for 14 classes, one batch) with
 majority voting; vote ties break by summed |decision| and then the lowest
-class id.  The machines share most of their support vectors, so a model
-keeps each distinct one once, as LIBSVM does (Chang & Lin, 2011), and a
-prediction is one kernel block and one matrix product for all machines.
+class id.  The machines share most of their support vectors, so a model is
+LIBSVM's layout (Chang & Lin, 2011): one matrix of distinct support vectors
+and one coefficient row per machine.  A prediction is one kernel block and
+one matrix product for all machines.
 Grid search runs stratified k-fold cross-validation over (C, gamma),
 solving every pair at every C of one (fold, gamma) as one batch that shares
 each pair's Gram matrix, and prefers smaller C, then smaller gamma, on ties.
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,9 +103,9 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _step_budget(n: np.ndarray, max_passes: int | None) -> np.ndarray:
-    """Pair steps allowed per machine: max_passes (default 10*n) passes of n steps."""
-    return (max_passes if max_passes is not None else 10 * n) * n
+def _step_budget(n: np.ndarray) -> np.ndarray:
+    """Pair steps allowed per machine: 10*n passes of n steps."""
+    return 10 * n * n
 
 
 class _Smo:
@@ -113,7 +114,7 @@ class _Smo:
     There is one machine per (C, problem): machine k*P + p solves the dual
     for problem p of P (a Gram matrix and its labels) under box bound
     costs[k], so the machines of one problem share its Gram matrix.  The
-    step budget of a machine of n samples is ``_step_budget(n, max_passes)``.
+    step budget of a machine of n samples is ``_step_budget(n)``.
     State is kept as padded (machines, n) arrays: sample positions past a
     problem's size have zero kernel entries and are masked out of the
     working sets.  Every iteration selects and updates one pair in each
@@ -133,7 +134,7 @@ class _Smo:
     """
 
     def __init__(self, grams: list[np.ndarray], labels: list[np.ndarray],
-                 costs: list[float], tol: float, max_passes: int | None = None):
+                 costs: list[float], tol: float):
         sizes = np.array([len(y) for y in labels])
         width = int(sizes.max())
         self.K = np.zeros((len(grams), width, width))
@@ -148,7 +149,7 @@ class _Smo:
         self.ids = np.arange(len(problem))
         self.problem = problem
         self.sizes = sizes[problem]
-        self.budget = _step_budget(self.sizes, max_passes)
+        self.budget = _step_budget(self.sizes)
         self.y = ys[problem]
         self.C = np.repeat(np.asarray(costs, dtype=np.float64), len(grams))
         self.snap = 1e-12 * _py_max(1.0, self.C)
@@ -294,7 +295,6 @@ def _train(
     costs: list[float],
     gamma: float,
     tol: float,
-    max_passes: int | None = None,
 ) -> list[list[BinarySvm | TrainingError]]:
     """Train a machine for every (C, problem) in one lockstep batch.
 
@@ -307,7 +307,7 @@ def _train(
         if c <= 0:
             raise ValueError(f"C must be > 0, got {c}")
     solver = _Smo([kernel_matrix(X, X, gamma) for X, _ in problems],
-                  [y for _, y in problems], costs, tol, max_passes)
+                  [y for _, y in problems], costs, tol)
     outcomes = iter(solver.solve())
     return [[_machine(X, y, next(outcomes), c, gamma) for X, y in problems] for c in costs]
 
@@ -339,12 +339,10 @@ def smo_train(
     c: float,
     gamma: float = 1.0,
     tol: float = 1e-3,
-    max_passes: int | None = None,
 ) -> BinarySvm:
     """Train one binary machine on labels in {-1, +1}.
 
-    One "pass" budgets n pair steps; the default cap of 10*n passes therefore
-    allows 10*n^2 pair optimizations before ConvergenceError.
+    It may take 10*n^2 pair steps before raising ConvergenceError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -354,7 +352,7 @@ def smo_train(
         raise ValueError("labels must be -1 or +1")
     if X.shape[0] < 2 or len(np.unique(y)) < 2:
         raise TrainingError("training needs at least 2 samples covering both classes")
-    [[machine]] = _train([(X, y)], [c], gamma, tol, max_passes)
+    [[machine]] = _train([(X, y)], [c], gamma, tol)
     if isinstance(machine, TrainingError):
         raise machine
     return machine
@@ -368,72 +366,78 @@ def dual_objective(machine_alphas: np.ndarray, y: np.ndarray, K: np.ndarray) -> 
 
 
 @dataclass
-class _Shared:
-    """Machines over one matrix of distinct support vectors (LIBSVM's layout).
+class SvmModel:
+    """One-vs-one machines over one matrix of distinct support vectors.
 
     Row k of ``coef`` holds the dual coefficients of machine ``pairs[k]`` in
-    the columns of its support vectors, 0 elsewhere.
+    the columns of its support vectors, 0 elsewhere, and ``bias[k]`` its
+    bias.  ``passes[k]`` is that machine's SMO pair-step count, a diagnostic
+    that is not saved: it is 0 on a loaded model.
     """
 
-    classes: InitVar[list[int]]
-    pairs: list[tuple[int, int]]
-    sv: np.ndarray     # (u, m)
-    coef: np.ndarray   # (len(pairs), u)
-    bias: np.ndarray   # (len(pairs),)
-    sides: np.ndarray = field(init=False)  # (2, len(pairs)): class indices of a, of b
-
-    def __post_init__(self, classes) -> None:
-        index = {c: i for i, c in enumerate(classes)}
-        self.sides = np.array([[index[a] for a, _ in self.pairs],
-                               [index[b] for _, b in self.pairs]], dtype=np.intp)
-
-
-def _share(classes, machines: dict[tuple[int, int], BinarySvm]) -> _Shared:
-    """Deduplicate support vectors by their bytes, in order of first use over sorted pairs."""
-    pairs = sorted(machines)
-    stacked = np.concatenate([machines[p].support_vectors for p in pairs])
-    columns: dict[bytes, int] = {}
-    column = np.array([columns.setdefault(row.tobytes(), len(columns)) for row in stacked],
-                      dtype=np.intp)
-    owner = np.repeat(np.arange(len(pairs)), [len(machines[p].dual_coef) for p in pairs])
-    coef = np.zeros((len(pairs), len(columns)))
-    # a row a machine holds twice gets the sum of its coefficients
-    np.add.at(coef, (owner, column), np.concatenate([machines[p].dual_coef for p in pairs]))
-    first = np.unique(column, return_index=True)[1]
-    return _Shared(classes, pairs, stacked[first], coef,
-                   np.array([machines[p].bias for p in pairs], dtype=np.float64))
-
-
-@dataclass
-class SvmModel:
     FORMAT = "hwr-svm/3"
 
     classes: list[int]
-    machines: dict[tuple[int, int], BinarySvm]
+    pairs: list[tuple[int, int]]
+    sv: np.ndarray      # (u, m)
+    coef: np.ndarray    # (len(pairs), u)
+    bias: np.ndarray    # (len(pairs),)
     c: float
     gamma: float
-    _shared: _Shared | None = field(default=None, init=False, repr=False, compare=False)
+    passes: np.ndarray  # (len(pairs),)
+    sides: np.ndarray = field(init=False)  # (2, len(pairs)): class indices of a, of b
+
+    def __post_init__(self) -> None:
+        index = {c: i for i, c in enumerate(self.classes)}
+        self.sides = np.array([[index[a] for a, _ in self.pairs],
+                               [index[b] for _, b in self.pairs]], dtype=np.intp)
+
+    @classmethod
+    def from_machines(cls, classes: list[int], machines: dict[tuple[int, int], BinarySvm],
+                      c: float, gamma: float) -> "SvmModel":
+        """The model of trained machines.
+
+        Support vectors are deduplicated by their bytes, in order of first use
+        over sorted pairs.
+        """
+        pairs = sorted(machines)
+        stacked = np.concatenate([machines[p].support_vectors for p in pairs])
+        columns: dict[bytes, int] = {}
+        column = np.array([columns.setdefault(row.tobytes(), len(columns)) for row in stacked],
+                          dtype=np.intp)
+        owner = np.repeat(np.arange(len(pairs)), [len(machines[p].dual_coef) for p in pairs])
+        coef = np.zeros((len(pairs), len(columns)))
+        # a row a machine holds twice gets the sum of its coefficients
+        np.add.at(coef, (owner, column), np.concatenate([machines[p].dual_coef for p in pairs]))
+        first = np.unique(column, return_index=True)[1]
+        return cls(classes, pairs, stacked[first], coef,
+                   np.array([machines[p].bias for p in pairs], dtype=np.float64),
+                   float(c), float(gamma),
+                   np.array([machines[p].passes for p in pairs], dtype=np.int64))
 
     @property
-    def shared(self) -> _Shared:
-        """The machines over one support-vector matrix, derived on first use.
+    def machines(self) -> dict[tuple[int, int], BinarySvm]:
+        """Each pair's machine over the rows of its nonzero coefficients, built on each access.
 
-        ``machines`` must not change after that.
+        A trained machine has no zero coefficient: each support vector has
+        alpha > _SV_EPS.
         """
-        if self._shared is None:
-            self._shared = _share(self.classes, self.machines)
-        return self._shared
+        machines = {}
+        for k, pair in enumerate(self.pairs):
+            used = np.flatnonzero(self.coef[k])
+            machines[pair] = BinarySvm(support_vectors=self.sv[used], dual_coef=self.coef[k, used],
+                                       bias=float(self.bias[k]), c=self.c, gamma=self.gamma,
+                                       passes=int(self.passes[k]))
+        return machines
 
     def decisions(self, X: np.ndarray) -> np.ndarray:
-        """Decision values of every machine (rows, in ``shared.pairs`` order) on every sample."""
+        """Decision values of every machine (rows, in ``pairs`` order) on every sample."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        shared = self.shared
-        return shared.coef @ kernel_matrix(shared.sv, X, self.gamma) + shared.bias[:, None]
+        return self.coef @ kernel_matrix(self.sv, X, self.gamma) + self.bias[:, None]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         F = self.decisions(X)
-        shared = self.shared
-        winner = np.where(F > 0.0, shared.sides[0, :, None], shared.sides[1, :, None])
+        winner = np.where(F > 0.0, self.sides[0, :, None], self.sides[1, :, None])
         n, k = F.shape[1], len(self.classes)
         # bins of (sample, winning class), summed in machine order
         bins = (np.arange(n) * k + winner).ravel()
@@ -445,19 +449,18 @@ class SvmModel:
         return classes[np.lexsort(keys, axis=1)[:, 0]]
 
     def save(self, path: str | os.PathLike) -> None:
-        shared = self.shared
         dataset.write_model(path, {
             "format": self.FORMAT,
             "classes": list(self.classes),
             "c": self.c,
             "gamma": self.gamma,
             "kernel": "rbf",
-            "pairs": [[a, b] for a, b in shared.pairs],
-            "n_support": int(shared.sv.shape[0]),
-            "dim": int(shared.sv.shape[1]),
-            "support_vectors": dataset.pack(shared.sv),
-            "coef": dataset.pack(shared.coef),
-            "bias": dataset.pack(shared.bias),
+            "pairs": [[a, b] for a, b in self.pairs],
+            "n_support": int(self.sv.shape[0]),
+            "dim": int(self.sv.shape[1]),
+            "support_vectors": dataset.pack(self.sv),
+            "coef": dataset.pack(self.coef),
+            "bias": dataset.pack(self.bias),
         })
 
     @classmethod
@@ -473,18 +476,10 @@ class SvmModel:
         if len(set(pairs)) != len(pairs):
             raise ValueError("a pair is listed twice")
         n, dim = int(doc["n_support"]), int(doc["dim"])
-        sv = dataset.unpack(doc["support_vectors"], n, dim)
-        coef = dataset.unpack(doc["coef"], len(pairs), n)
-        bias = dataset.unpack(doc["bias"], len(pairs))
-        # a trained machine has no zero coefficient: each support vector has alpha > _SV_EPS
-        machines = {}
-        for k, pair in enumerate(pairs):
-            used = np.flatnonzero(coef[k])
-            machines[pair] = BinarySvm(support_vectors=sv[used], dual_coef=coef[k, used],
-                                       bias=float(bias[k]), c=c, gamma=gamma)
-        model = cls(classes=classes, machines=machines, c=c, gamma=gamma)
-        model._shared = _Shared(classes, pairs, sv, coef, bias)
-        return model
+        return cls(classes, pairs, dataset.unpack(doc["support_vectors"], n, dim),
+                   dataset.unpack(doc["coef"], len(pairs), n),
+                   dataset.unpack(doc["bias"], len(pairs)), c, gamma,
+                   np.zeros(len(pairs), dtype=np.int64))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "SvmModel":
@@ -492,7 +487,7 @@ class SvmModel:
 
 
 def _ovo_problems(
-    X: np.ndarray, labels: np.ndarray, classes: list[int] | None = None
+    X: np.ndarray, labels: np.ndarray
 ) -> tuple[list[int], dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]]:
     """Sorted classes and the binary problem (X, y) of every class pair.
 
@@ -503,21 +498,17 @@ def _ovo_problems(
     if labels.shape[0] != X.shape[0]:
         raise ValueError(f"{labels.shape[0]} labels for {X.shape[0]} samples")
     present, counts = np.unique(labels, return_counts=True)
-    if classes is None:
-        classes = [int(v) for v in present]
-        if (counts < 2).any():
-            thin = present[counts < 2].tolist()
-            raise ValueError(f"classes {thin} have fewer than 2 samples")
+    if (counts < 2).any():
+        thin = present[counts < 2].tolist()
+        raise ValueError(f"classes {thin} have fewer than 2 samples")
+    classes = [int(v) for v in present]
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
     problems = {}
-    for a, b in itertools.combinations(sorted(classes), 2):
+    for a, b in itertools.combinations(classes, 2):
         mask = (labels == a) | (labels == b)
-        for cls in (a, b):
-            if not np.any(labels == cls):
-                raise TrainingError(f"pair ({a}, {b}): class {cls} has no samples")
         problems[(a, b)] = (X[mask], np.where(labels[mask] == a, 1.0, -1.0))
-    return sorted(classes), problems
+    return classes, problems
 
 
 def ovo_train(
@@ -526,20 +517,18 @@ def ovo_train(
     c: float,
     gamma: float,
     tol: float = 1e-3,
-    classes: list[int] | None = None,
 ) -> SvmModel:
     """One binary machine per unordered class pair, all solved in one batch.
 
     Within pair (a, b), a < b, class a maps to +1, so decision > 0 votes a.
     The first pair (in sorted order) whose machine fails raises its error.
     """
-    classes, problems = _ovo_problems(X, labels, classes)
+    classes, problems = _ovo_problems(X, labels)
     [machines] = _train(list(problems.values()), [c], gamma, tol)
     for machine in machines:
         if isinstance(machine, TrainingError):
             raise machine
-    return SvmModel(classes=classes, machines=dict(zip(problems, machines)), c=float(c),
-                    gamma=float(gamma))
+    return SvmModel.from_machines(classes, dict(zip(problems, machines)), c, gamma)
 
 
 @dataclass
@@ -623,8 +612,7 @@ def grid_search(
                 if any(isinstance(m, TrainingError) for m in machines):
                     correct[c, gamma] = None
                     continue
-                model = SvmModel(classes=classes, machines=dict(zip(problems, machines)),
-                                 c=float(c), gamma=float(gamma))
+                model = SvmModel.from_machines(classes, dict(zip(problems, machines)), c, gamma)
                 correct[c, gamma] += int((model.predict_batch(X[held]) == labels[held]).sum())
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []

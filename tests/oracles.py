@@ -224,7 +224,7 @@ def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, max_iter=None) -> SvmModel:
         mask = (labels == a) | (labels == b)
         y = np.where(labels[mask] == a, 1.0, -1.0)
         machines[(a, b)] = scalar_smo_train(X[mask], y, c, gamma, tol, max_iter)
-    return SvmModel(classes=classes, machines=machines, c=float(c), gamma=float(gamma))
+    return SvmModel.from_machines(classes, machines, c, gamma)
 
 
 def per_machine_predict(model: SvmModel, X: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ def test_bench_svm_predict(benchmark, rows):
         machines[(a, b)] = svm.BinarySvm(support_vectors=pool[used],
                                          dual_coef=gen.normal(size=len(used)),
                                          bias=float(gen.normal()), c=0.5, gamma=2.0**-9)
-    model = svm.SvmModel(classes=list(range(1, 15)), machines=machines, c=0.5, gamma=2.0**-9)
-    assert model.shared.sv.shape == (471, 733)
+    model = svm.SvmModel.from_machines(list(range(1, 15)), machines, c=0.5, gamma=2.0**-9)
+    assert model.sv.shape == (471, 733)
     X = gen.normal(size=(rows, 733))
     assert benchmark(model.predict_batch, X).shape == (rows,)

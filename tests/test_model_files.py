@@ -64,8 +64,7 @@ def test_layout_and_byte_stable_round_trip(layout, tmp_path):
 def _arrays(model) -> dict[str, np.ndarray]:
     """Every array a model saves, by name."""
     if isinstance(model, SvmModel):
-        shared = model.shared
-        return {"support_vectors": shared.sv, "coef": shared.coef, "bias": shared.bias}
+        return {"support_vectors": model.sv, "coef": model.coef, "bias": model.bias}
     if isinstance(model, ProjectionMatrix):
         return {"matrix": model.dense()}
     return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
@@ -315,5 +314,6 @@ def test_benchmark_span_hooks_install_and_record(tmp_path):
             "dimred.load_reducer", "dimred.transform", "cli.load_classifier"} <= names
     counts = tracer.counts
     assert counts["svm.ovo_fits"] == 1 and counts["svm.sv_rows"] > 0
+    assert counts["svm.smo_steps"] > 0 and counts["svm.sv_distinct"] > 0
     assert counts["forest.nodes"] > 0
     assert min(counts[f"{layer}.model_bytes"] for layer in ("dimred", "mlp", "svm", "forest")) > 0

@@ -185,19 +185,11 @@ class TestOvo:
         X = np.vstack([gen.normal(c, 0.4, (8, 2)) for c in [(0, 0), (4, 0), (0, 4)]])
         labels = np.repeat([1, 2, 3], 8)
         model = ovo_train(X, labels, c=5.0, gamma=0.5)
-        shuffled = SvmModel(
-            classes=model.classes,
-            machines=dict(reversed(list(model.machines.items()))),
-            c=model.c, gamma=model.gamma,
-        )
+        shuffled = SvmModel.from_machines(model.classes,
+                                          dict(reversed(list(model.machines.items()))),
+                                          model.c, model.gamma)
         probe = gen.normal(1.5, 2.0, size=(20, 2))
         assert np.array_equal(model.predict_batch(probe), shuffled.predict_batch(probe))
-
-    def test_missing_pair_class_surfaces(self):
-        X = np.random.default_rng(8).normal(size=(6, 2))
-        labels = np.array([1, 1, 1, 2, 2, 2])
-        with pytest.raises(TrainingError, match="pair"):
-            ovo_train(X, labels, c=1.0, gamma=1.0, classes=[1, 2, 3])
 
     def test_thin_class_rejected(self):
         X = np.random.default_rng(9).normal(size=(4, 2))
@@ -356,6 +348,10 @@ class TestLockstepExactness:
         X, labels = small_features
         ref = scalar_ovo_train(X[:, :cols], labels, c, gamma)
         model = ovo_train(X[:, :cols], labels, c, gamma)
+        assert model.pairs == ref.pairs
+        for name in ("sv", "coef", "bias", "passes"):
+            array, expected = getattr(model, name), getattr(ref, name)
+            assert array.shape == expected.shape and array.tobytes() == expected.tobytes(), name
         assert list(model.machines) == list(ref.machines)
         for pair, machine in model.machines.items():
             _assert_same_machine(machine, ref.machines[pair])
@@ -406,12 +402,14 @@ class TestLockstepExactness:
 
 
 class TestTrainingFailures:
-    def test_convergence_error_names_n_c_and_gap(self, small_features):
+    def test_convergence_error_names_n_c_and_gap(self, small_features, monkeypatch):
         X, labels = small_features
         mask = (labels == 2) | (labels == 3)
         y = np.where(labels[mask] == 2, 1.0, -1.0)
+        # one pass of n pair steps
+        monkeypatch.setattr(svm, "_step_budget", lambda n: n)
         with pytest.raises(ConvergenceError) as raised:
-            smo_train(X[mask], y, c=2.0**7, gamma=2.0**-9, max_passes=1)
+            smo_train(X[mask], y, c=2.0**7, gamma=2.0**-9)
         message = str(raised.value)
         assert "within 12 pair steps" in message
         assert "n=12" in message and "C=128.0" in message
@@ -430,7 +428,7 @@ class TestTrainingFailures:
         X = X[:, :40]
         unlimited = grid_search(X, labels, DEFAULT_GRID, seed=0).table
         # 120 pair steps: enough for every machine at C = 0.5, too few for some at large C
-        monkeypatch.setattr(svm, "_step_budget", lambda n, max_passes: np.full_like(n, 120))
+        monkeypatch.setattr(svm, "_step_budget", lambda n: np.full_like(n, 120))
         limited = grid_search(X, labels, DEFAULT_GRID, seed=0).table
         assert limited == _sequential_grid(X, labels, DEFAULT_GRID, 0, ovo_train)
         failed = {(c, gamma) for c, gamma, acc in limited if acc == 0.0}
@@ -449,7 +447,7 @@ class TestTieBreak:
     # a vote cycle: 2 beats 5, 5 beats 9, 9 beats 2, so every class has one vote
     def _cycle(self, f25, f59, f29):
         machines = {(2, 5): _constant(f25), (5, 9): _constant(f59), (2, 9): _constant(f29)}
-        return SvmModel(classes=[2, 5, 9], machines=machines, c=1.0, gamma=1.0)
+        return SvmModel.from_machines([2, 5, 9], machines, c=1.0, gamma=1.0)
 
     def test_equal_votes_larger_magnitude_wins(self):
         model = self._cycle(0.5, 0.9, -0.2)
@@ -461,8 +459,9 @@ class TestTieBreak:
 
     def test_two_way_tie_below_a_third_class(self):
         # 9 beats both others; 2 and 5 tie on votes and magnitude
-        model = SvmModel(classes=[2, 5, 9], c=1.0, gamma=1.0, machines={
-            (2, 5): _constant(0.0), (2, 9): _constant(-0.5), (5, 9): _constant(-0.5)})
+        model = SvmModel.from_machines([2, 5, 9], {
+            (2, 5): _constant(0.0), (2, 9): _constant(-0.5), (5, 9): _constant(-0.5)},
+            c=1.0, gamma=1.0)
         assert model.predict_batch(np.zeros((1, 1))).tolist() == [9]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -475,7 +474,7 @@ class TestTieBreak:
                                     dual_coef=gen.choice([-1.0, 0.0, 1.0], size=1),
                                     bias=float(gen.choice([-0.5, 0.5])), c=1.0, gamma=1e3)
                     for pair in itertools.combinations(classes, 2)}
-        model = SvmModel(classes=classes, machines=machines, c=1.0, gamma=1e3)
+        model = SvmModel.from_machines(classes, machines, c=1.0, gamma=1e3)
         X = gen.choice([-1.0, 0.0, 1.0], size=(40, 1))
         votes = {cls: np.zeros(len(X)) for cls in classes}
         magnitude = {cls: np.zeros(len(X)) for cls in classes}
@@ -492,7 +491,8 @@ class TestTieBreak:
 
 @pytest.fixture(scope="module", params=[100, 733], ids=lambda m: f"width{m}")
 def seeded_model(request):
-    """A 14-class model on seeded blobs of the given width, and 148 wider-spread probe rows.
+    """A 14-class model on seeded blobs of the given width, 148 wider-spread probe rows,
+    and the trained machines the model was built from.
 
     Some training rows are no support vector, so machines share some of their rows.
     """
@@ -502,49 +502,69 @@ def seeded_model(request):
     y = np.repeat(np.arange(1, 15), 20)
     X = centers[y - 1] + gen.normal(scale=0.3, size=(len(y), m))
     probe = centers[gen.integers(0, 14, size=148)] + gen.normal(scale=1.0, size=(148, m))
-    return ovo_train(X, y, c=8.0, gamma=0.1 / m), probe
+    classes, problems = svm._ovo_problems(X, y)
+    [trained] = svm._train(list(problems.values()), [8.0], 0.1 / m, 1e-3)
+    machines = dict(zip(problems, trained))
+    return SvmModel.from_machines(classes, machines, 8.0, 0.1 / m), probe, machines
 
 
 class TestSharedLayout:
     """One kernel block per prediction agrees with one block per machine."""
 
     def test_distinct_rows_shared(self, seeded_model):
-        model, _ = seeded_model
-        shared = model.shared
-        stored = sum(len(machine.dual_coef) for machine in model.machines.values())
-        assert len(shared.pairs) == 91
-        assert len({row.tobytes() for row in shared.sv}) == len(shared.sv) < stored
-        for k, pair in enumerate(shared.pairs):
-            machine = model.machines[pair]
-            used = np.flatnonzero(shared.coef[k])
-            assert (dict(zip(map(bytes, shared.sv[used]), shared.coef[k, used]))
+        model, _, machines = seeded_model
+        stored = sum(len(machine.dual_coef) for machine in machines.values())
+        assert len(model.pairs) == 91
+        assert len({row.tobytes() for row in model.sv}) == len(model.sv) < stored
+        for k, pair in enumerate(model.pairs):
+            machine = machines[pair]
+            used = np.flatnonzero(model.coef[k])
+            assert (dict(zip(map(bytes, model.sv[used]), model.coef[k, used]))
                     == dict(zip(map(bytes, machine.support_vectors), machine.dual_coef)))
-            assert shared.bias[k] == machine.bias
+            assert model.bias[k] == machine.bias
+            assert model.passes[k] == machine.passes > 0
 
     def test_batch_matches_per_machine(self, seeded_model):
-        model, probe = seeded_model
+        model, probe, _ = seeded_model
         assert np.array_equal(model.predict_batch(probe), per_machine_predict(model, probe))
 
     def test_single_rows_match_per_machine(self, seeded_model):
-        model, probe = seeded_model
+        model, probe, _ = seeded_model
         for row in probe[:20]:
             assert model.predict_batch(row).tolist() == per_machine_predict(model, row).tolist()
 
     def test_decisions_match_each_machine(self, seeded_model):
-        model, probe = seeded_model
+        model, probe, machines = seeded_model
         F = model.decisions(probe)
-        for k, pair in enumerate(model.shared.pairs):
-            assert np.abs(F[k] - model.machines[pair].decision(probe)).max() <= 1e-12
+        for k, pair in enumerate(model.pairs):
+            assert np.abs(F[k] - machines[pair].decision(probe)).max() <= 1e-12
 
     def test_loaded_model_predicts_as_saved(self, seeded_model, tmp_path):
-        model, probe = seeded_model
+        model, probe, machines = seeded_model
         model.save(tmp_path / "svm.json")
         loaded = SvmModel.load(tmp_path / "svm.json")
         assert loaded.decisions(probe).tobytes() == model.decisions(probe).tobytes()
         assert np.array_equal(loaded.predict_batch(probe), model.predict_batch(probe))
-        for pair, machine in model.machines.items():
-            rebuilt = loaded.machines[pair]
-            assert np.abs(rebuilt.decision(probe) - machine.decision(probe)).max() <= 1e-12
+        rebuilt = loaded.machines
+        for pair, machine in machines.items():
+            assert np.abs(rebuilt[pair].decision(probe) - machine.decision(probe)).max() <= 1e-12
+
+    def test_load_builds_no_machine_copies(self, seeded_model, tmp_path, monkeypatch):
+        model, _, _ = seeded_model
+        model.save(tmp_path / "svm.json")
+        built = []
+        init = BinarySvm.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BinarySvm, "__init__", counting)
+        loaded = SvmModel.load(tmp_path / "svm.json")
+        assert built == []
+        arrays = {name for name, value in vars(loaded).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"sv", "coef", "bias", "passes", "sides"}
+        assert loaded.passes.tolist() == [0] * 91
 
     # Integer points and gamma = 1e3 make every kernel value exactly 1 (same point)
     # or 0 (underflow), and coefficients are multiples of 0.5, so decision values are
@@ -565,11 +585,11 @@ class TestSharedLayout:
                     st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
                     min_size=len(rows), max_size=len(rows)))),
                 bias=data.draw(st.sampled_from([-0.5, 0.0, 0.5])), c=1.0, gamma=1e3)
-        model = SvmModel(classes=classes, machines=machines, c=1.0, gamma=1e3)
+        model = SvmModel.from_machines(classes, machines, c=1.0, gamma=1e3)
         X = np.array(data.draw(st.lists(points, min_size=1, max_size=8)), dtype=np.float64)
         assert model.predict_batch(X).tolist() == per_machine_predict(model, X).tolist()
         F = model.decisions(X)
-        for k, pair in enumerate(model.shared.pairs):
+        for k, pair in enumerate(model.pairs):
             assert F[k].tolist() == machines[pair].decision(X).tolist()
 
 
