@@ -13,6 +13,17 @@ weighting inside blocks and no gamma pre-normalization.
 Emission order is fixed because model files depend on it: blocks row-major
 (top-to-bottom, then left-to-right), cells within a block row-major, bins in
 ascending angle.
+
+The angle fold and the block normalization are vectorized and bit-exact
+against the per-block reference kept in tests/oracles.py:
+- The unsigned angle folds [-180, 180] into [0, 180] by adding 180 to a
+  negative angle and mapping exactly 180 to 0.  This is numpy's float
+  remainder `angle % 180` bit for bit: -0.0 and -180 give +0.0, and a
+  negative angle whose sum with 180 rounds to 180.0 stays 180.0.
+- L2-Hys normalizes the (blocks, cells * bins) matrix in one pass.  Each
+  row's squared norm comes from a stacked (1, k) @ (k, 1) matmul, which
+  calls the same dot product as a single block's `block @ block`; an
+  elementwise sum of squares would round differently.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import imaging
 
@@ -103,7 +115,8 @@ def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndar
     gy[-1, :] = arr[-1, :] - arr[-2, :]
 
     magnitude = np.hypot(gx, gy)
-    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+    angle = np.degrees(np.arctan2(gy, gx))
+    angle += np.where(angle < 0.0, 180.0, np.where(angle == 180.0, -180.0, 0.0))
     position = angle / (180.0 / params.bins)
     lower = np.floor(position)
     frac = position - lower
@@ -120,10 +133,9 @@ def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndar
     return hist.reshape(n_cy, n_cx, params.bins)
 
 
-def _l2hys(block: np.ndarray) -> np.ndarray:
-    v = block / np.sqrt(block @ block + L2HYS_EPS**2)
-    v = np.minimum(v, L2HYS_CLIP)
-    return v / np.sqrt(v @ v + L2HYS_EPS**2)
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """sqrt(row @ row + eps^2) of each row, as a column."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0] + L2HYS_EPS**2)
 
 
 def hog(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
@@ -131,20 +143,16 @@ def hog(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
-    h, w = arr.shape
-    n_by, n_bx, _, _ = _grid_shape(h, w, params)
     hist = cell_histograms(arr, params)
     bh_c = params.block[0] // params.cell[0]
     bw_c = params.block[1] // params.cell[1]
     sh_c = params.stride[0] // params.cell[0]
     sw_c = params.stride[1] // params.cell[1]
-    blocks = []
-    for by in range(n_by):
-        for bx in range(n_bx):
-            y0, x0 = by * sh_c, bx * sw_c
-            block = hist[y0:y0 + bh_c, x0:x0 + bw_c, :].ravel()
-            blocks.append(_l2hys(block))
-    return np.concatenate(blocks)
+    # windows[by, bx, bin, cy, cx] -> rows (by, bx) of (cy, cx, bin) values
+    windows = sliding_window_view(hist, (bh_c, bw_c), axis=(0, 1))[::sh_c, ::sw_c]
+    blocks = windows.transpose(0, 1, 3, 4, 2).reshape(-1, bh_c * bw_c * params.bins)
+    v = np.minimum(blocks / _row_norms(blocks), L2HYS_CLIP)
+    return (v / _row_norms(v)).ravel()
 
 
 def scalar_features(mask: np.ndarray, original_width: int) -> ScalarFeatures:

@@ -186,11 +186,11 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
 def bounding_box(mask: np.ndarray) -> Rect:
     """Tightest rectangle covering all ink pixels."""
     arr = _as_mask(mask)
-    ys, xs = np.nonzero(arr)
+    ys = np.flatnonzero(arr.any(axis=1))
     if ys.size == 0:
         raise NoInkError("image contains no ink pixels")
-    top, left = int(ys.min()), int(xs.min())
-    return Rect(top, left, int(ys.max()) - top + 1, int(xs.max()) - left + 1)
+    xs = np.flatnonzero(arr.any(axis=0))
+    return Rect(int(ys[0]), int(xs[0]), int(ys[-1] - ys[0]) + 1, int(xs[-1] - xs[0]) + 1)
 
 
 def crop(img: np.ndarray, r: Rect) -> np.ndarray:
@@ -219,17 +219,16 @@ def _resample_matrix(n_in: int, n_out: int) -> np.ndarray:
 
     Output center i samples source coordinate (i + 0.5) * n_in/n_out - 0.5;
     the four nearest taps get kernel weights, with out-of-range taps clamped
-    to the border sample (weights accumulate there).
+    to the border sample (weights accumulate there).  One bincount over the
+    tap-major (tap, output) cells sums each cell from 0.0 in tap order -1,
+    0, 1, 2, the order of one scatter per tap.
     """
-    weights = np.zeros((n_out, n_in))
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    base = np.floor(src).astype(int)
-    rows = np.arange(n_out)
-    for tap in range(-1, 3):
-        idx = base + tap
-        w = _cubic_kernel(src - idx)
-        np.add.at(weights, (rows, np.clip(idx, 0, n_in - 1)), w)
-    return weights
+    idx = np.floor(src).astype(int) + np.arange(-1, 3)[:, None]  # (tap, output)
+    cells = np.arange(n_out) * n_in + np.clip(idx, 0, n_in - 1)
+    weights = np.bincount(cells.ravel(), weights=_cubic_kernel(src - idx).ravel(),
+                          minlength=n_out * n_in)
+    return weights.reshape(n_out, n_in)
 
 
 def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

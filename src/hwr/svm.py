@@ -69,12 +69,17 @@ class DegenerateDataError(TrainingError):
 def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """RBF Gram matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2)."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    return _rbf(A, (A * A).sum(axis=1), B, gamma)
+
+
+def _rbf(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """kernel_matrix(A, B, gamma) for a 2-D float64 A whose squared row norms are a_sq."""
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"feature dims differ: {A.shape[1]} vs {B.shape[1]}")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    sq = a_sq[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
@@ -386,11 +391,13 @@ class SvmModel:
     gamma: float
     passes: np.ndarray  # (len(pairs),)
     sides: np.ndarray = field(init=False)  # (2, len(pairs)): class indices of a, of b
+    sv_sq: np.ndarray = field(init=False)  # (u,): squared norms of the rows of sv
 
     def __post_init__(self) -> None:
         index = {c: i for i, c in enumerate(self.classes)}
         self.sides = np.array([[index[a] for a, _ in self.pairs],
                                [index[b] for _, b in self.pairs]], dtype=np.intp)
+        self.sv_sq = (self.sv * self.sv).sum(axis=1)
 
     @classmethod
     def from_machines(cls, classes: list[int], machines: dict[tuple[int, int], BinarySvm],
@@ -432,8 +439,7 @@ class SvmModel:
 
     def decisions(self, X: np.ndarray) -> np.ndarray:
         """Decision values of every machine (rows, in ``pairs`` order) on every sample."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self.coef @ kernel_matrix(self.sv, X, self.gamma) + self.bias[:, None]
+        return self.coef @ _rbf(self.sv, self.sv_sq, X, self.gamma) + self.bias[:, None]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         F = self.decisions(X)

@@ -7,7 +7,10 @@ scalar pair steps, the schedule the batched solver must reproduce bit for
 bit, one-vs-one prediction runs one machine and one kernel block at a
 time, and the exact forest reference searches splits one feature at a time
 over a one-hot class cumsum, the result the vectorized search must
-reproduce bit for bit.
+reproduce bit for bit.  The word-feature references fold angles with
+numpy's float remainder, normalize HOG blocks one at a time, and build
+resize weights with one `np.add.at` per tap; the vectorized feature chain
+must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import math
 
 import numpy as np
 
+from hwr import imaging
+from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_shape
 from hwr.forest import _GAIN_EPS, TreeNode, gini
+from hwr.imaging import _cubic_kernel
 from hwr.labels import N_CLASSES
 from hwr.mlp import batch_gradients, batch_loss
 from hwr.svm import (
@@ -388,3 +394,103 @@ def scalar_grow_tree(
         )
 
     return build(np.arange(X.shape[0]), 0)
+
+
+def scalar_cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
+    """Per-cell orientation histograms, shape (cells_y, cells_x, bins).
+
+    Gradients use centered differences with replicated edges; each pixel
+    votes its magnitude into the two orientation bins nearest its unsigned
+    angle, split linearly.
+    """
+    arr = np.asarray(img, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
+    h, w = arr.shape
+    _, _, n_cy, n_cx = _grid_shape(h, w, params)
+
+    gx = np.empty_like(arr)
+    gx[:, 1:-1] = arr[:, 2:] - arr[:, :-2]
+    gx[:, 0] = arr[:, 1] - arr[:, 0]
+    gx[:, -1] = arr[:, -1] - arr[:, -2]
+    gy = np.empty_like(arr)
+    gy[1:-1, :] = arr[2:, :] - arr[:-2, :]
+    gy[0, :] = arr[1, :] - arr[0, :]
+    gy[-1, :] = arr[-1, :] - arr[-2, :]
+
+    magnitude = np.hypot(gx, gy)
+    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+    position = angle / (180.0 / params.bins)
+    lower = np.floor(position)
+    frac = position - lower
+    lo_bin = lower.astype(np.intp) % params.bins
+    hi_bin = (lo_bin + 1) % params.bins
+
+    ch, cw = params.cell
+    cell_idx = (np.arange(h)[:, None] // ch) * n_cx + (np.arange(w)[None, :] // cw)
+    size = n_cy * n_cx * params.bins
+    hist = np.bincount((cell_idx * params.bins + lo_bin).ravel(),
+                       weights=(magnitude * (1.0 - frac)).ravel(), minlength=size)
+    hist += np.bincount((cell_idx * params.bins + hi_bin).ravel(),
+                        weights=(magnitude * frac).ravel(), minlength=size)
+    return hist.reshape(n_cy, n_cx, params.bins)
+
+
+def _l2hys(block: np.ndarray) -> np.ndarray:
+    v = block / np.sqrt(block @ block + L2HYS_EPS**2)
+    v = np.minimum(v, L2HYS_CLIP)
+    return v / np.sqrt(v @ v + L2HYS_EPS**2)
+
+
+def scalar_hog(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
+    """HOG descriptor of a grayscale image compatible with `params`."""
+    arr = np.asarray(img)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
+    h, w = arr.shape
+    n_by, n_bx, _, _ = _grid_shape(h, w, params)
+    hist = scalar_cell_histograms(arr, params)
+    bh_c = params.block[0] // params.cell[0]
+    bw_c = params.block[1] // params.cell[1]
+    sh_c = params.stride[0] // params.cell[0]
+    sw_c = params.stride[1] // params.cell[1]
+    blocks = []
+    for by in range(n_by):
+        for bx in range(n_bx):
+            y0, x0 = by * sh_c, bx * sw_c
+            block = hist[y0:y0 + bh_c, x0:x0 + bw_c, :].ravel()
+            blocks.append(_l2hys(block))
+    return np.concatenate(blocks)
+
+
+def add_at_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """Row-stochastic weights mapping n_in samples to n_out along one axis.
+
+    Output center i samples source coordinate (i + 0.5) * n_in/n_out - 0.5;
+    the four nearest taps get kernel weights, with out-of-range taps clamped
+    to the border sample (weights accumulate there).
+    """
+    weights = np.zeros((n_out, n_in))
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    base = np.floor(src).astype(int)
+    rows = np.arange(n_out)
+    for tap in range(-1, 3):
+        idx = base + tap
+        w = _cubic_kernel(src - idx)
+        np.add.at(weights, (rows, np.clip(idx, 0, n_in - 1)), w)
+    return weights
+
+
+def scalar_word_features(img: np.ndarray) -> np.ndarray:
+    """The HOG word feature of a raw image through the reference chain.
+
+    Binarize, dilate, box the ink with `np.nonzero`, crop, resize with the
+    `np.add.at` weights, then the per-block HOG.
+    """
+    gray = np.asarray(img, dtype=np.uint8)
+    ys, xs = np.nonzero(imaging.dilate(imaging.binarize_otsu(gray), 1))
+    word = gray[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
+    wy = add_at_resample_matrix(word.shape[0], imaging.CANONICAL_HEIGHT)
+    wx = add_at_resample_matrix(word.shape[1], imaging.CANONICAL_WIDTH)
+    values = wy @ word.astype(np.float64) @ wx.T
+    return scalar_hog(np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8))

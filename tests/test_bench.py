@@ -11,7 +11,19 @@ import itertools
 import numpy as np
 import pytest
 
-from hwr import dataset, dimred, forest, svm
+from hwr import dataset, dimred, features, forest, imaging, svm
+
+
+def test_bench_hog(benchmark):
+    """One canonical 64x128 raster, as every classify request computes."""
+    img = np.random.default_rng(42).integers(0, 256, size=(64, 128), dtype=np.uint8)
+    assert benchmark(features.hog, img).shape == (3780,)
+
+
+def test_bench_extract_word_features(benchmark, small_synth):
+    """The whole chain on one raw synthetic word: preprocess, then HOG."""
+    img = imaging.read_pgm(small_synth.paths()[0])
+    assert benchmark(features.extract_word_features, img).shape == (3780,)
 
 
 def test_bench_grow_tree(benchmark):

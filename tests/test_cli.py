@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import scalar_word_features
 
 from hwr import cli, dataset, imaging
 
@@ -97,6 +98,13 @@ class TestFeatures:
                            "--out", str(tmp_path / "s.fmx"), "--scalars")
         assert code == 0
         assert dataset.read_fmx(tmp_path / "s.fmx").shape == (56, 3783)
+
+    def test_matrix_bytes_match_reference_chain(self, tmp_path, pipeline_dir):
+        manifest = dataset.load_manifest(pipeline_dir / "imgs" / "manifest.csv")
+        rows = [scalar_word_features(imaging.read_pgm(p)) for p in manifest.paths()]
+        dataset.write_fmx(np.array(rows), tmp_path / "reference.fmx")
+        assert ((pipeline_dir / "feat.fmx").read_bytes()
+                == (tmp_path / "reference.fmx").read_bytes())
 
     def test_default_shape(self, pipeline_dir):
         X = dataset.read_fmx(pipeline_dir / "feat.fmx")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import scalar_cell_histograms, scalar_hog
 
+from hwr import imaging
 from hwr.features import (
     DEFAULT_HOG,
     HogParams,
@@ -129,8 +131,107 @@ class TestExtractWordFeatures:
         assert (vec[-3:] >= 0.0).all()
 
     def test_matches_manual_chain(self):
-        from hwr import imaging
         img = np.full((40, 80), 255, dtype=np.uint8)
         img[10:30, 10:70] = 20
         pre = imaging.preprocess(img)
         assert np.array_equal(extract_word_features(img), hog(pre.image, DEFAULT_HOG))
+
+
+# Geometries other than the default, with bin counts that do and do not divide 180.
+OTHER_GEOMETRIES = [
+    (48, 96, HogParams(stride=(16, 16))),
+    (64, 128, HogParams(cell=(4, 4), block=(8, 8), stride=(4, 4))),
+    (40, 72, HogParams(block=(8, 8), stride=(8, 8), bins=12)),
+    (36, 60, HogParams(cell=(6, 6), block=(18, 12), stride=(6, 6), bins=7)),
+]
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _image(kind: str, h: int, w: int, seed: int) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    if kind == "uint8":
+        return gen.integers(0, 256, size=(h, w), dtype=np.uint8)
+    if kind == "normal":
+        return gen.normal(size=(h, w))
+    if kind == "signed-zero":  # every pixel +0.0 or -0.0, a few set to +-1
+        img = np.where(gen.random((h, w)) < 0.5, -0.0, 0.0)
+        img[gen.random((h, w)) < 0.05] = gen.choice([-1.0, 1.0])
+        return img
+    return np.add.outer(np.arange(h) * 0.25, np.arange(w) * -1.5)  # ramp
+
+
+def _angle_hazards(h: int, w: int, seed: int) -> np.ndarray:
+    """Even rows ramp along x; odd rows are signed zeros and signed subnormals.
+
+    An even row's pixels then see a vertical difference of +0.0, -0.0 or
+    +-tiny, so their angles are exactly 0, 180 or -180, or -tiny (whose sum
+    with 180 rounds to 180.0).
+    """
+    gen = np.random.default_rng(seed)
+    img = np.empty((h, w))
+    img[0::2] = np.arange(w) * gen.choice([-1.0, 1.0], size=(h + 1) // 2)[:, None]
+    img[1::2] = gen.choice([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300], size=(h // 2, w))
+    return img
+
+
+def _interior_angles(img: np.ndarray) -> np.ndarray:
+    gx = img[1:-1, 2:] - img[1:-1, :-2]
+    gy = img[2:, 1:-1] - img[:-2, 1:-1]
+    return np.degrees(np.arctan2(gy, gx))
+
+
+class TestHogMatchesScalarReference:
+    """hog and cell_histograms give the per-block reference's bytes."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_canonical_images(self, seed):
+        img = _random_canonical(100 + seed)
+        assert _same_bytes(cell_histograms(img), scalar_cell_histograms(img))
+        assert _same_bytes(hog(img), scalar_hog(img))
+        floats = np.random.default_rng(seed).normal(scale=40.0, size=(64, 128))
+        assert _same_bytes(hog(floats), scalar_hog(floats))
+
+    def test_word_images(self, small_synth):
+        for path in small_synth.paths()[:20]:
+            canonical = imaging.preprocess(imaging.read_pgm(path)).image
+            assert _same_bytes(hog(canonical), scalar_hog(canonical))
+
+    @pytest.mark.parametrize("kind", ["uint8", "normal", "signed-zero", "ramp"])
+    @pytest.mark.parametrize("h, w, params", [(64, 128, DEFAULT_HOG)] + OTHER_GEOMETRIES)
+    def test_geometries(self, h, w, params, kind):
+        for seed in range(4):
+            img = _image(kind, h, w, seed)
+            assert _same_bytes(cell_histograms(img, params), scalar_cell_histograms(img, params))
+            assert _same_bytes(hog(img, params), scalar_hog(img, params))
+
+    # With 161 bins, 180 / (180 / bins) is not 161: an angle of 180.0 votes
+    # differently from 0.0, so the fold must keep numpy's choice between them.
+    @pytest.mark.parametrize("h, w, params", [(64, 128, DEFAULT_HOG)] + OTHER_GEOMETRIES
+                             + [(16, 32, HogParams(bins=161))])
+    def test_angles_on_the_fold(self, h, w, params):
+        for seed in range(4):
+            img = _angle_hazards(h, w, seed)
+            angles = _interior_angles(img)
+            assert (angles == 180.0).any() and (angles == -180.0).any()
+            assert (angles == 0.0).any()
+            assert ((angles < 0.0) & (angles + 180.0 == 180.0)).any()
+            assert _same_bytes(cell_histograms(img, params), scalar_cell_histograms(img, params))
+            assert _same_bytes(hog(img, params), scalar_hog(img, params))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(16, 16), (16, 24), (24, 40)]).flatmap(
+        lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 255))))
+    def test_hypothesis_uint8(self, img):
+        assert _same_bytes(hog(img), scalar_hog(img))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(16, 16), (24, 16), (24, 32)]).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))))
+    def test_hypothesis_float(self, img):
+        assert _same_bytes(cell_histograms(img), scalar_cell_histograms(img))
+        assert _same_bytes(hog(img), scalar_hog(img))

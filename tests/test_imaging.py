@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import add_at_resample_matrix
 
 from hwr import imaging
 from hwr.imaging import (
@@ -171,6 +172,18 @@ class TestBoundingBox:
         with pytest.raises(NoInkError):
             bounding_box(np.zeros((3, 3), dtype=bool))
 
+    @settings(max_examples=100, deadline=None)
+    @given(masks)
+    def test_matches_nonzero_extremes(self, mask):
+        ys, xs = np.nonzero(mask)
+        if ys.size == 0:
+            with pytest.raises(NoInkError):
+                bounding_box(mask)
+            return
+        assert bounding_box(mask) == Rect(int(ys.min()), int(xs.min()),
+                                          int(ys.max() - ys.min()) + 1,
+                                          int(xs.max() - xs.min()) + 1)
+
     @settings(max_examples=40, deadline=None)
     @given(masks, st.integers(0, 2))
     def test_dilated_box_contains_original(self, mask, radius):
@@ -252,6 +265,15 @@ class TestResizeBicubic:
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
             resize_bicubic(np.zeros((2, 2), dtype=np.uint8), 0, 4)
+
+
+class TestResampleMatrix:
+    @pytest.mark.parametrize("n_out", [1, 2, 3, 7, 64, 128, 200])
+    def test_matches_add_at_reference(self, n_out):
+        for n_in in range(1, 400):
+            got = imaging._resample_matrix(n_in, n_out)
+            want = add_at_resample_matrix(n_in, n_out)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n_in, n_out)
 
 
 class TestPreprocess:

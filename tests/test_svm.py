@@ -563,7 +563,7 @@ class TestSharedLayout:
         loaded = SvmModel.load(tmp_path / "svm.json")
         assert built == []
         arrays = {name for name, value in vars(loaded).items() if isinstance(value, np.ndarray)}
-        assert arrays == {"sv", "coef", "bias", "passes", "sides"}
+        assert arrays == {"sv", "coef", "bias", "passes", "sides", "sv_sq"}
         assert loaded.passes.tolist() == [0] * 91
 
     # Integer points and gamma = 1e3 make every kernel value exactly 1 (same point)
@@ -596,15 +596,15 @@ class TestSharedLayout:
 class TestKernelCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Per kernel_matrix call, whether it was a Gram matrix (both arguments the same)."""
+        """Per RBF block computed, whether it was a Gram matrix (both arguments the same)."""
         calls = []
-        real = svm.kernel_matrix
+        real = svm._rbf
 
-        def counting(A, B, gamma):
+        def counting(A, a_sq, B, gamma):
             calls.append(A is B)
-            return real(A, B, gamma)
+            return real(A, a_sq, B, gamma)
 
-        monkeypatch.setattr(svm, "kernel_matrix", counting)
+        monkeypatch.setattr(svm, "_rbf", counting)
         return calls
 
     def test_one_kernel_block_per_prediction(self, small_features, calls):
