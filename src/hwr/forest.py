@@ -26,13 +26,26 @@ the features one at a time (the reference in tests/oracles.py):
 
 The forest predicts by averaging the per-tree leaf distributions (soft
 voting) and taking the most probable class, ties toward the lowest id.
+Prediction walks flat arrays over the nodes of all trees (the layout of
+scikit-learn's ``tree_``), every (row, tree) pair at once, for as many steps
+as the deepest leaf.  It is exactly the one-tree-at-a-time walk of
+tests/oracles.py:
+- a split sends x left when x[feature] <= threshold, the same comparison,
+  so a NaN goes right; a leaf is its own left and right child, so a pair
+  that reaches its leaf early stays there for the remaining steps;
+- each leaf's distribution is its counts divided by their sum, computed once
+  with the same elementwise division;
+- the distributions of a row are summed by a cumulative sum along the tree
+  axis, which adds them one after another in tree order, the same float
+  additions as a running ``probs += ...`` from zero (0.0 + p is p);
+- the sum is divided by the tree count, and argmax keeps the first maximum.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,12 +68,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.counts is not None
-
-    def leaf_for(self, x: np.ndarray) -> "TreeNode":
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
 
     def to_dict(self) -> dict:
         if self.is_leaf:
@@ -216,20 +223,85 @@ def grow_tree(
 
 @dataclass
 class ForestModel:
+    """Trees over d features, with their nodes laid out as flat arrays.
+
+    Node i of the arrays splits on ``feature[i]`` at ``threshold[i]`` with
+    children ``left[i]`` and ``right[i]``, or is a leaf with its own index as
+    both children and class distribution ``dist[i]`` (zeros at a split).
+    Each tree's nodes are numbered in preorder from ``roots`` of that tree;
+    ``depth`` is the largest root-to-leaf edge count.
+    """
+
     FORMAT = "hwr-rf/1"
 
     trees: list[TreeNode]
     d: int
     seed: int
     n_classes: int = N_CLASSES
+    feature: np.ndarray = field(init=False)    # (nodes,)
+    threshold: np.ndarray = field(init=False)  # (nodes,)
+    left: np.ndarray = field(init=False)       # (nodes,)
+    right: np.ndarray = field(init=False)      # (nodes,)
+    dist: np.ndarray = field(init=False)       # (nodes, n_classes)
+    roots: np.ndarray = field(init=False)      # (m,)
+    depth: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.trees:
+            raise ValueError("a forest needs at least one tree")
+        feature, threshold, left, right, roots, leaves = [], [], [], [], [], []
+        self.depth = 0
+        for tree in self.trees:
+            roots.append(len(feature))
+            # (node, its depth, the index of the split it is the right child of)
+            todo = [(tree, 0, None)]
+            while todo:
+                node, level, parent = todo.pop()
+                i = len(feature)
+                if parent is not None:
+                    right[parent] = i
+                if node.is_leaf:
+                    self.depth = max(self.depth, level)
+                    feature.append(0)
+                    threshold.append(0.0)
+                    left.append(i)
+                    right.append(i)
+                    leaves.append((i, node.counts))
+                else:
+                    feature.append(node.feature)
+                    threshold.append(node.threshold)
+                    left.append(i + 1)  # preorder: the left child comes next
+                    right.append(-1)
+                    todo += [(node.right, level + 1, i), (node.left, level + 1, None)]
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.roots = np.array(roots, dtype=np.intp)
+        index, counts = zip(*leaves)
+        counts = np.array(counts)
+        self.dist = np.zeros((len(feature), self.n_classes))
+        self.dist[list(index)] = counts / counts.sum(axis=1, keepdims=True)
 
     @property
     def m(self) -> int:
         return len(self.trees)
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf class distribution of every row, shape (rows, n_classes)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return np.array([rf_predict(self, x) for x in X], dtype=np.intp)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"input has shape {X.shape[1:]}, forest expects length {self.d}")
+        flat = X.ravel()
+        row_start = np.arange(X.shape[0])[:, None] * self.d
+        node = np.broadcast_to(self.roots, (X.shape[0], self.m))
+        for _ in range(self.depth):
+            goes_left = flat[row_start + self.feature[node]] <= self.threshold[node]
+            node = np.where(goes_left, self.left[node], self.right[node])
+        return np.cumsum(self.dist[node], axis=1)[:, -1] / self.m
+
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.argmax(self.predict_proba(X), axis=1) + 1
 
     def save(self, path: str | os.PathLike) -> None:
         dataset.write_model(path, {
@@ -289,15 +361,11 @@ def bootstrap_indices(seed: int, tree_index: int, n: int) -> np.ndarray:
 
 
 def rf_predict_proba(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Unweighted mean of per-tree leaf class distributions."""
+    """Unweighted mean of per-tree leaf class distributions of one sample."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.d:
         raise ValueError(f"input has shape {x.shape}, forest expects length {model.d}")
-    probs = np.zeros(model.n_classes)
-    for tree in model.trees:
-        counts = tree.leaf_for(x).counts
-        probs += counts / counts.sum()
-    return probs / model.m
+    return model.predict_proba(x[None])[0]
 
 
 def rf_predict(model: ForestModel, x: np.ndarray) -> int:

@@ -474,6 +474,8 @@ class SvmModel:
         if doc["kernel"] != "rbf":
             raise ValueError(f"kernel {doc['kernel']!r} is not supported (only 'rbf')")
         classes = [int(c) for c in doc["classes"]]
+        if len(classes) < 2 or len(set(classes)) != len(classes):
+            raise ValueError(f"classes {classes} are not 2 or more distinct ids")
         c, gamma = float(doc["c"]), float(doc["gamma"])
         pairs = [(a, b) for a, b in doc["pairs"]]
         for a, b in pairs:
@@ -481,6 +483,9 @@ class SvmModel:
                 raise ValueError(f"pair {[a, b]} is not two classes a < b of {classes}")
         if len(set(pairs)) != len(pairs):
             raise ValueError("a pair is listed twice")
+        missing = set(itertools.combinations(sorted(classes), 2)) - set(pairs)
+        if missing:
+            raise ValueError(f"pair {list(min(missing))} of classes {classes} is missing")
         n, dim = int(doc["n_support"]), int(doc["dim"])
         return cls(classes, pairs, dataset.unpack(doc["support_vectors"], n, dim),
                    dataset.unpack(doc["coef"], len(pairs), n),

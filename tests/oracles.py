@@ -5,9 +5,11 @@ comes from exhaustive active-set enumeration, gradients from central finite
 differences, the exact SMO reference solves one machine at a time with
 scalar pair steps, the schedule the batched solver must reproduce bit for
 bit, one-vs-one prediction runs one machine and one kernel block at a
-time, and the exact forest reference searches splits one feature at a time
+time, the exact forest reference searches splits one feature at a time
 over a one-hot class cumsum, the result the vectorized search must
-reproduce bit for bit.  The word-feature references fold angles with
+reproduce bit for bit, and forest prediction walks one tree node by node
+for one row at a time, the probabilities the flat-array walk must match
+byte for byte.  The word-feature references fold angles with
 numpy's float remainder, normalize HOG blocks one at a time, and build
 resize weights with one `np.add.at` per tap; the vectorized feature chain
 must match them byte for byte.
@@ -22,7 +24,7 @@ import numpy as np
 
 from hwr import imaging
 from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_shape
-from hwr.forest import _GAIN_EPS, TreeNode, gini
+from hwr.forest import _GAIN_EPS, ForestModel, TreeNode, gini
 from hwr.imaging import _cubic_kernel
 from hwr.labels import N_CLASSES
 from hwr.mlp import batch_gradients, batch_loss
@@ -394,6 +396,30 @@ def scalar_grow_tree(
         )
 
     return build(np.arange(X.shape[0]), 0)
+
+
+def leaf_for(tree: TreeNode, x: np.ndarray) -> TreeNode:
+    """The leaf that one sample reaches: left while x[feature] <= threshold."""
+    node = tree
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node
+
+
+def per_tree_predict_proba(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Forest probabilities one row and one tree at a time.
+
+    The predict path that the flat-array walk replaced: each row's leaf
+    distributions are added to a running sum from zero in tree order, then
+    divided by the tree count.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    probs = np.zeros((X.shape[0], model.n_classes))
+    for row, x in zip(probs, X):
+        for tree in model.trees:
+            counts = leaf_for(tree, x).counts
+            row += counts / counts.sum()
+    return probs / model.m
 
 
 def scalar_cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:

@@ -72,3 +72,28 @@ def test_bench_svm_predict(benchmark, rows):
     assert model.sv.shape == (471, 733)
     X = gen.normal(size=(rows, 733))
     assert benchmark(model.predict_batch, X).shape == (rows,)
+
+
+def _random_tree(gen: np.random.Generator, d: int, splits: int) -> forest.TreeNode:
+    """A tree made by splitting a uniformly drawn leaf `splits` times."""
+    root = forest.TreeNode()
+    leaves = [root]
+    for _ in range(splits):
+        node = leaves.pop(gen.integers(len(leaves)))
+        node.feature, node.threshold = int(gen.integers(d)), float(gen.normal())
+        node.left, node.right = forest.TreeNode(), forest.TreeNode()
+        leaves += [node.left, node.right]
+    for leaf in leaves:
+        leaf.counts = gen.integers(0, 4, size=14) + (np.arange(14) == gen.integers(14))
+    return root
+
+
+@pytest.mark.parametrize("rows", [1, 148])
+def test_bench_forest_predict(benchmark, rows):
+    """The srp733 rf.json's shape: 100 trees of about 60 nodes over 733 columns."""
+    gen = np.random.default_rng(42)
+    model = forest.ForestModel(trees=[_random_tree(gen, 733, 30) for _ in range(100)],
+                               d=733, seed=42)
+    assert model.feature.shape == (6100,)
+    X = gen.normal(size=(rows, 733))
+    assert benchmark(model.predict_batch, X).shape == (rows,)

@@ -47,6 +47,19 @@ SHORT_LEAF_RF = json.dumps({
                "right": {"counts": [1] + [0] * 13}}],
 })
 
+# Files that loaded and predicted a class with exit 0 before they were refused:
+# a forest without trees, an svm without pairs, and an svm of one class.
+EMPTY_RF = json.dumps({"format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14, "trees": []})
+
+
+def _pairless_svm(classes: list[int]) -> str:
+    return json.dumps({
+        "format": "hwr-svm/3", "classes": classes, "c": 1.0, "gamma": 1.0, "kernel": "rbf",
+        "pairs": [], "n_support": 1, "dim": 8, "support_vectors": dataset.pack(np.zeros(8)),
+        "coef": dataset.pack([]), "bias": dataset.pack([]),
+    })
+
+
 # A tree of 3,000 splits, each with a leaf on its right; json.load, like
 # TreeNode.from_dict, recurses once per level.
 _LEAF = json.dumps({"counts": [1] + [0] * 13})
@@ -274,7 +287,10 @@ class TestTrainEvalPredict:
                                       pytest.param(POLY_SVM, id="poly-kernel"),
                                       pytest.param(SHORT_LEAF_RF, id="rf-short-leaf"),
                                       pytest.param("[" * 3000 + "]" * 3000, id="deep-json"),
-                                      pytest.param(DEEP_RF, id="deep-rf-tree")])
+                                      pytest.param(DEEP_RF, id="deep-rf-tree"),
+                                      pytest.param(EMPTY_RF, id="rf-no-trees"),
+                                      pytest.param(_pairless_svm([1, 2]), id="svm-no-pairs"),
+                                      pytest.param(_pairless_svm([5]), id="svm-one-class")])
     def test_corrupt_model_exit_2_without_traceback(self, tmp_path, pipeline_dir, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

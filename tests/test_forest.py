@@ -18,7 +18,7 @@ from hwr.forest import (
     rf_predict_proba,
     rf_train,
 )
-from oracles import scalar_best_split, scalar_grow_tree
+from oracles import per_tree_predict_proba, scalar_best_split, scalar_grow_tree
 
 
 class TestGini:
@@ -261,10 +261,9 @@ class TestRfTrain:
         model = rf_train(X, y, m=1, seed=9, n_classes=3)
         boot = bootstrap_indices(9, 0, 30)
         solo = grow_tree(X[boot], y[boot], tree_seed=[9, 0, 1], n_classes=3)
-        for x in X[:10]:
-            leaf_counts = solo.leaf_for(x).counts
-            expected = leaf_counts / leaf_counts.sum()
-            assert np.allclose(rf_predict_proba(model, x), expected)
+        expected = per_tree_predict_proba(ForestModel(trees=[solo], d=4, seed=9, n_classes=3),
+                                          X[:10])
+        assert model.predict_proba(X[:10]).tobytes() == expected.tobytes()
 
     def test_seed_determinism(self):
         gen = np.random.default_rng(6)
@@ -330,6 +329,113 @@ class TestPredict:
         model = self._two_leaf_forest()
         with pytest.raises(ValueError, match="length"):
             rf_predict_proba(model, np.zeros(5))
+        with pytest.raises(ValueError, match="length"):
+            rf_predict_proba(model, np.zeros((1, 2)))
+
+
+def _assert_matches_oracle(model: ForestModel, X) -> None:
+    """Probabilities byte-equal to the per-tree walk; predictions its argmax."""
+    expected = per_tree_predict_proba(model, X)
+    probs = model.predict_proba(X)
+    assert probs.shape == expected.shape and probs.tobytes() == expected.tobytes()
+    assert np.array_equal(model.predict_batch(X), np.argmax(expected, axis=1) + 1)
+
+
+def _leaf(counts) -> TreeNode:
+    return TreeNode(counts=np.array(counts, dtype=np.int64))
+
+
+class TestFlatWalk:
+    """The vectorized walk against the one-row, one-tree oracle."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        gen = np.random.default_rng(12)
+        y = gen.integers(1, 6, size=40)
+        X = gen.normal(size=(5, 6))[y - 1] + gen.normal(size=(40, 6))
+        return X, y, gen.normal(scale=1.5, size=(25, 6))
+
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    @pytest.mark.parametrize("m", DEFAULT_TREE_COUNTS)
+    def test_seeded_forests(self, data, m, max_depth):
+        X, y, probe = data
+        # 20 training rows keep the 2000-tree forest quick to grow
+        model = rf_train(X[:20], y[:20], m=m, seed=m, max_depth=max_depth)
+        assert max_depth is None or model.depth <= max_depth
+        _assert_matches_oracle(model, np.vstack([X, probe]))
+
+    def test_single_leaf_trees_among_deep_ones(self, data):
+        X, y, probe = data
+        deep = rf_train(X, y, m=4, seed=1).trees
+        assert all(not tree.is_leaf for tree in deep)
+        trees = [_leaf([0, 3] + [0] * 12), deep[0], deep[1], _leaf([1] * 14), deep[2],
+                 deep[3], _leaf([0] * 13 + [7])]
+        model = ForestModel(trees=trees, d=6, seed=0)
+        assert model.roots.tolist()[:2] == [0, 1]
+        _assert_matches_oracle(model, np.vstack([X, probe]))
+
+    def test_criterion_6_fixtures_and_tie(self):
+        two = ForestModel(trees=[_leaf([0, 0, 4] + [0] * 11), _leaf([0] * 4 + [9] + [0] * 9)],
+                          d=3, seed=0)
+        gen = np.random.default_rng(3)
+        five = ForestModel(trees=[_leaf(gen.integers(0, 20, size=14) + (np.arange(14) == i))
+                                  for i in range(5)], d=3, seed=0)
+        X = np.zeros((2, 3))
+        for model in (two, five):
+            assert model.depth == 0
+            _assert_matches_oracle(model, X)
+        assert two.predict_batch(X).tolist() == [3, 3]  # tie toward the lowest id
+
+    def test_inputs_at_thresholds_and_infinities(self, data):
+        X, y, _ = data
+        model = rf_train(X, y, m=20, seed=4)
+        splits = np.flatnonzero(model.left != np.arange(len(model.left)))
+        at = np.tile(X[:1], (len(splits), 1))
+        at[np.arange(len(splits)), model.feature[splits]] = model.threshold[splits]
+        inf = np.array([np.full(6, np.inf), np.full(6, -np.inf), [np.inf, -np.inf] * 3])
+        probe = np.vstack([at, inf, np.where(X[:5] > 0, np.inf, -np.inf)])
+        _assert_matches_oracle(model, probe)
+        # a value at a threshold goes left, one just above it right
+        above = at.copy()
+        above[np.arange(len(splits)), model.feature[splits]] = np.nextafter(
+            model.threshold[splits], np.inf)
+        _assert_matches_oracle(model, above)
+
+    def test_zero_rows_and_one_dimensional_input(self, data):
+        X, y, _ = data
+        model = rf_train(X, y, m=5, seed=2)
+        assert model.predict_proba(np.zeros((0, 6))).shape == (0, 14)
+        assert model.predict_batch(np.zeros((0, 6))).shape == (0,)
+        _assert_matches_oracle(model, np.zeros((0, 6)))
+        _assert_matches_oracle(model, X[3])
+        assert model.predict_proba(X[3]).tobytes() == rf_predict_proba(model, X[3]).tobytes()
+        assert model.predict_batch(X[3]).tolist() == [rf_predict(model, X[3])]
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 7), (0, 5), (7,), (2, 3, 6)])
+    def test_wrong_width_raises(self, data, shape):
+        X, y, _ = data
+        model = rf_train(X, y, m=3, seed=2)
+        with pytest.raises(ValueError, match="forest expects length 6"):
+            model.predict_batch(np.zeros(shape))
+
+    def test_empty_forest_refused(self):
+        with pytest.raises(ValueError, match="at least one tree"):
+            ForestModel(trees=[], d=3, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(1, 8),
+        max_depth=st.one_of(st.none(), st.integers(0, 4)),
+        probe=arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)),
+                     elements=st.floats(allow_nan=True, allow_infinity=True)),
+    )
+    def test_hypothesis_matches_oracle(self, seed, m, max_depth, probe):
+        gen = np.random.default_rng(seed)
+        X = gen.normal(size=(24, 3)).round(1)
+        y = gen.integers(1, 4, size=24)
+        model = rf_train(X, y, m=m, seed=seed, n_classes=3, max_depth=max_depth)
+        _assert_matches_oracle(model, np.vstack([probe, X[:4]]))
 
 
 class TestSerialization:

@@ -181,6 +181,16 @@ def _coef_of_shape(doc: dict, rows: int, cols: int) -> None:
     doc["coef"] = dataset.pack(np.zeros((rows, cols)))
 
 
+def _first_pairs(doc: dict, keep: int, classes: list[int] | None = None) -> None:
+    """Keep an svm file's first pairs, with their coefficient rows and biases."""
+    doc["pairs"] = doc["pairs"][:keep]
+    coef = np.frombuffer(base64.b64decode(doc["coef"])).reshape(-1, doc["n_support"])
+    doc["coef"] = dataset.pack(coef[:keep])
+    doc["bias"] = dataset.pack(np.frombuffer(base64.b64decode(doc["bias"]))[:keep])
+    if classes is not None:
+        doc["classes"] = classes
+
+
 # Each edit makes a saved model disagree with itself or with the format: a
 # payload one float shorter than its stated shape (pca d and k, mlp h and o,
 # svm n_support, dim and pairs), svm coefficients with a row more than there
@@ -188,9 +198,13 @@ def _coef_of_shape(doc: dict, rows: int, cols: int) -> None:
 # classes a < b of the model or that is listed twice, a payload that is not
 # base64 or is a list of floats, a projection from another generator, of an
 # unknown kind or too large for any address space (10**14 entries), a
-# kernel other than rbf, a forest leaf that is not n_classes non-negative counts with a positive
-# sum, or a forest split on a feature outside [0, d) or at a non-finite
-# threshold (the tiny forest has d = 3 and 14 classes).
+# kernel other than rbf, svm pairs that leave out a pair of its classes or
+# none at all, an svm of one class or of a class listed twice, a forest leaf
+# that is not n_classes non-negative counts with a positive sum, a forest
+# split on a feature outside [0, d) or at a non-finite threshold, or a forest
+# without trees (the tiny forest has d = 3 and 14 classes, the tiny svm
+# classes 1, 2 and 3).  The pair and class edits keep the coefficient and bias
+# payloads consistent with the pairs left.
 INCONSISTENT = {
     "pca-mean": ("hwr-pca/2", lambda doc: _one_short(doc, "mean")),
     "pca-explained_variance": ("hwr-pca/2", lambda doc: _one_short(doc, "explained_variance")),
@@ -214,6 +228,10 @@ INCONSISTENT = {
     "rp-kind": ("hwr-rp/2 gaussian", lambda doc: doc.update(kind="foo")),
     "rp-too-large": ("hwr-rp/2 gaussian", lambda doc: doc.update(d=10**7, k=10**7)),
     "svm-poly-kernel": ("hwr-svm/3", lambda doc: doc.update(kernel="poly")),
+    "svm-pair-missing": ("hwr-svm/3", lambda doc: _first_pairs(doc, 2)),
+    "svm-no-pairs": ("hwr-svm/3", lambda doc: _first_pairs(doc, 0)),
+    "svm-one-class": ("hwr-svm/3", lambda doc: _first_pairs(doc, 0, classes=[2])),
+    "svm-class-twice": ("hwr-svm/3", lambda doc: _first_pairs(doc, 1, classes=[1, 2, 2])),
     "rf-leaf-short": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True)["counts"].pop()),
     "rf-leaf-negative": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
         counts=[-1, 2] + [0] * 12)),
@@ -226,6 +244,7 @@ INCONSISTENT = {
         threshold=float("nan"))),
     "rf-threshold-inf": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
         threshold=float("-inf"))),
+    "rf-no-trees": ("hwr-rf/1", lambda doc: doc.update(trees=[])),
 }
 
 

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import per_tree_predict_proba
 
 from hwr import forest, imaging, synth
 from hwr.synth import SynthSpec, archetype_mask, render_word, synth_generate
@@ -84,8 +85,7 @@ class TestLearnability:
         train_mask = np.arange(len(labels)) % 2 == 0
         tree = forest.grow_tree(X[train_mask], labels[train_mask], tree_seed=0,
                                 max_depth=8, feature_subset=256)
-        predictions = np.array([
-            int(np.argmax(tree.leaf_for(x).counts)) + 1 for x in X[~train_mask]
-        ])
+        model = forest.ForestModel(trees=[tree], d=X.shape[1], seed=0)
+        predictions = np.argmax(per_tree_predict_proba(model, X[~train_mask]), axis=1) + 1
         accuracy = (predictions == labels[~train_mask]).mean()
         assert accuracy > 1 / 14
