@@ -120,8 +120,7 @@ def cmd_train(args: argparse.Namespace) -> int:
               f"lr={args.lr}, epochs={args.epochs})")
     elif args.classifier == "svm":
         if args.grid == "default":
-            result = svm.grid_search(Xtr, ytr, svm.DEFAULT_GRID,
-                                     seed=_stage_seed(args.seed, "train"))
+            result = svm.grid_search(Xtr, ytr, seed=_stage_seed(args.seed, "train"))
             c, gamma = result.c, result.gamma
             print(f"grid search: C={c:g}, gamma={gamma:g} (cv accuracy {result.accuracy:.4f})")
         else:

@@ -182,10 +182,15 @@ def read_label_file(path: str | os.PathLike) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            values.append(int(line))
+            cid = int(line)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: label {line.strip()!r} "
                              "is not an integer") from None
+        try:
+            labels_mod.label_to_unicode(cid)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        values.append(cid)
     if not values:
         raise ValueError(f"{path}: no labels")
     return np.array(values, dtype=np.intp)

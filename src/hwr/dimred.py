@@ -141,11 +141,6 @@ class ProjectionMatrix:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return project(self, X)
 
-    def dense(self) -> np.ndarray:
-        if self.kind == "sparse":
-            return self.matrix.toarray()
-        return np.asarray(self.matrix)
-
     def save(self, path: str | os.PathLike) -> None:
         dataset.write_model(path, {
             "format": self.FORMAT,

@@ -171,20 +171,16 @@ def scalar_features(mask: np.ndarray, original_width: int) -> ScalarFeatures:
     return ScalarFeatures(int(arr[:half].sum()), int(arr[half:].sum()), int(original_width))
 
 
-def extract_word_features(
-    img: np.ndarray,
-    params: HogParams = DEFAULT_HOG,
-    include_scalars: bool = False,
-) -> np.ndarray:
+def extract_word_features(img: np.ndarray, include_scalars: bool = False) -> np.ndarray:
     """Run the preprocessing chain on a raw word image and return features.
 
-    HOG alone by default; the scalar features supplement it only on request
-    (they are dominated by HOG for classification).  When appended, the ink
-    counts are normalized by the cropped word area and the length by the
-    canonical width, so all features stay O(1).
+    HOG at DEFAULT_HOG alone by default; the scalar features supplement it
+    only on request (they are dominated by HOG for classification).  When
+    appended, the ink counts are normalized by the cropped word area and the
+    length by the canonical width, so all features stay O(1).
     """
     pre = imaging.preprocess(img)
-    descriptor = hog(pre.image, params)
+    descriptor = hog(pre.image)
     if not include_scalars:
         return descriptor
     upper, lower, length = scalar_features(pre.ink, pre.box.width)

@@ -206,8 +206,9 @@ def crop(img: np.ndarray, r: Rect) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Bicubic resize
 
-def _cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
+def _cubic_kernel(x: np.ndarray) -> np.ndarray:
     """Cubic convolution kernel (Catmull-Rom family, a = -0.5)."""
+    a = -0.5
     x = np.abs(x)
     near = ((a + 2.0) * x - (a + 3.0)) * x * x + 1.0
     far = a * (((x - 5.0) * x + 8.0) * x - 4.0)

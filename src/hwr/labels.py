@@ -57,7 +57,3 @@ def unicode_to_label(s: str) -> int:
 def district_codepoints(label: int) -> tuple[int, ...]:
     """The Unicode codepoint sequence behind a class id."""
     return tuple(ord(ch) for ch in label_to_unicode(label))
-
-
-def all_districts() -> tuple[tuple[int, str], ...]:
-    return _table()

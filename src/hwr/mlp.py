@@ -133,14 +133,6 @@ def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, e / e.sum(axis=1, keepdims=True)
 
 
-def loss(probs: np.ndarray, label: int) -> float:
-    """Categorical cross-entropy of a distribution against a 1-based label."""
-    p = np.asarray(probs, dtype=np.float64)
-    if not 1 <= label <= p.shape[0]:
-        raise ValueError(f"label {label} out of range [1, {p.shape[0]}]")
-    return float(-math.log(max(p[label - 1], _PROB_FLOOR)))
-
-
 def _check_training_data(model: MlpModel, X, labels) -> tuple[np.ndarray, np.ndarray]:
     X = _check_batch(model, np.asarray(X, dtype=np.float64))
     y = np.asarray(labels)
@@ -172,14 +164,6 @@ def batch_gradients(
         "b1": back.sum(axis=0),
     }
     return grads, mean_loss
-
-
-def batch_loss(model: MlpModel, X: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the model over (X, labels)."""
-    X, y = _check_training_data(model, X, labels)
-    _, probs = forward(model, X)
-    picked = probs[np.arange(X.shape[0]), y - 1]
-    return float(-np.mean(np.log(np.maximum(picked, _PROB_FLOOR))))
 
 
 def train(model: MlpModel, X, labels, cfg: TrainConfig) -> MlpModel:

@@ -11,6 +11,7 @@ splitmix64: output i (0-based) of stream `seed` is
     out = z ^ (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits: (out >> 11) * 2**-53.
+A stream is always read from its start: outputs 0..count-1.
 Serialized models record GENERATOR_NAME so files are self-describing.
 """
 
@@ -28,20 +29,20 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Outputs offset..offset+count-1 of the splitmix64 stream, as uint64."""
-    if count < 0 or offset < 0:
-        raise ValueError(f"count and offset must be non-negative, got {count}, {offset}")
-    i = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first `count` outputs of the splitmix64 stream, as uint64."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    i = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + _GAMMA * i
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
-def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
+def uniforms(seed: int, count: int) -> np.ndarray:
     """float64 uniforms in [0, 1), one per splitmix64 output."""
-    return (splitmix64(seed, count, offset) >> np.uint64(11)) * 2.0**-53
+    return (splitmix64(seed, count) >> np.uint64(11)) * 2.0**-53
 
 
 def derive_seed(master: int, stage: str) -> int:

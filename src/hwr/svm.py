@@ -31,9 +31,11 @@ class id.  The machines share most of their support vectors, so a model is
 LIBSVM's layout (Chang & Lin, 2011): one matrix of distinct support vectors
 and one coefficient row per machine.  A prediction is one kernel block and
 one matrix product for all machines.
-Grid search runs stratified k-fold cross-validation over (C, gamma),
-solving every pair at every C of one (fold, gamma) as one batch that shares
-each pair's Gram matrix, and prefers smaller C, then smaller gamma, on ties.
+Grid search runs stratified FOLDS-fold cross-validation over every (C, gamma)
+of DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, solving every pair at every C of
+one (fold, gamma) as one batch that shares each pair's Gram matrix, and
+prefers smaller C, then smaller gamma, on ties.  One-vs-one training and
+grid search run SMO to tol _TOL (1e-3).
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from . import dataset
 # Grid from the practical-guide convention: coarse powers of two.
 DEFAULT_C_VALUES = (2.0**-1, 2.0**1, 2.0**3, 2.0**5, 2.0**7)
 DEFAULT_GAMMA_VALUES = (2.0**-9, 2.0**-7, 2.0**-5, 2.0**-3, 2.0**-1)
+FOLDS = 3              # cross-validation folds of grid_search
+
+_TOL = 1e-3            # KKT violating-pair gap at which SMO stops
 
 _STEP_EPS = 1e-8       # curvature/objective margin below which a direction is flat
 _SV_EPS = 1e-12        # alpha > this counts as a support vector
@@ -91,11 +96,6 @@ class BinarySvm:
     c: float
     gamma: float
     passes: int = 0              # SMO pair-step count, diagnostic only
-
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        K = kernel_matrix(self.support_vectors, X, self.gamma)
-        return self.dual_coef @ K + self.bias
 
 
 def _py_max(a, b):
@@ -343,7 +343,7 @@ def smo_train(
     y: np.ndarray,
     c: float,
     gamma: float = 1.0,
-    tol: float = 1e-3,
+    tol: float = _TOL,
 ) -> BinarySvm:
     """Train one binary machine on labels in {-1, +1}.
 
@@ -522,40 +522,18 @@ def _ovo_problems(
     return classes, problems
 
 
-def ovo_train(
-    X: np.ndarray,
-    labels: np.ndarray,
-    c: float,
-    gamma: float,
-    tol: float = 1e-3,
-) -> SvmModel:
+def ovo_train(X: np.ndarray, labels: np.ndarray, c: float, gamma: float) -> SvmModel:
     """One binary machine per unordered class pair, all solved in one batch.
 
     Within pair (a, b), a < b, class a maps to +1, so decision > 0 votes a.
     The first pair (in sorted order) whose machine fails raises its error.
     """
     classes, problems = _ovo_problems(X, labels)
-    [machines] = _train(list(problems.values()), [c], gamma, tol)
+    [machines] = _train(list(problems.values()), [c], gamma, _TOL)
     for machine in machines:
         if isinstance(machine, TrainingError):
             raise machine
     return SvmModel.from_machines(classes, dict(zip(problems, machines)), c, gamma)
-
-
-@dataclass
-class GridSpec:
-    c_values: tuple[float, ...] = DEFAULT_C_VALUES
-    gamma_values: tuple[float, ...] = DEFAULT_GAMMA_VALUES
-    folds: int = 3
-
-    def __post_init__(self) -> None:
-        if not self.c_values or not self.gamma_values:
-            raise ValueError("candidate lists must be nonempty")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
-
-
-DEFAULT_GRID = GridSpec()
 
 
 @dataclass
@@ -566,59 +544,52 @@ class GridSearchResult:
     table: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """Deterministic stratified k-fold assignment (shuffle within class)."""
+def stratified_folds(labels: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Deterministic stratified FOLDS-fold assignment (shuffle within class)."""
     labels = np.asarray(labels, dtype=np.intp)
-    if k < 2:
-        raise ValueError(f"folds must be >= 2, got {k}")
     present, counts = np.unique(labels, return_counts=True)
-    if counts.min() < k:
-        thin = present[counts < k].tolist()
+    if counts.min() < FOLDS:
+        thin = present[counts < FOLDS].tolist()
         raise ValueError(
-            f"stratification infeasible: classes {thin} have fewer than {k} samples"
+            f"stratification infeasible: classes {thin} have fewer than {FOLDS} samples"
         )
     gen = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    folds: list[list[int]] = [[] for _ in range(FOLDS)]
     for cls in present:
         idx = np.nonzero(labels == cls)[0]
         gen.shuffle(idx)
         for j, i in enumerate(idx):
-            folds[j % k].append(int(i))
+            folds[j % FOLDS].append(int(i))
     return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
 
 
-def grid_search(
-    X: np.ndarray,
-    labels: np.ndarray,
-    spec: GridSpec = DEFAULT_GRID,
-    seed: int = 0,
-    tol: float = 1e-3,
-) -> GridSearchResult:
+def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchResult:
     """Cross-validated accuracy for every (C, gamma) cell; returns the argmax.
 
-    Accuracy is pooled over folds (total correct / total samples).  Cells
-    whose machines fail to train (degenerate folds) score 0 rather than
-    aborting the sweep.  The machines of one (fold, gamma), every pair at
-    every C still in the running, are solved as one lockstep batch.
+    The cells are DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, scored over
+    FOLDS (3) stratified folds.  Accuracy is pooled over folds (total
+    correct / total samples).  Cells whose machines fail to train
+    (degenerate folds) score 0 rather than aborting the sweep.  The machines
+    of one (fold, gamma), every pair at every C still in the running, are
+    solved as one lockstep batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
-    folds = stratified_folds(labels, spec.folds, seed)
+    folds = stratified_folds(labels, seed)
     n = labels.shape[0]
     all_idx = np.arange(n)
-    c_values, gamma_values = sorted(spec.c_values), sorted(spec.gamma_values)
+    c_values, gamma_values = sorted(DEFAULT_C_VALUES), sorted(DEFAULT_GAMMA_VALUES)
     # correct predictions per cell, None once one of its machines failed
     correct: dict[tuple[float, float], int | None] = {
         (c, gamma): 0 for c in c_values for gamma in gamma_values}
     for held in folds:
         train_idx = np.setdiff1d(all_idx, held)
         classes, problems = _ovo_problems(X[train_idx], labels[train_idx])
-        # a value listed twice in the spec is trained once and tabled twice
-        for gamma in dict.fromkeys(gamma_values):
-            live = [c for c in dict.fromkeys(c_values) if correct[c, gamma] is not None]
+        for gamma in gamma_values:
+            live = [c for c in c_values if correct[c, gamma] is not None]
             if not live:
                 continue
-            fits = _train(list(problems.values()), live, gamma, tol)
+            fits = _train(list(problems.values()), live, gamma, _TOL)
             for c, machines in zip(live, fits):
                 if any(isinstance(m, TrainingError) for m in machines):
                     correct[c, gamma] = None

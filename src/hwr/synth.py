@@ -2,10 +2,10 @@
 
 Stands in for the unavailable handwritten corpus: 14 fixed archetypes built
 from stroke primitives (line segments and ellipse arcs), rendered dark on a
-white canvas under seeded jitter (rotation, scale, translation, stroke
-thickness, salt noise).  Archetypes are abstract word shapes, not glyph
-renderings; the recognizer is script-agnostic, so these exercise the whole
-pipeline without dragging in a text-shaping engine.
+white CANVAS-sized image under seeded jitter (rotation, scale, translation,
+stroke thickness) and salt noise at rate SALT.  Archetypes are abstract word
+shapes, not glyph renderings; the recognizer is script-agnostic, so these
+exercise the whole pipeline without dragging in a text-shaping engine.
 
 Every sample is a pure function of (seed, class id, sample index), so a
 generation run is byte-reproducible.
@@ -28,7 +28,8 @@ ROTATION_DEG = 5.0
 SCALE_RANGE = (0.9, 1.1)
 TRANSLATE_PX = 4.0
 THICKNESS_RANGE = (2.0, 5.0)
-MAX_SALT = 0.005
+CANVAS = (64, 192)  # (height, width), pre-resize
+SALT = 0.002        # probability that a pixel is reset to white
 
 _INK_MAX = 60.0
 _PATH_STEP = 0.35  # px between consecutive samples along a stroke
@@ -38,16 +39,10 @@ _PATH_STEP = 0.35  # px between consecutive samples along a stroke
 class SynthSpec:
     per_class: int
     seed: int
-    canvas: tuple[int, int] = (64, 192)  # (height, width), pre-resize
-    salt: float = 0.002
 
     def __post_init__(self) -> None:
         if self.per_class < 1:
             raise ValueError(f"per_class must be >= 1, got {self.per_class}")
-        if self.canvas[0] < 16 or self.canvas[1] < 16:
-            raise ValueError(f"canvas too small: {self.canvas}")
-        if not 0.0 <= self.salt <= MAX_SALT:
-            raise ValueError(f"salt probability must lie in [0, {MAX_SALT}], got {self.salt}")
 
 
 # Strokes in unit coordinates (x right, y down).  ("line", x0, y0, x1, y1) or
@@ -158,7 +153,6 @@ def _stroke_points(prim: tuple, unit_to_px: np.ndarray, offset: np.ndarray) -> n
 
 def _render_mask(
     class_id: int,
-    canvas: tuple[int, int],
     thickness: float,
     rotation_deg: float,
     scale: float,
@@ -167,7 +161,7 @@ def _render_mask(
     """Boolean ink mask for one archetype under the given affine jitter."""
     if class_id not in ARCHETYPES:
         raise ValueError(f"class id {class_id} out of range [1, {N_CLASSES}]")
-    h, w = canvas
+    h, w = CANVAS
     margin_x, margin_y = 0.07 * w, 0.14 * h
     unit_to_px = np.array([w - 2 * margin_x, h - 2 * margin_y])
     offset = np.array([margin_x, margin_y])
@@ -202,18 +196,11 @@ def render_word(class_id: int, spec: SynthSpec, index: int) -> np.ndarray:
     shift = tuple(gen.uniform(-TRANSLATE_PX, TRANSLATE_PX, size=2))
     thickness = gen.uniform(*THICKNESS_RANGE)
     ink_value = int(round(gen.uniform(0.0, _INK_MAX)))
-    mask = _render_mask(class_id, spec.canvas, thickness, rotation, scale, shift)
-    image = np.full(spec.canvas, 255, dtype=np.uint8)
+    mask = _render_mask(class_id, thickness, rotation, scale, shift)
+    image = np.full(CANVAS, 255, dtype=np.uint8)
     image[mask] = ink_value
-    if spec.salt > 0.0:
-        image[gen.random(spec.canvas) < spec.salt] = 255
+    image[gen.random(CANVAS) < SALT] = 255
     return image
-
-
-def archetype_mask(class_id: int, canvas: tuple[int, int] = (64, 192)) -> np.ndarray:
-    """The un-jittered archetype, for distinctness checks and debugging."""
-    return _render_mask(class_id, canvas, thickness=3.0, rotation_deg=0.0,
-                        scale=1.0, shift=(0.0, 0.0))
 
 
 def synth_generate(spec: SynthSpec, out_dir: str | os.PathLike) -> Manifest:

@@ -27,7 +27,7 @@ from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_sh
 from hwr.forest import _GAIN_EPS, ForestModel, TreeNode, gini
 from hwr.imaging import _cubic_kernel
 from hwr.labels import N_CLASSES
-from hwr.mlp import batch_gradients, batch_loss
+from hwr.mlp import batch_gradients
 from hwr.svm import (
     BinarySvm,
     ConvergenceError,
@@ -235,6 +235,13 @@ def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, max_iter=None) -> SvmModel:
     return SvmModel.from_machines(classes, machines, c, gamma)
 
 
+def machine_decision(machine: BinarySvm, X: np.ndarray) -> np.ndarray:
+    """Decision values of one machine on the rows of X, from its own kernel block."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    K = kernel_matrix(machine.support_vectors, X, machine.gamma)
+    return machine.dual_coef @ K + machine.bias
+
+
 def per_machine_predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """One-vs-one prediction one machine at a time, each with its own kernel block.
 
@@ -246,7 +253,7 @@ def per_machine_predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
     magnitude = np.zeros_like(votes)
     index = {cls: i for i, cls in enumerate(model.classes)}
     for (a, b), machine in model.machines.items():
-        f = machine.decision(X)
+        f = machine_decision(machine, X)
         wins_a = f > 0.0
         ia, ib = index[a], index[b]
         votes[wins_a, ia] += 1
@@ -303,9 +310,9 @@ def relative_gradient_errors(model, X, y, delta: float = 1e-5) -> np.ndarray:
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + delta
-            up = batch_loss(model, X, y)
+            up = batch_gradients(model, X, y)[1]
             flat[i] = keep - delta
-            down = batch_loss(model, X, y)
+            down = batch_gradients(model, X, y)[1]
             flat[i] = keep
             numeric[i] = (up - down) / (2 * delta)
         analytic = grads[name].ravel()

@@ -312,14 +312,16 @@ class TestTrainEvalPredict:
         assert proc.stderr.startswith(f"error: {old}: format {tag!r} is not ")
         assert "hwr train" in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_non_integer_label_exit_2(self, capsys, tmp_path, pipeline_dir):
+    @pytest.mark.parametrize("label", ["three", "0", "15"])
+    def test_non_integer_label_exit_2(self, capsys, tmp_path, pipeline_dir, label):
         bad = tmp_path / "bad.labels"
-        bad.write_text("1\n2\nthree\n", encoding="utf-8")
+        bad.write_text(f"1\n2\n{label}\n", encoding="utf-8")
         code, _, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
-                           "--labels", str(bad), "--classifier", "rf",
-                           "--out", str(tmp_path / "rf.json"))
+                           "--labels", str(bad), "--classifier", "svm", "--c", "1",
+                           "--gamma", "0.5", "--out", str(tmp_path / "svm.json"))
         assert code == 2
         assert err.startswith(f"error: {bad}: line 3: ")
+        assert not (tmp_path / "svm.json").exists()
 
     def test_non_utf8_label_file_exit_2(self, capsys, tmp_path, pipeline_dir):
         bad = tmp_path / "bad.labels"

@@ -179,6 +179,14 @@ class TestLabelFile:
             read_label_file(path)
         assert str(info.value) == f"{path}: line 3: label '2.5' is not an integer"
 
+    @pytest.mark.parametrize("cid", ["0", "15"])
+    def test_out_of_range_id_names_path_and_line(self, tmp_path, cid):
+        path = tmp_path / "y.labels"
+        path.write_text(f"1\n14\n{cid}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_label_file(path)
+        assert str(info.value) == f"{path}: line 3: class id {cid} out of range [1, 14]"
+
 
 class TestPayload:
     def test_special_values_round_trip_bit_exact(self):

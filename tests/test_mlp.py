@@ -10,9 +10,8 @@ from hwr.mlp import (
     MlpModel,
     TrainConfig,
     TrainingDivergedError,
-    batch_loss,
+    batch_gradients,
     forward,
-    loss,
     mlp_init,
     train,
 )
@@ -85,30 +84,38 @@ class TestForward:
         assert (probs > 0).all() and (probs < 1).all()
 
 
+def _loss(logits, label: int) -> float:
+    """batch_gradients' loss on one sample of a model whose output is softmax(logits)."""
+    o = len(logits)
+    model = MlpModel(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros((o, 1)),
+                     b2=np.asarray(logits, dtype=np.float64))
+    return batch_gradients(model, np.zeros((1, 1)), [label])[1]
+
+
 class TestLoss:
     def test_certain_prediction(self):
-        probs = np.zeros(14)
-        probs[6] = 1.0
-        assert loss(probs, 7) == 0.0
+        logits = np.zeros(14)
+        logits[6] = 1000.0  # probability 1.0 on class 7, 0.0 elsewhere
+        assert _loss(logits, 7) == 0.0
 
     def test_uniform(self):
-        assert loss(np.full(14, 1 / 14), 3) == pytest.approx(math.log(14), abs=1e-12)
+        assert _loss(np.zeros(14), 3) == pytest.approx(math.log(14), abs=1e-12)
 
     def test_half(self):
-        probs = np.full(14, 0.5 / 13)
-        probs[0] = 0.5
-        assert loss(probs, 1) == pytest.approx(0.6931, abs=1e-4)
+        logits = np.zeros(14)
+        logits[0] = math.log(13)  # probability 0.5 on class 1
+        assert _loss(logits, 1) == pytest.approx(0.6931, abs=1e-4)
 
     def test_invalid_label(self):
         with pytest.raises(ValueError):
-            loss(np.full(14, 1 / 14), 0)
+            _loss(np.zeros(14), 0)
         with pytest.raises(ValueError):
-            loss(np.full(14, 1 / 14), 15)
+            _loss(np.zeros(14), 15)
 
     def test_floor_guards_log(self):
-        probs = np.zeros(14)
-        probs[0] = 1.0
-        assert loss(probs, 2) == pytest.approx(-math.log(1e-15))
+        logits = np.zeros(14)
+        logits[0] = 1000.0  # probability 0.0 on class 2
+        assert _loss(logits, 2) == pytest.approx(-math.log(1e-15))
 
 
 from oracles import relative_gradient_errors
@@ -163,8 +170,9 @@ class TestTraining:
         X, y = small_features
         X = X[:, :50]
         model = mlp_init(50, 10, 14, seed=6)
-        before = batch_loss(model, X, y)
-        after = batch_loss(train(model, X, y, TrainConfig(learning_rate=1e-3, epochs=1, seed=7)), X, y)
+        before = batch_gradients(model, X, y)[1]
+        trained = train(model, X, y, TrainConfig(learning_rate=1e-3, epochs=1, seed=7))
+        after = batch_gradients(trained, X, y)[1]
         assert after <= before
 
     def test_nonfinite_loss_aborts(self):

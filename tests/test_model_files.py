@@ -66,7 +66,7 @@ def _arrays(model) -> dict[str, np.ndarray]:
     if isinstance(model, SvmModel):
         return {"support_vectors": model.sv, "coef": model.coef, "bias": model.bias}
     if isinstance(model, ProjectionMatrix):
-        return {"matrix": model.dense()}
+        return {"matrix": model.matrix.toarray() if model.kind == "sparse" else model.matrix}
     return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
 
 

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from hwr import svm
 from hwr.svm import (
-    DEFAULT_GRID,
     BinarySvm,
     ConvergenceError,
     DegenerateDataError,
-    GridSpec,
     SvmModel,
     TrainingError,
     dual_objective,
@@ -30,6 +28,7 @@ from hwr.svm import (
 import oracles
 from oracles import (
     brute_force_dual,
+    machine_decision,
     per_machine_predict,
     recover_alphas,
     scalar_ovo_train,
@@ -79,7 +78,7 @@ class TestSmoTrain:
         dual = 2 * grid - grid**2 * (1 - k12)
         alpha_star = grid[np.argmax(dual)]
         assert np.abs(machine.dual_coef) == pytest.approx(alpha_star, abs=1e-3)
-        f = machine.decision(X)
+        f = machine_decision(machine, X)
         assert f[0] < 0 < f[1]
         assert f[0] == pytest.approx(-1.0, abs=1e-9)
         assert f[1] == pytest.approx(1.0, abs=1e-9)
@@ -88,7 +87,7 @@ class TestSmoTrain:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0, 1.0, -1.0])
         machine = smo_train(X, y, c=10.0, gamma=1.0)
-        assert (np.sign(machine.decision(X)) == y).all()
+        assert (np.sign(machine_decision(machine, X)) == y).all()
 
     def test_degenerate_identical_points(self):
         X = np.zeros((4, 3))
@@ -162,7 +161,7 @@ class TestOvo:
         assert len(model.machines) == 1
         machine = model.machines[(3, 9)]
         for x in X:
-            expected = 3 if machine.decision(x[None, :])[0] > 0 else 9
+            expected = 3 if machine_decision(machine, x[None, :])[0] > 0 else 9
             assert model.predict_batch(x[None]).tolist() == [expected]
 
     def test_three_blobs_held_out(self):
@@ -197,6 +196,12 @@ class TestOvo:
             ovo_train(X, np.array([1, 1, 2, 3]), c=1.0, gamma=1.0)
 
 
+def _set_grid(monkeypatch, c_values, gamma_values) -> None:
+    """Make grid_search sweep the given candidates instead of the defaults."""
+    monkeypatch.setattr(svm, "DEFAULT_C_VALUES", c_values)
+    monkeypatch.setattr(svm, "DEFAULT_GAMMA_VALUES", gamma_values)
+
+
 class TestGridSearch:
     def _blobs(self, seed=10, n_per=9):
         gen = np.random.default_rng(seed)
@@ -204,33 +209,33 @@ class TestGridSearch:
         X = np.vstack([gen.normal(c, 0.3, (n_per, 2)) for c in centers])
         return X, np.repeat([1, 2, 3], n_per)
 
-    def test_single_candidate(self):
+    def test_single_candidate(self, monkeypatch):
         X, labels = self._blobs()
-        spec = GridSpec(c_values=(4.0,), gamma_values=(0.5,), folds=3)
-        result = grid_search(X, labels, spec, seed=0)
+        _set_grid(monkeypatch, (4.0,), (0.5,))
+        result = grid_search(X, labels, seed=0)
         assert (result.c, result.gamma) == (4.0, 0.5)
         assert result.table == [(4.0, 0.5, result.accuracy)]
 
-    def test_perfect_pair_selected(self):
+    def test_perfect_pair_selected(self, monkeypatch):
         X, labels = self._blobs()
-        spec = GridSpec(c_values=(8.0, 0.001), gamma_values=(0.5, 1e-9), folds=3)
-        result = grid_search(X, labels, spec, seed=1)
+        _set_grid(monkeypatch, (8.0, 0.001), (0.5, 1e-9))
+        result = grid_search(X, labels, seed=1)
         assert result.accuracy == 1.0
         model = ovo_train(X, labels, result.c, result.gamma)
         assert (model.predict_batch(X) == labels).all()
 
-    def test_table_covers_every_cell(self):
+    def test_table_covers_every_cell(self, monkeypatch):
         X, labels = self._blobs()
-        spec = GridSpec(c_values=(1.0, 4.0, 16.0), gamma_values=(0.25, 0.5), folds=3)
-        result = grid_search(X, labels, spec, seed=2)
+        _set_grid(monkeypatch, (1.0, 4.0, 16.0), (0.25, 0.5))
+        result = grid_search(X, labels, seed=2)
         assert len(result.table) == 6
         cells = {(c, g) for c, g, _ in result.table}
         assert cells == set(itertools.product((1.0, 4.0, 16.0), (0.25, 0.5)))
 
-    def test_tie_prefers_smaller_c_then_gamma(self):
+    def test_tie_prefers_smaller_c_then_gamma(self, monkeypatch):
         X, labels = self._blobs()
-        spec = GridSpec(c_values=(16.0, 2.0), gamma_values=(1.0, 0.25), folds=3)
-        result = grid_search(X, labels, spec, seed=3)
+        _set_grid(monkeypatch, (16.0, 2.0), (1.0, 0.25))
+        result = grid_search(X, labels, seed=3)
         ties = [row for row in result.table if row[2] == result.accuracy]
         assert (result.c, result.gamma) == min((c, g) for c, g, _ in ties)
 
@@ -238,11 +243,12 @@ class TestGridSearch:
         X = np.random.default_rng(11).normal(size=(5, 2))
         labels = np.array([1, 1, 1, 2, 2])
         with pytest.raises(ValueError, match="stratification"):
-            grid_search(X, labels, GridSpec(c_values=(1.0,), gamma_values=(1.0,), folds=3), 0)
+            grid_search(X, labels, seed=0)
 
     def test_stratified_folds_partition(self):
         labels = np.repeat([1, 2, 3, 4], 7)
-        folds = stratified_folds(labels, 3, seed=4)
+        folds = stratified_folds(labels, seed=4)
+        assert len(folds) == 3
         merged = np.sort(np.concatenate(folds))
         assert np.array_equal(merged, np.arange(28))
         for fold in folds:
@@ -250,9 +256,10 @@ class TestGridSearch:
             assert counts.min() >= 2  # 7 samples over 3 folds
 
     def test_default_grid_shape(self):
-        assert len(DEFAULT_GRID.c_values) == 5
-        assert len(DEFAULT_GRID.gamma_values) == 5
-        assert DEFAULT_GRID.folds == 3
+        # five ascending candidates each, none repeated
+        for values in (svm.DEFAULT_C_VALUES, svm.DEFAULT_GAMMA_VALUES):
+            assert len(set(values)) == 5 and list(values) == sorted(values)
+        assert svm.FOLDS == 3
 
 
 class TestSerialization:
@@ -283,12 +290,12 @@ def _assert_same_machine(machine, ref):
     assert (machine.support_vectors == ref.support_vectors).all()
 
 
-def _sequential_grid(X, labels, spec, seed, train):
+def _sequential_grid(X, labels, seed, train):
     """grid_search's table, one cell and one fold at a time with ``train``."""
-    folds = stratified_folds(labels, spec.folds, seed)
+    folds = stratified_folds(labels, seed)
     table = []
-    for c in sorted(spec.c_values):
-        for gamma in sorted(spec.gamma_values):
+    for c in sorted(svm.DEFAULT_C_VALUES):
+        for gamma in sorted(svm.DEFAULT_GAMMA_VALUES):
             correct = 0
             try:
                 for held in folds:
@@ -396,8 +403,8 @@ class TestLockstepExactness:
     def test_grid_table_matches_scalar_sequential(self, small_features):
         X, labels = small_features
         X = X[:, :40]
-        result = grid_search(X, labels, DEFAULT_GRID, seed=0)
-        assert result.table == _sequential_grid(X, labels, DEFAULT_GRID, 0, scalar_ovo_train)
+        result = grid_search(X, labels, seed=0)
+        assert result.table == _sequential_grid(X, labels, 0, scalar_ovo_train)
         assert len({acc for _, _, acc in result.table}) > 3
 
 
@@ -419,18 +426,18 @@ class TestTrainingFailures:
         # on 10 columns some cells have pairs with constant decisions
         X, labels = small_features
         X = X[:, :10]
-        result = grid_search(X, labels, DEFAULT_GRID, seed=0)
-        assert result.table == _sequential_grid(X, labels, DEFAULT_GRID, 0, ovo_train)
+        result = grid_search(X, labels, seed=0)
+        assert result.table == _sequential_grid(X, labels, 0, ovo_train)
         assert 0 < sum(acc == 0.0 for _, _, acc in result.table) < len(result.table)
 
     def test_budget_failures_fail_only_their_cells(self, small_features, monkeypatch):
         X, labels = small_features
         X = X[:, :40]
-        unlimited = grid_search(X, labels, DEFAULT_GRID, seed=0).table
+        unlimited = grid_search(X, labels, seed=0).table
         # 120 pair steps: enough for every machine at C = 0.5, too few for some at large C
         monkeypatch.setattr(svm, "_step_budget", lambda n: np.full_like(n, 120))
-        limited = grid_search(X, labels, DEFAULT_GRID, seed=0).table
-        assert limited == _sequential_grid(X, labels, DEFAULT_GRID, 0, ovo_train)
+        limited = grid_search(X, labels, seed=0).table
+        assert limited == _sequential_grid(X, labels, 0, ovo_train)
         failed = {(c, gamma) for c, gamma, acc in limited if acc == 0.0}
         assert failed and all(c > 0.5 for c, _ in failed) and len(failed) < len(limited)
         for (c, gamma, acc), (_, _, before) in zip(limited, unlimited):
@@ -479,7 +486,7 @@ class TestTieBreak:
         votes = {cls: np.zeros(len(X)) for cls in classes}
         magnitude = {cls: np.zeros(len(X)) for cls in classes}
         for (a, b), machine in machines.items():
-            f = machine.decision(X)
+            f = machine_decision(machine, X)
             for r, value in enumerate(f):
                 winner = a if value > 0.0 else b
                 votes[winner][r] += 1
@@ -537,7 +544,7 @@ class TestSharedLayout:
         model, probe, machines = seeded_model
         F = model.decisions(probe)
         for k, pair in enumerate(model.pairs):
-            assert np.abs(F[k] - machines[pair].decision(probe)).max() <= 1e-12
+            assert np.abs(F[k] - machine_decision(machines[pair], probe)).max() <= 1e-12
 
     def test_loaded_model_predicts_as_saved(self, seeded_model, tmp_path):
         model, probe, machines = seeded_model
@@ -547,7 +554,8 @@ class TestSharedLayout:
         assert np.array_equal(loaded.predict_batch(probe), model.predict_batch(probe))
         rebuilt = loaded.machines
         for pair, machine in machines.items():
-            assert np.abs(rebuilt[pair].decision(probe) - machine.decision(probe)).max() <= 1e-12
+            delta = machine_decision(rebuilt[pair], probe) - machine_decision(machine, probe)
+            assert np.abs(delta).max() <= 1e-12
 
     def test_load_builds_no_machine_copies(self, seeded_model, tmp_path, monkeypatch):
         model, _, _ = seeded_model
@@ -590,7 +598,7 @@ class TestSharedLayout:
         assert model.predict_batch(X).tolist() == per_machine_predict(model, X).tolist()
         F = model.decisions(X)
         for k, pair in enumerate(model.pairs):
-            assert F[k].tolist() == machines[pair].decision(X).tolist()
+            assert F[k].tolist() == machine_decision(machines[pair], X).tolist()
 
 
 class TestKernelCalls:
@@ -618,8 +626,8 @@ class TestKernelCalls:
 
     def test_grid_scores_each_cell_with_one_block(self, small_features, calls):
         X, labels = small_features
-        result = grid_search(X[:, :40], labels, DEFAULT_GRID, seed=0)
+        result = grid_search(X[:, :40], labels, seed=0)
         assert all(accuracy > 0.0 for _, _, accuracy in result.table)
         # one held-out block per (fold, C, gamma) and one Gram matrix per (fold, gamma, pair)
-        assert calls.count(False) == DEFAULT_GRID.folds * len(result.table) == 75
-        assert calls.count(True) == DEFAULT_GRID.folds * len(DEFAULT_GRID.gamma_values) * 91
+        assert calls.count(False) == svm.FOLDS * len(result.table) == 75
+        assert calls.count(True) == svm.FOLDS * len(svm.DEFAULT_GAMMA_VALUES) * 91

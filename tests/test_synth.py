@@ -7,20 +7,20 @@ import pytest
 from oracles import per_tree_predict_proba
 
 from hwr import forest, imaging, synth
-from hwr.synth import SynthSpec, archetype_mask, render_word, synth_generate
+from hwr.synth import SynthSpec, render_word, synth_generate
+
+# the un-jittered archetype
+UPRIGHT = {"thickness": 3.0, "rotation_deg": 0.0, "scale": 1.0, "shift": (0.0, 0.0)}
 
 
 class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             SynthSpec(per_class=0, seed=0)
-        with pytest.raises(ValueError):
-            SynthSpec(per_class=1, seed=0, salt=0.01)  # above the 0.005 cap
 
     def test_defaults(self):
-        spec = SynthSpec(per_class=1, seed=0)
-        assert spec.canvas == (64, 192)
-        assert synth.MAX_SALT == 0.005
+        assert synth.CANVAS == (64, 192)
+        assert synth.SALT == 0.002
         assert synth.ROTATION_DEG == 5.0
         assert synth.SCALE_RANGE == (0.9, 1.1)
         assert synth.TRANSLATE_PX == 4.0
@@ -53,13 +53,13 @@ class TestGeneration:
         manifest = synth_generate(spec, tmp_path / "imgs")
         for path in manifest.paths():
             img = imaging.read_pgm(path)
-            assert img.shape == spec.canvas
+            assert img.shape == synth.CANVAS
             assert imaging.preprocess(img).image.shape == (64, 128)
 
 
 class TestArchetypes:
     def test_pairwise_distinct_at_least_5_percent(self):
-        masks = {c: archetype_mask(c) for c in range(1, 15)}
+        masks = {c: synth._render_mask(c, **UPRIGHT) for c in range(1, 15)}
         n_pixels = masks[1].size
         for a, b in itertools.combinations(range(1, 15), 2):
             diff = (masks[a] != masks[b]).sum() / n_pixels
@@ -67,11 +67,11 @@ class TestArchetypes:
 
     def test_every_class_has_ink(self):
         for c in range(1, 15):
-            assert archetype_mask(c).sum() > 200
+            assert synth._render_mask(c, **UPRIGHT).sum() > 200
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
-            archetype_mask(15)
+            synth._render_mask(15, **UPRIGHT)
 
 
 class TestLearnability:
