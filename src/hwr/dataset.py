@@ -56,6 +56,20 @@ class Manifest:
         return np.array([cid for _, cid in self.records], dtype=np.intp)
 
 
+def parse_class_id(text: str) -> int:
+    """The class id in `text`: ASCII decimal digits, whitespace around them.
+
+    Signs, underscores and non-ASCII digits, all of which `int()` takes, are
+    refused, as is an id outside [1, N_CLASSES].
+    """
+    token = text.strip()
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"label {token!r} is not an integer")
+    cid = int(token)
+    labels_mod.label_to_unicode(cid)  # raises for an id outside the table
+    return cid
+
+
 def load_manifest(path: str | os.PathLike) -> Manifest:
     path = Path(path)
     try:
@@ -74,11 +88,7 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
         if len(row) != 2 or not row[0]:
             raise ManifestError(f"{path}: line {lineno}: expected 'path,label', got {row}")
         try:
-            cid = int(row[1])
-        except ValueError:
-            raise ManifestError(f"{path}: line {lineno}: label {row[1]!r} is not an integer") from None
-        try:
-            labels_mod.label_to_unicode(cid)
+            cid = parse_class_id(row[1])
         except ValueError as exc:
             raise ManifestError(f"{path}: line {lineno}: {exc}") from None
         records.append((row[0], cid))
@@ -182,15 +192,9 @@ def read_label_file(path: str | os.PathLike) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            cid = int(line)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: label {line.strip()!r} "
-                             "is not an integer") from None
-        try:
-            labels_mod.label_to_unicode(cid)
+            values.append(parse_class_id(line))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        values.append(cid)
     if not values:
         raise ValueError(f"{path}: no labels")
     return np.array(values, dtype=np.intp)

@@ -155,20 +155,19 @@ def hog(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
     return (v / _row_norms(v)).ravel()
 
 
-def scalar_features(mask: np.ndarray, original_width: int) -> ScalarFeatures:
-    """Ink counts in the upper/lower halves plus the original word width.
+def scalar_features(mask: np.ndarray) -> ScalarFeatures:
+    """Ink counts in the upper/lower halves plus the word's width.
 
-    For odd heights the middle row belongs to the lower half.  `length` is the
-    pre-resize bounding-box width.
+    `mask` is the ink cut to the word box, so `length` (its width) is the
+    pre-resize word-box width.  For odd heights the middle row belongs to
+    the lower half.
     """
     arr = np.asarray(mask)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D mask, got shape {arr.shape}")
-    if original_width < 0:
-        raise ValueError(f"original_width must be >= 0, got {original_width}")
     arr = arr.astype(bool, copy=False)
     half = arr.shape[0] // 2
-    return ScalarFeatures(int(arr[:half].sum()), int(arr[half:].sum()), int(original_width))
+    return ScalarFeatures(int(arr[:half].sum()), int(arr[half:].sum()), arr.shape[1])
 
 
 def extract_word_features(img: np.ndarray, include_scalars: bool = False) -> np.ndarray:
@@ -183,7 +182,7 @@ def extract_word_features(img: np.ndarray, include_scalars: bool = False) -> np.
     descriptor = hog(pre.image)
     if not include_scalars:
         return descriptor
-    upper, lower, length = scalar_features(pre.ink, pre.box.width)
+    upper, lower, length = scalar_features(pre.ink)
     area = pre.ink.size
     extra = np.array([upper / area, lower / area, length / imaging.CANONICAL_WIDTH])
     return np.concatenate([descriptor, extra])

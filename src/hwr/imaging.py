@@ -1,9 +1,11 @@
 """Word-image preprocessing.
 
-Decode scanned grayscale word images (binary PGM), binarize (Otsu), dilate
-with a 3x3 square to merge strokes, locate the word with a bounding box, crop
-the original grayscale, and resize to the canonical 64-row x 128-column
-raster with bicubic interpolation.
+Decode scanned grayscale word images (binary PGM), binarize (Otsu), cut the
+word box from the original grayscale, and resize it to the canonical 64-row
+x 128-column raster with bicubic interpolation.  The word box is the
+bounding box of the ink dilated with a 3x3 square.  Dilation by a square is
+a Minkowski sum, so that box is the ink's own box grown by one pixel on each
+side and clipped to the image, and it is computed so, with no dilation pass.
 
 Images are plain numpy arrays: grayscale rasters are 2-D uint8, binary masks
 are 2-D bool with True = ink.
@@ -39,8 +41,7 @@ class Preprocessed(NamedTuple):
     """Output of the standard preprocessing chain."""
 
     image: np.ndarray  # canonical grayscale raster (64x128)
-    ink: np.ndarray    # pre-dilation ink mask cropped to the word box
-    box: Rect          # word bounding box in source coordinates
+    ink: np.ndarray    # undilated ink mask cut to the word box (a view)
 
 
 def _as_gray(img: np.ndarray) -> np.ndarray:
@@ -89,12 +90,11 @@ def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
 
 
 def _header_int(data: bytes, pos: int, field: str) -> tuple[int, int]:
+    """A header field: ASCII decimal digits only (no sign, no underscores)."""
     token, pos = _next_token(data, pos, field)
-    try:
-        value = int(token)
-    except ValueError:
-        raise PgmError(f"invalid {field}: {token!r}") from None
-    return value, pos
+    if not token.isdigit():  # bytes.isdigit accepts only b"0".."9"
+        raise PgmError(f"invalid {field}: {token!r}")
+    return int(token), pos
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
@@ -137,7 +137,7 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Binarization and morphology
+# Binarization and word box
 
 def otsu_threshold(img: np.ndarray) -> int:
     """Threshold maximizing between-class variance over the 256-bin histogram.
@@ -166,23 +166,6 @@ def binarize_otsu(img: np.ndarray) -> np.ndarray:
     return arr < otsu_threshold(arr)
 
 
-def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary dilation with a (2*radius+1)^2 square structuring element."""
-    arr = _as_mask(mask)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if radius == 0:
-        return arr.copy()
-    h, w = arr.shape
-    padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
-    padded[radius:radius + h, radius:radius + w] = arr
-    out = np.zeros((h, w), dtype=bool)
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            out |= padded[dy:dy + h, dx:dx + w]
-    return out
-
-
 def bounding_box(mask: np.ndarray) -> Rect:
     """Tightest rectangle covering all ink pixels."""
     arr = _as_mask(mask)
@@ -191,16 +174,6 @@ def bounding_box(mask: np.ndarray) -> Rect:
         raise NoInkError("image contains no ink pixels")
     xs = np.flatnonzero(arr.any(axis=0))
     return Rect(int(ys[0]), int(xs[0]), int(ys[-1] - ys[0]) + 1, int(xs[-1] - xs[0]) + 1)
-
-
-def crop(img: np.ndarray, r: Rect) -> np.ndarray:
-    arr = _as_gray(img)
-    h, w = arr.shape
-    if r.height < 1 or r.width < 1:
-        raise ValueError(f"rect must have positive extent, got {r}")
-    if r.top < 0 or r.left < 0 or r.top + r.height > h or r.left + r.width > w:
-        raise ValueError(f"rect {r} out of bounds for {h}x{w} image")
-    return arr[r.top:r.top + r.height, r.left:r.left + r.width].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +220,17 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # Standard chain
 
 def preprocess(img: np.ndarray) -> Preprocessed:
-    """Grayscale -> binarize -> dilate -> bounding box -> crop -> resize.
+    """Grayscale -> binarize -> word box -> cut -> resize.
 
-    Dilation (radius 1, a 3x3 square) only merges strokes so the box spans
-    the whole word; the crop is taken from the original grayscale, and the
-    ink mask returned for scalar features is the pre-dilation one.
+    The word box is the box of the 3x3-dilated ink, computed as the ink box
+    grown by one pixel (slicing clips the far edge).  One pair of slices cuts
+    it from the original grayscale and from the undilated ink mask returned
+    for scalar features.
     """
     gray = _as_gray(img)
     ink = binarize_otsu(gray)
-    box = bounding_box(dilate(ink, 1))
-    word = crop(gray, box)
-    resized = resize_bicubic(word, CANONICAL_HEIGHT, CANONICAL_WIDTH)
-    ink_crop = ink[box.top:box.top + box.height, box.left:box.left + box.width].copy()
-    return Preprocessed(resized, ink_crop, box)
+    box = bounding_box(ink)
+    rows = slice(max(box.top - 1, 0), box.top + box.height + 1)
+    cols = slice(max(box.left - 1, 0), box.left + box.width + 1)
+    image = resize_bicubic(gray[rows, cols], CANONICAL_HEIGHT, CANONICAL_WIDTH)
+    return Preprocessed(image, ink[rows, cols])

@@ -10,9 +10,10 @@ over a one-hot class cumsum, the result the vectorized search must
 reproduce bit for bit, and forest prediction walks one tree node by node
 for one row at a time, the probabilities the flat-array walk must match
 byte for byte.  The word-feature references fold angles with
-numpy's float remainder, normalize HOG blocks one at a time, and build
-resize weights with one `np.add.at` per tap; the vectorized feature chain
-must match them byte for byte.
+numpy's float remainder, normalize HOG blocks one at a time, build
+resize weights with one `np.add.at` per tap, and find the word box by
+dilating the ink; the vectorized feature chain must match them byte for
+byte.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from hwr import imaging
 from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_shape
 from hwr.forest import _GAIN_EPS, ForestModel, TreeNode, gini
-from hwr.imaging import _cubic_kernel
+from hwr.imaging import _as_mask, _cubic_kernel
 from hwr.labels import N_CLASSES
 from hwr.mlp import batch_gradients
 from hwr.svm import (
@@ -514,16 +515,42 @@ def add_at_resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     return weights
 
 
-def scalar_word_features(img: np.ndarray) -> np.ndarray:
-    """The HOG word feature of a raw image through the reference chain.
+def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Binary dilation with a (2*radius+1)^2 square structuring element."""
+    arr = _as_mask(mask)
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if radius == 0:
+        return arr.copy()
+    h, w = arr.shape
+    padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
+    padded[radius:radius + h, radius:radius + w] = arr
+    out = np.zeros((h, w), dtype=bool)
+    for dy in range(2 * radius + 1):
+        for dx in range(2 * radius + 1):
+            out |= padded[dy:dy + h, dx:dx + w]
+    return out
 
-    Binarize, dilate, box the ink with `np.nonzero`, crop, resize with the
-    `np.add.at` weights, then the per-block HOG.
+
+def reference_preprocess(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical raster and the cut ink mask through the reference chain.
+
+    Binarize, dilate with a 3x3 square, box the dilated ink with
+    `np.nonzero`, cut that box from the grayscale and the undilated ink, and
+    resize the grayscale with the `np.add.at` weights.
     """
     gray = np.asarray(img, dtype=np.uint8)
-    ys, xs = np.nonzero(imaging.dilate(imaging.binarize_otsu(gray), 1))
-    word = gray[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
+    ink = imaging.binarize_otsu(gray)
+    ys, xs = np.nonzero(dilate(ink, 1))
+    rows, cols = slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1)
+    word = gray[rows, cols]
     wy = add_at_resample_matrix(word.shape[0], imaging.CANONICAL_HEIGHT)
     wx = add_at_resample_matrix(word.shape[1], imaging.CANONICAL_WIDTH)
     values = wy @ word.astype(np.float64) @ wx.T
-    return scalar_hog(np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8))
+    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8), ink[rows, cols]
+
+
+def scalar_word_features(img: np.ndarray) -> np.ndarray:
+    """The HOG word feature of a raw image: the reference chain, then the
+    per-block HOG."""
+    return scalar_hog(reference_preprocess(img)[0])

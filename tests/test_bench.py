@@ -20,6 +20,12 @@ def test_bench_hog(benchmark):
     assert benchmark(features.hog, img).shape == (3780,)
 
 
+def test_bench_preprocess(benchmark, small_synth):
+    """One raw synthetic word to its canonical raster and cut ink mask."""
+    img = imaging.read_pgm(small_synth.paths()[0])
+    assert benchmark(imaging.preprocess, img).image.shape == (64, 128)
+
+
 def test_bench_extract_word_features(benchmark, small_synth):
     """The whole chain on one raw synthetic word: preprocess, then HOG."""
     img = imaging.read_pgm(small_synth.paths()[0])

@@ -139,6 +139,16 @@ class TestFeatures:
         assert "broken.pgm" in err
         assert dataset.read_fmx(tmp_path / "f.fmx").shape == (1, 3780)
 
+    @pytest.mark.parametrize("label", ["1_4", "\u0661\u0664", "+3"])
+    def test_non_decimal_manifest_label_exit_2(self, capsys, tmp_path, label):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"path,label\na.pgm,1\nb.pgm,{label}\n", encoding="utf-8")
+        code, _, err = run(capsys, "features", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "f.fmx"))
+        assert code == 2
+        assert err.startswith(f"error: {manifest}: line 3: label {label!r} is not an integer")
+        assert not (tmp_path / "f.fmx").exists()
+
     def test_non_utf8_manifest_exit_2(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_bytes(b"path,label\na\xff.pgm,1\n")
@@ -312,7 +322,7 @@ class TestTrainEvalPredict:
         assert proc.stderr.startswith(f"error: {old}: format {tag!r} is not ")
         assert "hwr train" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("label", ["three", "0", "15"])
+    @pytest.mark.parametrize("label", ["three", "0", "15", "1_4", "\u0661\u0664", "+3"])
     def test_non_integer_label_exit_2(self, capsys, tmp_path, pipeline_dir, label):
         bad = tmp_path / "bad.labels"
         bad.write_text(f"1\n2\n{label}\n", encoding="utf-8")

@@ -55,6 +55,19 @@ class TestManifest:
         with pytest.raises(ManifestError, match="header"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("cid", ["1_4", "\u0661\u0664", "+3", "-3", "2.0", ""])
+    def test_non_decimal_label_names_path_and_line(self, tmp_path, cid):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"path,label\na.pgm,1\nb.pgm,{cid}\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: line 3: label {cid!r} is not an integer"
+
+    def test_label_whitespace_and_leading_zeros_accepted(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("path,label\na.pgm, 7 \nb.pgm,014\n", encoding="utf-8")
+        assert load_manifest(path).records == [("a.pgm", 7), ("b.pgm", 14)]
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("path,label\na.pgm,1,extra\n", encoding="utf-8")
@@ -178,6 +191,14 @@ class TestLabelFile:
         with pytest.raises(ValueError) as info:
             read_label_file(path)
         assert str(info.value) == f"{path}: line 3: label '2.5' is not an integer"
+
+    @pytest.mark.parametrize("cid", ["1_4", "\u0661\u0664", "+3", "-3"])
+    def test_non_decimal_id_names_path_and_line(self, tmp_path, cid):
+        path = tmp_path / "y.labels"
+        path.write_text(f"1\n14\n{cid}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_label_file(path)
+        assert str(info.value) == f"{path}: line 3: label {cid!r} is not an integer"
 
     @pytest.mark.parametrize("cid", ["0", "15"])
     def test_out_of_range_id_names_path_and_line(self, tmp_path, cid):

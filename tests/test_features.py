@@ -96,24 +96,24 @@ class TestHogValues:
 
 class TestScalarFeatures:
     def test_all_background(self):
-        got = scalar_features(np.zeros((6, 4), dtype=bool), 200)
+        got = scalar_features(np.zeros((6, 200), dtype=bool))
         assert got == (0, 0, 200)
 
     def test_ink_only_in_upper_half(self):
-        mask = np.zeros((4, 4), dtype=bool)
+        mask = np.zeros((4, 17), dtype=bool)
         mask[0, 0] = mask[0, 3] = mask[1, 2] = True
-        assert scalar_features(mask, 17) == (3, 0, 17)
+        assert scalar_features(mask) == (3, 0, 17)
 
     def test_middle_row_belongs_to_lower_half(self):
-        mask = np.zeros((5, 3), dtype=bool)
+        mask = np.zeros((5, 9), dtype=bool)
         mask[1, 0] = mask[2, 1] = mask[4, 2] = True
-        assert scalar_features(mask, 9) == (1, 2, 9)
+        assert scalar_features(mask) == (1, 2, 9)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.bool_, st.tuples(st.integers(1, 9), st.integers(1, 9)),
                   elements=st.booleans()))
     def test_halves_sum_to_total(self, mask):
-        upper, lower, _ = scalar_features(mask, 1)
+        upper, lower, _ = scalar_features(mask)
         assert upper + lower == int(mask.sum())
 
 

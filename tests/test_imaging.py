@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import add_at_resample_matrix
+from oracles import add_at_resample_matrix, reference_preprocess
 
 from hwr import imaging
 from hwr.imaging import (
@@ -14,9 +14,7 @@ from hwr.imaging import (
     Rect,
     binarize_otsu,
     bounding_box,
-    crop,
     decode_pgm,
-    dilate,
     encode_pgm,
     otsu_threshold,
     preprocess,
@@ -65,6 +63,13 @@ class TestPgm:
         img = decode_pgm(b"P5\n# a comment\n2 1\n255\n\x01\x02")
         assert img.tolist() == [[1, 2]]
 
+    @pytest.mark.parametrize("header", [b"P5\n1_0 2\n255\n", b"P5\n+4 2\n255\n",
+                                        b"P5\n-4 2\n255\n", b"P5\n4 \xd9\xa2\n255\n",
+                                        b"P5\n4 2\n2_55\n"])
+    def test_non_decimal_header_field_rejected(self, header):
+        with pytest.raises(PgmError, match="invalid"):
+            decode_pgm(header + bytes(8))
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(PgmError, match="trailing"):
             decode_pgm(b"P5\n1 1\n255\n\x00\x00")
@@ -112,51 +117,6 @@ class TestOtsu:
         assert otsu_threshold(img) == self._exhaustive_otsu(img)
 
 
-class TestDilate:
-    def test_radius_zero_identity(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1, 2] = True
-        assert np.array_equal(dilate(mask, 0), mask)
-
-    def test_single_pixel_becomes_square(self):
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[2, 2] = True
-        out = dilate(mask, 1)
-        expected = np.zeros((5, 5), dtype=bool)
-        expected[1:4, 1:4] = True
-        assert np.array_equal(out, expected)
-
-    def test_two_pixels_merge(self):
-        mask = np.zeros((5, 8), dtype=bool)
-        mask[2, 2] = mask[2, 5] = True
-        out = dilate(mask, 1)
-        # independent oracle: direct evaluation of the neighborhood rule
-        expected = np.zeros_like(mask)
-        for r in range(5):
-            for c in range(8):
-                window = mask[max(0, r - 1):r + 2, max(0, c - 1):c + 2]
-                expected[r, c] = window.any()
-        assert np.array_equal(out, expected)
-        assert out[1:4, 1:7].all()  # merged 3x5 region
-
-    @settings(max_examples=40, deadline=None)
-    @given(masks, st.integers(0, 3))
-    def test_monotone(self, mask, radius):
-        out = dilate(mask, radius)
-        assert (out | mask == out).all()
-
-    @settings(max_examples=30, deadline=None)
-    @given(masks, st.integers(0, 2), st.integers(0, 2))
-    def test_composition_bounded_by_sum(self, mask, r1, r2):
-        twice = dilate(dilate(mask, r1), r2)
-        once = dilate(mask, r1 + r2)
-        assert (twice & ~once).sum() == 0
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            dilate(np.ones((2, 2), dtype=bool), -1)
-
-
 class TestBoundingBox:
     def test_single_pixel(self):
         mask = np.zeros((5, 6), dtype=bool)
@@ -183,32 +143,6 @@ class TestBoundingBox:
         assert bounding_box(mask) == Rect(int(ys.min()), int(xs.min()),
                                           int(ys.max() - ys.min()) + 1,
                                           int(xs.max() - xs.min()) + 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(masks, st.integers(0, 2))
-    def test_dilated_box_contains_original(self, mask, radius):
-        if not mask.any():
-            return
-        inner = bounding_box(mask)
-        outer = bounding_box(dilate(mask, radius))
-        assert outer.top <= inner.top and outer.left <= inner.left
-        assert outer.top + outer.height >= inner.top + inner.height
-        assert outer.left + outer.width >= inner.left + inner.width
-
-
-class TestCrop:
-    def test_full_image(self):
-        img = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        assert np.array_equal(crop(img, Rect(0, 0, 3, 4)), img)
-
-    def test_single_pixel(self):
-        img = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        assert crop(img, Rect(0, 0, 1, 1)).tolist() == [[0]]
-
-    def test_out_of_bounds(self):
-        img = np.zeros((3, 4), dtype=np.uint8)
-        with pytest.raises(ValueError, match="bounds"):
-            crop(img, Rect(0, 2, 2, 3))
 
 
 def _cubic(x: float, a: float = -0.5) -> float:
@@ -282,7 +216,7 @@ class TestPreprocess:
         img[20:30, 10:70] = 15
         pre = preprocess(img)
         assert pre.image.shape == (64, 128)
-        assert pre.box.height >= 10 and pre.box.width >= 60
+        assert pre.ink.shape[0] >= 10 and pre.ink.shape[1] >= 60
 
     @settings(max_examples=25, deadline=None)
     @given(arrays(np.uint8, st.tuples(st.integers(8, 20), st.integers(8, 20)),
@@ -295,3 +229,65 @@ class TestPreprocess:
     def test_no_ink_raises(self):
         with pytest.raises(NoInkError):
             preprocess(np.full((10, 10), 99, dtype=np.uint8))
+
+
+def _word(mask: np.ndarray, ink: int = 20, paper: int = 235) -> np.ndarray:
+    return np.where(mask, ink, paper).astype(np.uint8)
+
+
+def _ink_at(shape: tuple[int, int], *cells: tuple[int, int]) -> np.ndarray:
+    mask = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        mask[cell] = True
+    return mask
+
+
+_REFERENCE_CASES = {
+    "top-border": _word(_ink_at((7, 9), (0, 3), (2, 5))),
+    "bottom-border": _word(_ink_at((7, 9), (6, 3), (4, 5))),
+    "left-border": _word(_ink_at((7, 9), (3, 0), (5, 2))),
+    "right-border": _word(_ink_at((7, 9), (3, 8), (1, 6))),
+    "all-corners": _word(_ink_at((6, 11), (0, 0), (0, 10), (5, 0), (5, 10))),
+    "one-pixel": _word(_ink_at((9, 13), (4, 6))),
+    "one-pixel-corner": _word(_ink_at((5, 5), (4, 4))),
+    "one-pixel-image-row": _word(_ink_at((1, 7), (0, 3))),
+    "one-pixel-image-column": _word(_ink_at((7, 1), (3, 0))),
+    "solid-word": _word(np.pad(np.ones((3, 8), dtype=bool), ((2, 3), (4, 1)))),
+    "all-ink-but-one": _word(~_ink_at((5, 7), (2, 3))),
+    "odd-sizes": np.random.default_rng(42).integers(0, 256, size=(13, 27), dtype=np.uint8),
+}
+
+
+class TestPreprocessMatchesReference:
+    """`preprocess` against binarize -> 3x3 dilation -> box -> cut -> resize."""
+
+    @staticmethod
+    def _check(img: np.ndarray) -> None:
+        want_image, want_ink = reference_preprocess(img)  # want_ink spans the dilated box
+        pre = preprocess(img)
+        assert pre.ink.shape == want_ink.shape and pre.ink.dtype == want_ink.dtype
+        assert pre.ink.tobytes() == want_ink.tobytes()
+        assert pre.image.shape == want_image.shape
+        assert pre.image.tobytes() == want_image.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+    def test_constructed_words(self, name):
+        self._check(_REFERENCE_CASES[name])
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.bool_, st.tuples(st.integers(1, 17), st.integers(1, 17)),
+                  elements=st.booleans()))
+    def test_two_tone_words(self, mask):
+        img = _word(mask)
+        assume(binarize_otsu(img).any())
+        self._check(img)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gray_images)
+    def test_gray_images(self, img):
+        assume(binarize_otsu(img).any())
+        self._check(img)
+
+    def test_ink_is_a_view(self):
+        pre = preprocess(_REFERENCE_CASES["solid-word"])
+        assert pre.ink.base is not None
