@@ -92,6 +92,8 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
         except ValueError as exc:
             raise ManifestError(f"{path}: line {lineno}: {exc}") from None
         records.append((row[0], cid))
+    if not records:
+        raise ManifestError(f"{path}: no records")
     return Manifest(records=records, root=path.parent)
 
 
@@ -232,9 +234,9 @@ def read_model(path: str | os.PathLike, *kinds):
     Every decode failure raises ModelFileError naming the path: bad JSON or
     UTF-8, nesting too deep to parse, a non-object document, an unexpected
     tag (an older version of a kind included), a missing field, a field of
-    the wrong type or one that cannot take its stated shape, or a stated
-    shape too large to allocate.  A file that cannot be opened raises
-    OSError.
+    the wrong type or one that cannot take its stated shape, a number too
+    large to convert, or a stated shape too large to allocate.  A file that
+    cannot be opened raises OSError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -248,7 +250,8 @@ def read_model(path: str | os.PathLike, *kinds):
         if fmt == kind.FORMAT:
             try:
                 return kind.from_doc(doc)
-            except (LookupError, TypeError, ValueError, RecursionError, MemoryError) as exc:
+            except (LookupError, TypeError, ValueError, OverflowError, RecursionError,
+                    MemoryError) as exc:
                 raise ModelFileError(
                     f"{path}: malformed {fmt} model ({type(exc).__name__}: {exc})") from None
     expected = " or ".join(kind.FORMAT for kind in kinds)

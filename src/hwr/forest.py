@@ -5,7 +5,7 @@ distinct candidate features from the tree's seeded stream (consumed in
 depth-first order) and splits at the midpoint threshold with the largest
 Gini impurity decrease.  Gain ties break toward the lower feature index,
 then the lower threshold.  Nodes stop at purity, at fewer than 2 samples,
-when no positive-gain split exists, or at the optional depth cap.
+or when no positive-gain split exists; trees are not pruned.
 
 A node's split search is one vectorized pass over its k candidate
 features.  Each tree keeps X transposed, so a node gathers only its (k, n)
@@ -43,6 +43,7 @@ tests/oracles.py:
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ class TreeNode:
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    counts: np.ndarray | None = None  # leaf class counts, 1-based classes at index c-1
+    counts: np.ndarray | list | None = None  # leaf class counts, class c at index c-1
 
     @property
     def is_leaf(self) -> bool:
@@ -80,31 +81,12 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, d: int, n_classes: int) -> "TreeNode":
-        """Node of a forest over d features and n_classes classes, checked.
-
-        Raises ValueError for a leaf whose counts are not n_classes
-        non-negative integers with a positive sum, a split feature outside
-        [0, d), or a non-finite threshold.
-        """
+    def from_dict(cls, doc: dict) -> "TreeNode":
+        """Node as saved by to_dict; ForestModel checks its values."""
         if "counts" in doc:
-            counts = np.array(doc["counts"], dtype=np.int64)
-            if counts.shape != (n_classes,) or (counts < 0).any() or counts.sum() < 1:
-                raise ValueError(f"leaf counts must be {n_classes} non-negative integers "
-                                 f"with a positive sum, got {doc['counts']!r}")
-            return cls(counts=counts)
-        feature = int(doc["feature"])
-        threshold = float(doc["threshold"])
-        if not 0 <= feature < d:
-            raise ValueError(f"split feature {feature} is outside [0, {d})")
-        if not math.isfinite(threshold):
-            raise ValueError(f"split threshold {threshold} is not finite")
-        return cls(
-            feature=feature,
-            threshold=threshold,
-            left=cls.from_dict(doc["left"], d, n_classes),
-            right=cls.from_dict(doc["right"], d, n_classes),
-        )
+            return cls(counts=doc["counts"])
+        return cls(feature=doc["feature"], threshold=doc["threshold"],
+                   left=cls.from_dict(doc["left"]), right=cls.from_dict(doc["right"]))
 
 
 def gini(counts) -> float:
@@ -120,7 +102,7 @@ def gini(counts) -> float:
 
 
 def _best_split(
-    X: np.ndarray, y0: np.ndarray, features: np.ndarray, n_classes: int
+    X: np.ndarray, y0: np.ndarray, features: np.ndarray
 ) -> tuple[float, int, float] | None:
     """Highest Gini-decrease (gain, feature, threshold) over midpoint cuts.
 
@@ -128,7 +110,7 @@ def _best_split(
     n samples, whose 0-based classes are y0.
     """
     n = y0.shape[0]
-    counts = np.bincount(y0, minlength=n_classes)
+    counts = np.bincount(y0, minlength=N_CLASSES)
     parent = gini(counts)
     if n < 2:
         return None
@@ -140,7 +122,7 @@ def _best_split(
     # every row is a permutation of the same samples, so the within-class
     # offset of each sorted slot is one vector shared by all rows.
     by_class = np.argsort(ys.astype(np.int16), axis=1, kind="stable")
-    sorted_classes = np.repeat(np.arange(n_classes), counts)
+    sorted_classes = np.repeat(np.arange(N_CLASSES), counts)
     within = np.arange(n) - (np.cumsum(counts) - counts)[sorted_classes]
     rank = np.empty_like(by_class)
     np.put_along_axis(rank, by_class, np.broadcast_to(within, by_class.shape), axis=1)
@@ -169,56 +151,34 @@ def _best_split(
     return best
 
 
-def grow_tree(
-    X: np.ndarray,
-    labels: np.ndarray,
-    tree_seed,
-    n_classes: int = N_CLASSES,
-    feature_subset: int | None = None,
-    max_depth: int | None = None,
-) -> TreeNode:
-    """CART tree over 1-based labels; candidate features drawn per node."""
+def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> TreeNode:
+    """CART tree over 1-based labels; floor(sqrt(d)) candidate features per node."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(labels, dtype=np.intp)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"{y.shape[0]} labels for {X.shape[0]} samples")
     if y.shape[0] < 1:
         raise ValueError("need at least one sample")
-    if y.min() < 1 or y.max() > n_classes:
-        raise ValueError(f"labels must lie in [1, {n_classes}]")
-    d = X.shape[1]
-    subset = feature_subset if feature_subset is not None else max(1, math.floor(math.sqrt(d)))
-    subset = min(subset, d)
-    gen = np.random.default_rng(tree_seed)
-    y0 = y - 1
-    XT = np.ascontiguousarray(X.T)
+    if y.min() < 1 or y.max() > N_CLASSES:
+        raise ValueError(f"labels must lie in [1, {N_CLASSES}]")
+    return _grow(np.ascontiguousarray(X.T), y - 1, np.arange(X.shape[0]),
+                 np.random.default_rng(tree_seed), math.isqrt(X.shape[1]))
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        counts = np.bincount(y0[idx], minlength=n_classes)
-        if (
-            idx.shape[0] < 2
-            or (counts > 0).sum() == 1
-            or (max_depth is not None and depth >= max_depth)
-        ):
-            return TreeNode(counts=counts)
-        features = np.sort(gen.choice(d, size=subset, replace=False))
-        best = _best_split(XT[features][:, idx], y0[idx], features, n_classes)
-        if best is None:
-            return TreeNode(counts=counts)
-        _, feature, threshold = best
-        goes_left = XT[feature, idx] <= threshold
-        return TreeNode(
-            feature=feature,
-            threshold=threshold,
-            left=build(idx[goes_left], depth + 1),
-            right=build(idx[~goes_left], depth + 1),
-        )
 
-    tree = build(np.arange(X.shape[0]), 0)
-    # build's closure holds build itself; emptying the cell breaks that cycle,
-    # so XT is freed on return instead of at the next garbage collection.
-    del build
-    return tree
+def _grow(XT: np.ndarray, y0: np.ndarray, idx: np.ndarray, gen, k: int) -> TreeNode:
+    """Subtree of the samples idx; each split draws k features from gen, preorder."""
+    counts = np.bincount(y0[idx], minlength=N_CLASSES)
+    if idx.shape[0] < 2 or (counts > 0).sum() == 1:
+        return TreeNode(counts=counts)
+    features = np.sort(gen.choice(XT.shape[0], size=k, replace=False))
+    best = _best_split(XT[features][:, idx], y0[idx], features)
+    if best is None:
+        return TreeNode(counts=counts)
+    _, feature, threshold = best
+    goes_left = XT[feature, idx] <= threshold
+    return TreeNode(feature=feature, threshold=threshold,
+                    left=_grow(XT, y0, idx[goes_left], gen, k),
+                    right=_grow(XT, y0, idx[~goes_left], gen, k))
 
 
 @dataclass
@@ -229,7 +189,10 @@ class ForestModel:
     children ``left[i]`` and ``right[i]``, or is a leaf with its own index as
     both children and class distribution ``dist[i]`` (zeros at a split).
     Each tree's nodes are numbered in preorder from ``roots`` of that tree;
-    ``depth`` is the largest root-to-leaf edge count.
+    ``depth`` is the largest root-to-leaf edge count.  Numbering checks the
+    nodes of trained, built and loaded forests alike: split features must be
+    ints in [0, d), thresholds finite ints or floats, and leaf counts
+    N_CLASSES non-negative integers with a positive sum (a bool is none).
     """
 
     FORMAT = "hwr-rf/1"
@@ -237,19 +200,18 @@ class ForestModel:
     trees: list[TreeNode]
     d: int
     seed: int
-    n_classes: int = N_CLASSES
     feature: np.ndarray = field(init=False)    # (nodes,)
     threshold: np.ndarray = field(init=False)  # (nodes,)
     left: np.ndarray = field(init=False)       # (nodes,)
     right: np.ndarray = field(init=False)      # (nodes,)
-    dist: np.ndarray = field(init=False)       # (nodes, n_classes)
+    dist: np.ndarray = field(init=False)       # (nodes, N_CLASSES)
     roots: np.ndarray = field(init=False)      # (m,)
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
-        feature, threshold, left, right, roots, leaves = [], [], [], [], [], []
+        feature, threshold, left, right, roots, counts = [], [], [], [], [], []
         self.depth = 0
         for tree in self.trees:
             roots.append(len(feature))
@@ -266,29 +228,42 @@ class ForestModel:
                     threshold.append(0.0)
                     left.append(i)
                     right.append(i)
-                    leaves.append((i, node.counts))
+                    counts.append(node.counts)
                 else:
                     feature.append(node.feature)
                     threshold.append(node.threshold)
                     left.append(i + 1)  # preorder: the left child comes next
                     right.append(-1)
                     todo += [(node.right, level + 1, i), (node.left, level + 1, None)]
+        if not set(map(type, feature)) <= {int}:
+            raise ValueError("a split feature is not an int")
+        if not set(map(type, threshold)) <= {int, float} or not all(map(math.isfinite, threshold)):
+            raise ValueError("a split threshold is not a finite int or float")
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold, dtype=np.float64)
         self.left = np.array(left, dtype=np.intp)
         self.right = np.array(right, dtype=np.intp)
         self.roots = np.array(roots, dtype=np.intp)
-        index, counts = zip(*leaves)
-        counts = np.array(counts)
-        self.dist = np.zeros((len(feature), self.n_classes))
-        self.dist[list(index)] = counts / counts.sum(axis=1, keepdims=True)
+        leaf = self.left == np.arange(len(left))
+        if (~leaf & ((self.feature < 0) | (self.feature >= self.d))).any():
+            raise ValueError(f"a split feature is outside [0, {self.d})")
+        bad_leaf = f"leaf counts must be {N_CLASSES} non-negative integers with a positive sum"
+        types = set(map(type, itertools.chain.from_iterable(counts)))
+        if (set(map(len, counts)) != {N_CLASSES} or bool in types
+                or not all(issubclass(t, (int, np.integer)) for t in types)):
+            raise ValueError(bad_leaf)
+        counts = np.array(counts, dtype=np.int64)
+        if (counts < 0).any() or (counts.sum(axis=1) < 1).any():
+            raise ValueError(bad_leaf)
+        self.dist = np.zeros((len(feature), N_CLASSES))
+        self.dist[leaf] = counts / counts.sum(axis=1, keepdims=True)
 
     @property
     def m(self) -> int:
         return len(self.trees)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean leaf class distribution of every row, shape (rows, n_classes)."""
+        """Mean leaf class distribution of every row, shape (rows, N_CLASSES)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"input has shape {X.shape[1:]}, forest expects length {self.d}")
@@ -308,33 +283,23 @@ class ForestModel:
             "format": self.FORMAT,
             "d": self.d,
             "seed": self.seed,
-            "n_classes": self.n_classes,
+            "n_classes": N_CLASSES,
             "trees": [t.to_dict() for t in self.trees],
         })
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForestModel":
-        d, n_classes = int(doc["d"]), int(doc["n_classes"])
-        return cls(
-            trees=[TreeNode.from_dict(t, d, n_classes) for t in doc["trees"]],
-            d=d,
-            seed=int(doc["seed"]),
-            n_classes=n_classes,
-        )
+        if doc["n_classes"] != N_CLASSES:
+            raise ValueError(f"n_classes is {doc['n_classes']!r}, not {N_CLASSES}")
+        return cls(trees=[TreeNode.from_dict(t) for t in doc["trees"]], d=int(doc["d"]),
+                   seed=int(doc["seed"]))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ForestModel":
         return dataset.read_model(path, cls)
 
 
-def rf_train(
-    X: np.ndarray,
-    labels: np.ndarray,
-    m: int,
-    seed: int,
-    n_classes: int = N_CLASSES,
-    max_depth: int | None = None,
-) -> ForestModel:
+def rf_train(X: np.ndarray, labels: np.ndarray, m: int, seed: int) -> ForestModel:
     """Grow m trees on independent bootstraps; streams derive from (seed, b)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
@@ -344,15 +309,10 @@ def rf_train(
         raise ValueError("need at least 2 samples")
     if m < 1:
         raise ValueError(f"tree count must be >= 1, got {m}")
-    n = X.shape[0]
-    trees = []
-    for b in range(m):
-        boot = bootstrap_indices(seed, b, n)
-        trees.append(
-            grow_tree(X[boot], labels[boot], tree_seed=[seed, b, 1],
-                      n_classes=n_classes, max_depth=max_depth)
-        )
-    return ForestModel(trees=trees, d=X.shape[1], seed=seed, n_classes=n_classes)
+    boots = (bootstrap_indices(seed, b, X.shape[0]) for b in range(m))
+    trees = [grow_tree(X[boot], labels[boot], tree_seed=[seed, b, 1])
+             for b, boot in enumerate(boots)]
+    return ForestModel(trees=trees, d=X.shape[1], seed=seed)
 
 
 def bootstrap_indices(seed: int, tree_index: int, n: int) -> np.ndarray:

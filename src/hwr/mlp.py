@@ -66,6 +66,8 @@ class MlpModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "MlpModel":
         m, h, o = int(doc["m"]), int(doc["h"]), int(doc["o"])
+        if o != N_CLASSES:
+            raise ValueError(f"o is {o}, not the {N_CLASSES} classes")
         return cls(
             w1=dataset.unpack(doc["w1"], h, m),
             b1=dataset.unpack(doc["b1"], h),

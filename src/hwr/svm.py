@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataset
+from .labels import N_CLASSES
 
 # Grid from the practical-guide convention: coarse powers of two.
 DEFAULT_C_VALUES = (2.0**-1, 2.0**1, 2.0**3, 2.0**5, 2.0**7)
@@ -474,8 +475,9 @@ class SvmModel:
         if doc["kernel"] != "rbf":
             raise ValueError(f"kernel {doc['kernel']!r} is not supported (only 'rbf')")
         classes = [int(c) for c in doc["classes"]]
-        if len(classes) < 2 or len(set(classes)) != len(classes):
-            raise ValueError(f"classes {classes} are not 2 or more distinct ids")
+        if len(classes) < 2 or len(set(classes)) != len(classes) or not all(
+                1 <= c <= N_CLASSES for c in classes):
+            raise ValueError(f"classes {classes} are not 2 or more distinct ids in 1..{N_CLASSES}")
         c, gamma = float(doc["c"]), float(doc["gamma"])
         pairs = [(a, b) for a, b in doc["pairs"]]
         for a, b in pairs:

@@ -422,7 +422,7 @@ def per_tree_predict_proba(model: ForestModel, X: np.ndarray) -> np.ndarray:
     divided by the tree count.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    probs = np.zeros((X.shape[0], model.n_classes))
+    probs = np.zeros((X.shape[0], N_CLASSES))
     for row, x in zip(probs, X):
         for tree in model.trees:
             counts = leaf_for(tree, x).counts

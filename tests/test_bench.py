@@ -41,6 +41,37 @@ def test_bench_grow_tree(benchmark):
     assert not tree.is_leaf
 
 
+def _pca_like(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded 100-column rows around 14 class centres, as separable as pca100's."""
+    gen = np.random.default_rng(42)
+    y = gen.integers(1, 15, size=rows)
+    return gen.normal(size=(14, 100))[y - 1] + gen.normal(scale=0.5, size=(rows, 100)), y
+
+
+def test_bench_rf_train(benchmark):
+    """The pca100 workload's forest: 100 trees of about 60 nodes on 588 rows."""
+    X, y = _pca_like(588)
+    model = benchmark(forest.rf_train, X, y, m=100, seed=42)
+    assert model.m == 100 and model.depth > 1
+
+
+def test_bench_smo(benchmark):
+    """One lockstep batch of the grid: 91 pairs of a 392-row fold at the 5 C values."""
+    X, y = _pca_like(392)
+    problems = list(svm._ovo_problems(X, y)[1].values())
+    fits = benchmark(svm._train, problems, list(svm.DEFAULT_C_VALUES), 2.0**-7, svm._TOL)
+    assert len(problems) == 91 and [len(row) for row in fits] == [91] * 5
+    assert not any(isinstance(m, svm.TrainingError) for row in fits for m in row)
+
+
+def test_bench_rbf(benchmark):
+    """One classify request's kernel block: 1 row against 300 support vectors of 100."""
+    gen = np.random.default_rng(42)
+    sv, x = gen.normal(size=(300, 100)), gen.normal(size=(1, 100))
+    block = benchmark(svm._rbf, sv, (sv * sv).sum(axis=1), x, 2.0**-7)
+    assert block.shape == (300, 1)
+
+
 def test_bench_write_model(benchmark, tmp_path):
     """A ~5 MB model document: one base64 payload, as in svm.json."""
     doc = {"format": "hwr-bench/1",

@@ -52,6 +52,21 @@ SHORT_LEAF_RF = json.dumps({
 EMPTY_RF = json.dumps({"format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14, "trees": []})
 
 
+# An mlp file whose 20 outputs predict class 20 and an svm file of classes 15
+# and 16, both over the 8 PCA columns: each loaded and printed a class that is
+# not a district with exit 0.
+MLP_20_OUTPUTS = json.dumps({
+    "format": "hwr-mlp/2", "m": 8, "h": 1, "o": 20, "w1": dataset.pack(np.zeros(8)),
+    "b1": dataset.pack([0.0]), "w2": dataset.pack(np.zeros(20)),
+    "b2": dataset.pack(np.arange(20.0)),
+})
+SVM_CLASSES_15_16 = json.dumps({
+    "format": "hwr-svm/3", "classes": [15, 16], "c": 1.0, "gamma": 1.0, "kernel": "rbf",
+    "pairs": [[15, 16]], "n_support": 1, "dim": 8, "support_vectors": dataset.pack(np.zeros(8)),
+    "coef": dataset.pack([1.0]), "bias": dataset.pack([0.0]),
+})
+
+
 def _pairless_svm(classes: list[int]) -> str:
     return json.dumps({
         "format": "hwr-svm/3", "classes": classes, "c": 1.0, "gamma": 1.0, "kernel": "rbf",
@@ -147,6 +162,15 @@ class TestFeatures:
                            "--out", str(tmp_path / "f.fmx"))
         assert code == 2
         assert err.startswith(f"error: {manifest}: line 3: label {label!r} is not an integer")
+        assert not (tmp_path / "f.fmx").exists()
+
+    def test_manifest_without_records_exit_2(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,label\n\n", encoding="utf-8")
+        code, out, err = run(capsys, "features", "--manifest", str(manifest),
+                             "--out", str(tmp_path / "f.fmx"))
+        assert code == 2
+        assert err == f"error: {manifest}: no records\n" and out == ""
         assert not (tmp_path / "f.fmx").exists()
 
     def test_non_utf8_manifest_exit_2(self, capsys, tmp_path):
@@ -300,7 +324,9 @@ class TestTrainEvalPredict:
                                       pytest.param(DEEP_RF, id="deep-rf-tree"),
                                       pytest.param(EMPTY_RF, id="rf-no-trees"),
                                       pytest.param(_pairless_svm([1, 2]), id="svm-no-pairs"),
-                                      pytest.param(_pairless_svm([5]), id="svm-one-class")])
+                                      pytest.param(_pairless_svm([5]), id="svm-one-class"),
+                                      pytest.param(MLP_20_OUTPUTS, id="mlp-20-outputs"),
+                                      pytest.param(SVM_CLASSES_15_16, id="svm-classes-15-16")])
     def test_corrupt_model_exit_2_without_traceback(self, tmp_path, pipeline_dir, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

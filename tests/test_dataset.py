@@ -49,6 +49,14 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("text", ["path,label\n", "path,label\n\n\n"])
+    def test_header_without_records(self, tmp_path, text):
+        path = tmp_path / "manifest.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: no records"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("file,class\na.pgm,1\n", encoding="utf-8")

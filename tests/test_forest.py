@@ -18,6 +18,7 @@ from hwr.forest import (
     rf_predict_proba,
     rf_train,
 )
+from hwr.labels import N_CLASSES
 from oracles import per_tree_predict_proba, scalar_best_split, scalar_grow_tree
 
 
@@ -38,18 +39,18 @@ class TestGini:
             gini([3, -1])
 
 
-def exhaustive_best_split(X, y0, features, n_classes):
+def exhaustive_best_split(X, y0, features):
     """Oracle: enumerate every (feature, midpoint threshold) pair directly."""
     n = len(y0)
-    parent = gini(np.bincount(y0, minlength=n_classes))
+    parent = gini(np.bincount(y0, minlength=N_CLASSES))
     best = None
     for f in sorted(features):
         values = np.unique(X[:, f])
         for lo, hi in zip(values[:-1], values[1:]):
             thr = (lo + hi) / 2
             mask = X[:, f] <= thr
-            gl = gini(np.bincount(y0[mask], minlength=n_classes))
-            gr = gini(np.bincount(y0[~mask], minlength=n_classes))
+            gl = gini(np.bincount(y0[mask], minlength=N_CLASSES))
+            gr = gini(np.bincount(y0[~mask], minlength=N_CLASSES))
             gain = parent - (mask.sum() * gl + (~mask).sum() * gr) / n
             if best is None or gain > best[0] + 1e-12:
                 best = (gain, f, thr)
@@ -66,58 +67,48 @@ class TestGrowTree:
     def test_1d_two_class_threshold(self):
         X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
         y = np.array([1, 1, 1, 2, 2, 2])
-        tree = grow_tree(X, y, tree_seed=0, n_classes=2)
+        tree = grow_tree(X, y, tree_seed=0)
         assert not tree.is_leaf
         assert tree.feature == 0
         assert 0.3 < tree.threshold < 0.7
         assert tree.left.is_leaf and tree.right.is_leaf
         # oracle: exhaustive threshold enumeration picks the same cut
-        oracle = exhaustive_best_split(X, y - 1, [0], 2)
+        oracle = exhaustive_best_split(X, y - 1, [0])
         assert tree.threshold == oracle[2]
 
     def test_feature_subset_size_sqrt_100(self, monkeypatch):
         drawn = []
         original = forest._best_split
 
-        def spy(X, y0, features, n_classes):
+        def spy(X, y0, features):
             drawn.append(len(features))
-            return original(X, y0, features, n_classes)
+            return original(X, y0, features)
 
         monkeypatch.setattr(forest, "_best_split", spy)
         gen = np.random.default_rng(1)
         X = gen.normal(size=(40, 100))
         y = gen.integers(1, 5, size=40)
-        grow_tree(X, y, tree_seed=3, n_classes=14)
+        grow_tree(X, y, tree_seed=3)
         assert drawn and all(count == 10 for count in drawn)
 
     def test_split_matches_exhaustive_enumeration(self):
         gen = np.random.default_rng(2)
-        X = gen.normal(size=(10, 2))
+        X = gen.normal(size=(10, 4))
         y = gen.integers(1, 4, size=10)
-        # full feature set so the oracle and the tree search the same space
-        tree = grow_tree(X, y, tree_seed=5, n_classes=3, feature_subset=2)
-        oracle = exhaustive_best_split(X, y - 1, [0, 1], 3)
+        tree = grow_tree(X, y, tree_seed=5)
+        # the root searches the first floor(sqrt(4)) = 2 features its stream draws
+        drawn = np.random.default_rng(5).choice(4, size=2, replace=False)
+        oracle = exhaustive_best_split(X, y - 1, drawn)
         if oracle is None or oracle[0] <= 0:
             assert tree.is_leaf
         else:
             assert (tree.feature, tree.threshold) == (oracle[1], oracle[2])
 
-    def test_max_depth_cap(self):
-        gen = np.random.default_rng(3)
-        X = gen.normal(size=(50, 4))
-        y = gen.integers(1, 5, size=50)
-        tree = grow_tree(X, y, tree_seed=0, n_classes=4, max_depth=2)
-
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(tree) <= 2
-
     def test_paths_strictly_decrease_weighted_impurity(self):
         gen = np.random.default_rng(4)
         X = gen.normal(size=(60, 5))
         y = gen.integers(1, 4, size=60)
-        tree = grow_tree(X, y, tree_seed=7, n_classes=3)
+        tree = grow_tree(X, y, tree_seed=7)
 
         def check(node):
             if node.is_leaf:
@@ -139,10 +130,10 @@ class TestGrowTree:
         check(tree)
 
 
-def _vector_split(X, y0, features, n_classes):
+def _vector_split(X, y0, features):
     """The vectorized search on the (k, n) block that grow_tree gathers."""
     features = np.asarray(features)
-    return forest._best_split(np.ascontiguousarray(X[:, features].T), y0, features, n_classes)
+    return forest._best_split(np.ascontiguousarray(X[:, features].T), y0, features)
 
 
 def _split_case(gen, n, d, n_classes, kind):
@@ -184,15 +175,15 @@ class TestSplitOracle:
             d = int(gen.integers(1, 30))
             X, y0 = _split_case(gen, n, d, n_classes, kind)
             features = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
-            expected = scalar_best_split(X, y0, features, n_classes)
-            assert _vector_split(X, y0, features, n_classes) == expected
+            expected = scalar_best_split(X, y0, features, N_CLASSES)
+            assert _vector_split(X, y0, features) == expected
 
     def test_all_fourteen_classes_present(self):
         gen = np.random.default_rng(14)
         y0 = np.concatenate([np.arange(14), gen.integers(0, 14, size=86)])
         X = gen.integers(0, 6, size=(100, 12)).astype(np.float64)
         features = np.arange(12)
-        assert _vector_split(X, y0, features, 14) == scalar_best_split(X, y0, features, 14)
+        assert _vector_split(X, y0, features) == scalar_best_split(X, y0, features, N_CLASSES)
 
     def test_rounding_tie_keeps_the_lower_feature(self):
         # Both columns' best cuts gain 0.02 exactly; rounding puts the second
@@ -201,16 +192,16 @@ class TestSplitOracle:
                       [0, 2, 0, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 1]],
                      dtype=np.float64).T
         y0 = np.array([0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0])
-        gain_0 = scalar_best_split(X, y0, [0], 2)[0]
-        assert 0 < scalar_best_split(X, y0, [1], 2)[0] - gain_0 < forest._GAIN_EPS
-        assert scalar_best_split(X, y0, [0, 1], 2)[1] == 0
-        assert _vector_split(X, y0, [0, 1], 2) == scalar_best_split(X, y0, [0, 1], 2)
+        gain_0 = scalar_best_split(X, y0, [0], N_CLASSES)[0]
+        assert 0 < scalar_best_split(X, y0, [1], N_CLASSES)[0] - gain_0 < forest._GAIN_EPS
+        assert scalar_best_split(X, y0, [0, 1], N_CLASSES)[1] == 0
+        assert _vector_split(X, y0, [0, 1]) == scalar_best_split(X, y0, [0, 1], N_CLASSES)
 
     def test_no_cut_gives_none(self):
         X = np.full((5, 3), 2.0)
         y0 = np.array([0, 1, 0, 1, 1])
-        assert _vector_split(X, y0, [0, 1, 2], 2) is None
-        assert scalar_best_split(X, y0, [0, 1, 2], 2) is None
+        assert _vector_split(X, y0, [0, 1, 2]) is None
+        assert scalar_best_split(X, y0, [0, 1, 2], N_CLASSES) is None
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -226,30 +217,25 @@ class TestSplitOracle:
         y0 = data.draw(arrays(np.intp, n, elements=st.integers(0, n_classes - 1)))
         features = np.array(sorted(data.draw(
             st.sets(st.integers(0, d - 1), min_size=1, max_size=d))))
-        assert _vector_split(X, y0, features, n_classes) == \
-            scalar_best_split(X, y0, features, n_classes)
+        assert _vector_split(X, y0, features) == scalar_best_split(X, y0, features, N_CLASSES)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-    @pytest.mark.parametrize("feature_subset, max_depth", [(None, None), (3, None), (None, 4),
-                                                            (40, 2)])
-    def test_grow_tree_matches_scalar_tree(self, seed, feature_subset, max_depth):
+    def test_grow_tree_matches_scalar_tree(self, seed):
         gen = np.random.default_rng(seed)
         X = np.round(gen.normal(size=(120, 40)), 1)
         y = gen.integers(1, 15, size=120)
-        kwargs = dict(tree_seed=[seed, 0, 1], feature_subset=feature_subset,
-                      max_depth=max_depth)
-        assert (grow_tree(X, y, **kwargs).to_dict()
-                == scalar_grow_tree(X, y, **kwargs).to_dict())
+        assert (grow_tree(X, y, tree_seed=[seed, 0, 1]).to_dict()
+                == scalar_grow_tree(X, y, tree_seed=[seed, 0, 1]).to_dict())
 
     @pytest.mark.parametrize("seed", [3, 42])
     def test_rf_train_matches_scalar_trees(self, seed):
         gen = np.random.default_rng(seed)
         X = gen.normal(size=(90, 25))
         y = gen.integers(1, 15, size=90)
-        model = rf_train(X, y, m=6, seed=seed, max_depth=8)
+        model = rf_train(X, y, m=6, seed=seed)
         for b, tree in enumerate(model.trees):
             boot = bootstrap_indices(seed, b, 90)
-            expected = scalar_grow_tree(X[boot], y[boot], tree_seed=[seed, b, 1], max_depth=8)
+            expected = scalar_grow_tree(X[boot], y[boot], tree_seed=[seed, b, 1])
             assert tree.to_dict() == expected.to_dict()
 
 
@@ -258,20 +244,19 @@ class TestRfTrain:
         gen = np.random.default_rng(5)
         X = gen.normal(size=(30, 4))
         y = gen.integers(1, 4, size=30)
-        model = rf_train(X, y, m=1, seed=9, n_classes=3)
+        model = rf_train(X, y, m=1, seed=9)
         boot = bootstrap_indices(9, 0, 30)
-        solo = grow_tree(X[boot], y[boot], tree_seed=[9, 0, 1], n_classes=3)
-        expected = per_tree_predict_proba(ForestModel(trees=[solo], d=4, seed=9, n_classes=3),
-                                          X[:10])
+        solo = grow_tree(X[boot], y[boot], tree_seed=[9, 0, 1])
+        expected = per_tree_predict_proba(ForestModel(trees=[solo], d=4, seed=9), X[:10])
         assert model.predict_proba(X[:10]).tobytes() == expected.tobytes()
 
     def test_seed_determinism(self):
         gen = np.random.default_rng(6)
         X = gen.normal(size=(25, 3))
         y = gen.integers(1, 3, size=25)
-        a = rf_train(X, y, m=5, seed=1, n_classes=2)
-        b = rf_train(X, y, m=5, seed=1, n_classes=2)
-        c = rf_train(X, y, m=5, seed=2, n_classes=2)
+        a = rf_train(X, y, m=5, seed=1)
+        b = rf_train(X, y, m=5, seed=1)
+        c = rf_train(X, y, m=5, seed=2)
         probe = gen.normal(size=(12, 3))
         assert np.array_equal(a.predict_batch(probe), b.predict_batch(probe))
         assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
@@ -303,7 +288,7 @@ class TestPredict:
         gen = np.random.default_rng(7)
         X = gen.normal(size=(40, 3))
         y = gen.integers(1, 5, size=40)
-        model = rf_train(X, y, m=7, seed=3, n_classes=14)
+        model = rf_train(X, y, m=7, seed=3)
         for x in X[:8]:
             assert abs(rf_predict_proba(model, x).sum() - 1.0) < 1e-12
 
@@ -317,9 +302,8 @@ class TestPredict:
         gen = np.random.default_rng(8)
         X = gen.normal(size=(30, 3))
         y = gen.integers(1, 4, size=30)
-        model = rf_train(X, y, m=6, seed=4, n_classes=3)
-        reversed_model = ForestModel(trees=list(reversed(model.trees)), d=3, seed=4,
-                                     n_classes=3)
+        model = rf_train(X, y, m=6, seed=4)
+        reversed_model = ForestModel(trees=list(reversed(model.trees)), d=3, seed=4)
         probe = gen.normal(size=(10, 3))
         for x in probe:
             assert np.allclose(rf_predict_proba(model, x),
@@ -355,13 +339,11 @@ class TestFlatWalk:
         X = gen.normal(size=(5, 6))[y - 1] + gen.normal(size=(40, 6))
         return X, y, gen.normal(scale=1.5, size=(25, 6))
 
-    @pytest.mark.parametrize("max_depth", [None, 2])
     @pytest.mark.parametrize("m", DEFAULT_TREE_COUNTS)
-    def test_seeded_forests(self, data, m, max_depth):
+    def test_seeded_forests(self, data, m):
         X, y, probe = data
         # 20 training rows keep the 2000-tree forest quick to grow
-        model = rf_train(X[:20], y[:20], m=m, seed=m, max_depth=max_depth)
-        assert max_depth is None or model.depth <= max_depth
+        model = rf_train(X[:20], y[:20], m=m, seed=m)
         _assert_matches_oracle(model, np.vstack([X, probe]))
 
     def test_single_leaf_trees_among_deep_ones(self, data):
@@ -426,15 +408,14 @@ class TestFlatWalk:
     @given(
         seed=st.integers(0, 2**16),
         m=st.integers(1, 8),
-        max_depth=st.one_of(st.none(), st.integers(0, 4)),
         probe=arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)),
                      elements=st.floats(allow_nan=True, allow_infinity=True)),
     )
-    def test_hypothesis_matches_oracle(self, seed, m, max_depth, probe):
+    def test_hypothesis_matches_oracle(self, seed, m, probe):
         gen = np.random.default_rng(seed)
         X = gen.normal(size=(24, 3)).round(1)
         y = gen.integers(1, 4, size=24)
-        model = rf_train(X, y, m=m, seed=seed, n_classes=3, max_depth=max_depth)
+        model = rf_train(X, y, m=m, seed=seed)
         _assert_matches_oracle(model, np.vstack([probe, X[:4]]))
 
 
@@ -443,7 +424,7 @@ class TestSerialization:
         gen = np.random.default_rng(9)
         X = gen.normal(size=(40, 4))
         y = gen.integers(1, 5, size=40)
-        model = rf_train(X, y, m=4, seed=11, n_classes=14)
+        model = rf_train(X, y, m=4, seed=11)
         path = tmp_path / "forest.json"
         model.save(path)
         loaded = ForestModel.load(path)
@@ -456,3 +437,39 @@ class TestSerialization:
         (tmp_path / "bad.json").write_text('{"format": "zzz"}')
         with pytest.raises(ValueError, match="format"):
             ForestModel.load(tmp_path / "bad.json")
+
+
+def _stump(feature=0, threshold=0.5, counts=(1,) + (0,) * 13) -> TreeNode:
+    """One split over two leaves, the left one holding `counts`."""
+    return TreeNode(feature=feature, threshold=threshold, left=TreeNode(counts=counts),
+                    right=_leaf([0, 2] + [0] * 12))
+
+
+class TestNodeChecks:
+    """Numbering checks built trees as it checks trained and loaded ones."""
+
+    @pytest.mark.parametrize("feature", [0.9, 1.0, "1", True, None, np.int64(1), -1, 3])
+    def test_split_feature_not_an_integer_in_range(self, feature):
+        with pytest.raises(ValueError, match="split feature"):
+            ForestModel(trees=[_leaf([1] * 14), _stump(feature=feature)], d=3, seed=0)
+
+    @pytest.mark.parametrize("threshold", [True, "0.5", None, np.float32(0.5), float("nan"),
+                                           float("-inf")])
+    def test_threshold_not_a_finite_number(self, threshold):
+        with pytest.raises(ValueError, match="split threshold"):
+            ForestModel(trees=[_stump(threshold=threshold)], d=3, seed=0)
+
+    @pytest.mark.parametrize("counts", [
+        [2.7] + [0] * 13, ["3"] + [0] * 13, [True] + [0] * 13, np.ones(14, dtype=bool),
+        np.ones(14), [1] * 13, [1] * 15, [-1, 2] + [0] * 12, [0] * 14])
+    def test_leaf_counts_not_fourteen_counts(self, counts):
+        with pytest.raises(ValueError, match="leaf counts"):
+            ForestModel(trees=[_leaf([1] * 14), _stump(counts=counts)], d=3, seed=0)
+
+    def test_ints_floats_and_integer_arrays_accepted(self):
+        model = ForestModel(trees=[_stump(2, 1, [np.int64(3)] + [0] * 13),
+                                   _stump(1, -0.5, np.arange(14, dtype=np.uint8))],
+                            d=3, seed=0)
+        assert model.feature.tolist() == [2, 0, 0, 1, 0, 0]
+        assert model.threshold.tolist() == [1.0, 0.0, 0.0, -0.5, 0.0, 0.0]
+        assert model.dist[4].tolist() == (np.arange(14) / 91).tolist()

@@ -176,6 +176,34 @@ def _one_short(record: dict, field: str) -> None:
     record[field] = base64.b64encode(base64.b64decode(record[field])[:-8]).decode()
 
 
+def _three_classes(doc: dict) -> None:
+    """Make a saved forest of the blobs' classes 1-3 a 3-class forest."""
+    doc["n_classes"] = 3
+    todo = list(doc["trees"])
+    while todo:
+        node = todo.pop()
+        if "counts" in node:
+            del node["counts"][3:]
+        else:
+            todo += [node["left"], node["right"]]
+
+
+def _first_count(doc: dict, value) -> None:
+    """Set the first class count of a saved forest's first leaf."""
+    _first_rf_node(doc, leaf=True)["counts"][0] = value
+
+
+def _mlp_outputs(doc: dict, o: int) -> None:
+    """Give an mlp file o output units, with payloads of their shape."""
+    doc.update(o=o, w2=dataset.pack(np.zeros((o, doc["h"]))), b2=dataset.pack(np.arange(o)))
+
+
+def _svm_class_3_as(doc: dict, cid: int) -> None:
+    """Rename class 3 of the tiny svm file, in its classes and its pairs."""
+    doc["classes"] = [cid if c == 3 else c for c in doc["classes"]]
+    doc["pairs"] = [[cid if c == 3 else c for c in pair] for pair in doc["pairs"]]
+
+
 def _coef_of_shape(doc: dict, rows: int, cols: int) -> None:
     """Replace an svm file's coefficients by zeros of another shape."""
     doc["coef"] = dataset.pack(np.zeros((rows, cols)))
@@ -199,12 +227,14 @@ def _first_pairs(doc: dict, keep: int, classes: list[int] | None = None) -> None
 # base64 or is a list of floats, a projection from another generator, of an
 # unknown kind or too large for any address space (10**14 entries), a
 # kernel other than rbf, svm pairs that leave out a pair of its classes or
-# none at all, an svm of one class or of a class listed twice, a forest leaf
-# that is not n_classes non-negative counts with a positive sum, a forest
-# split on a feature outside [0, d) or at a non-finite threshold, or a forest
-# without trees (the tiny forest has d = 3 and 14 classes, the tiny svm
-# classes 1, 2 and 3).  The pair and class edits keep the coefficient and bias
-# payloads consistent with the pairs left.
+# none at all, an svm of one class, of a class listed twice or of a class
+# outside 1..14, an mlp whose outputs are not the 14 classes, a forest leaf
+# that is not 14 non-negative integer counts with a positive sum, a forest
+# split on a feature that is not an integer in [0, d) or at a threshold that
+# is not a finite number, a forest of other than 14 classes, a number too
+# large to convert, or a forest without trees (the tiny forest has d = 3, the
+# tiny svm classes 1, 2 and 3).  The pair and class edits keep the
+# coefficient and bias payloads consistent with the pairs left.
 INCONSISTENT = {
     "pca-mean": ("hwr-pca/2", lambda doc: _one_short(doc, "mean")),
     "pca-explained_variance": ("hwr-pca/2", lambda doc: _one_short(doc, "explained_variance")),
@@ -245,6 +275,27 @@ INCONSISTENT = {
     "rf-threshold-inf": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
         threshold=float("-inf"))),
     "rf-no-trees": ("hwr-rf/1", lambda doc: doc.update(trees=[])),
+    "rf-feature-float": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        feature=0.9)),
+    "rf-feature-string": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        feature="1")),
+    "rf-feature-bool": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        feature=True)),
+    "rf-feature-huge": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        feature=2**70)),
+    "rf-count-float": ("hwr-rf/1", lambda doc: _first_count(doc, 2.7)),
+    "rf-count-string": ("hwr-rf/1", lambda doc: _first_count(doc, "3")),
+    "rf-count-bool": ("hwr-rf/1", lambda doc: _first_count(doc, True)),
+    "rf-count-huge": ("hwr-rf/1", lambda doc: _first_count(doc, 2**70)),
+    "rf-threshold-bool": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        threshold=True)),
+    "rf-threshold-string": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
+        threshold="0.5")),
+    "rf-n_classes-3": ("hwr-rf/1", _three_classes),
+    "rf-d-infinite": ("hwr-rf/1", lambda doc: doc.update(d=float("inf"))),
+    "mlp-o-20": ("hwr-mlp/2", lambda doc: _mlp_outputs(doc, 20)),
+    "mlp-o-3": ("hwr-mlp/2", lambda doc: _mlp_outputs(doc, 3)),
+    "svm-class-15": ("hwr-svm/3", lambda doc: _svm_class_3_as(doc, 15)),
 }
 
 
@@ -260,6 +311,22 @@ def test_inconsistent_model_raises_model_file_error(case, tmp_path):
     with pytest.raises(ModelFileError) as info:
         type(model).load(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("case", sorted(c for c in INCONSISTENT if c.startswith("rf-")))
+def test_inconsistent_forest_eval_exit_2(case, tmp_path, capsys):
+    X, y = _blobs()
+    dataset.write_fmx(X, tmp_path / "x.fmx")
+    dataset.write_label_file(y, tmp_path / "x.labels")
+    path = tmp_path / "rf.json"
+    _tiny_model("hwr-rf/1").save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    INCONSISTENT[case][1](doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["eval", "--in", str(tmp_path / "x.fmx"), "--labels",
+                     str(tmp_path / "x.labels"), "--model", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed hwr-rf/1 model ")
 
 
 def _python_encoder_bytes(doc: dict) -> bytes:
