@@ -43,7 +43,6 @@ tests/oracles.py:
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -64,7 +63,7 @@ class TreeNode:
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    counts: np.ndarray | list | None = None  # leaf class counts, class c at index c-1
+    counts: np.ndarray | None = None  # leaf class counts, class c at index c-1
 
     @property
     def is_leaf(self) -> bool:
@@ -84,7 +83,7 @@ class TreeNode:
     def from_dict(cls, doc: dict) -> "TreeNode":
         """Node as saved by to_dict; ForestModel checks its values."""
         if "counts" in doc:
-            return cls(counts=doc["counts"])
+            return cls(counts=list(doc["counts"]))
         return cls(feature=doc["feature"], threshold=doc["threshold"],
                    left=cls.from_dict(doc["left"]), right=cls.from_dict(doc["right"]))
 
@@ -191,8 +190,9 @@ class ForestModel:
     Each tree's nodes are numbered in preorder from ``roots`` of that tree;
     ``depth`` is the largest root-to-leaf edge count.  Numbering checks the
     nodes of trained, built and loaded forests alike: split features must be
-    ints in [0, d), thresholds finite ints or floats, and leaf counts
-    N_CLASSES non-negative integers with a positive sum (a bool is none).
+    integers in [0, d), thresholds finite integers or floats, and leaf counts
+    N_CLASSES non-negative integers with a positive sum, which each leaf then
+    holds as an int64 row (numpy integers count, bools do not).
     """
 
     FORMAT = "hwr-rf/1"
@@ -211,7 +211,7 @@ class ForestModel:
     def __post_init__(self) -> None:
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
-        feature, threshold, left, right, roots, counts = [], [], [], [], [], []
+        feature, threshold, left, right, roots, leaves = [], [], [], [], [], []
         self.depth = 0
         for tree in self.trees:
             roots.append(len(feature))
@@ -228,17 +228,18 @@ class ForestModel:
                     threshold.append(0.0)
                     left.append(i)
                     right.append(i)
-                    counts.append(node.counts)
+                    leaves.append(node)
                 else:
                     feature.append(node.feature)
                     threshold.append(node.threshold)
                     left.append(i + 1)  # preorder: the left child comes next
                     right.append(-1)
                     todo += [(node.right, level + 1, i), (node.left, level + 1, None)]
-        if not set(map(type, feature)) <= {int}:
-            raise ValueError("a split feature is not an int")
-        if not set(map(type, threshold)) <= {int, float} or not all(map(math.isfinite, threshold)):
-            raise ValueError("a split threshold is not a finite int or float")
+        if not all(np.issubdtype(t, np.integer) for t in set(map(type, feature))):
+            raise ValueError("a split feature is not an integer")
+        if not all(np.issubdtype(t, np.integer) or np.issubdtype(t, np.floating)
+                   for t in set(map(type, threshold))) or not all(map(math.isfinite, threshold)):
+            raise ValueError("a split threshold is not a finite integer or float")
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold, dtype=np.float64)
         self.left = np.array(left, dtype=np.intp)
@@ -248,13 +249,18 @@ class ForestModel:
         if (~leaf & ((self.feature < 0) | (self.feature >= self.d))).any():
             raise ValueError(f"a split feature is outside [0, {self.d})")
         bad_leaf = f"leaf counts must be {N_CLASSES} non-negative integers with a positive sum"
-        types = set(map(type, itertools.chain.from_iterable(counts)))
-        if (set(map(len, counts)) != {N_CLASSES} or bool in types
-                or not all(issubclass(t, (int, np.integer)) for t in types)):
+        shapes, types = set(), set()
+        for c in (node.counts for node in leaves):  # an array's dtype stands for its elements
+            array = isinstance(c, np.ndarray)
+            shapes.add(c.shape if array else (len(c),))
+            types.update([c.dtype.type] if array else map(type, c))
+        if shapes != {(N_CLASSES,)} or not all(np.issubdtype(t, np.integer) for t in types):
             raise ValueError(bad_leaf)
-        counts = np.array(counts, dtype=np.int64)
+        counts = np.array([node.counts for node in leaves], dtype=np.int64)
         if (counts < 0).any() or (counts.sum(axis=1) < 1).any():
             raise ValueError(bad_leaf)
+        for node, row in zip(leaves, counts):
+            node.counts = row
         self.dist = np.zeros((len(feature), N_CLASSES))
         self.dist[leaf] = counts / counts.sum(axis=1, keepdims=True)
 

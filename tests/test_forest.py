@@ -448,12 +448,12 @@ def _stump(feature=0, threshold=0.5, counts=(1,) + (0,) * 13) -> TreeNode:
 class TestNodeChecks:
     """Numbering checks built trees as it checks trained and loaded ones."""
 
-    @pytest.mark.parametrize("feature", [0.9, 1.0, "1", True, None, np.int64(1), -1, 3])
+    @pytest.mark.parametrize("feature", [0.9, 1.0, "1", True, np.bool_(True), None, -1, 3])
     def test_split_feature_not_an_integer_in_range(self, feature):
         with pytest.raises(ValueError, match="split feature"):
             ForestModel(trees=[_leaf([1] * 14), _stump(feature=feature)], d=3, seed=0)
 
-    @pytest.mark.parametrize("threshold", [True, "0.5", None, np.float32(0.5), float("nan"),
+    @pytest.mark.parametrize("threshold", [True, np.bool_(True), "0.5", None, float("nan"),
                                            float("-inf")])
     def test_threshold_not_a_finite_number(self, threshold):
         with pytest.raises(ValueError, match="split threshold"):
@@ -461,15 +461,37 @@ class TestNodeChecks:
 
     @pytest.mark.parametrize("counts", [
         [2.7] + [0] * 13, ["3"] + [0] * 13, [True] + [0] * 13, np.ones(14, dtype=bool),
-        np.ones(14), [1] * 13, [1] * 15, [-1, 2] + [0] * 12, [0] * 14])
+        np.ones(14), np.ones((14, 2), dtype=int), np.array(5), [1] * 13, [1] * 15,
+        [-1, 2] + [0] * 12, [0] * 14])
     def test_leaf_counts_not_fourteen_counts(self, counts):
         with pytest.raises(ValueError, match="leaf counts"):
             ForestModel(trees=[_leaf([1] * 14), _stump(counts=counts)], d=3, seed=0)
 
     def test_ints_floats_and_integer_arrays_accepted(self):
-        model = ForestModel(trees=[_stump(2, 1, [np.int64(3)] + [0] * 13),
-                                   _stump(1, -0.5, np.arange(14, dtype=np.uint8))],
-                            d=3, seed=0)
-        assert model.feature.tolist() == [2, 0, 0, 1, 0, 0]
-        assert model.threshold.tolist() == [1.0, 0.0, 0.0, -0.5, 0.0, 0.0]
+        trees = [_stump(2, 1, [np.int64(3)] + [0] * 13),
+                 _stump(np.int64(1), np.float32(-0.5), np.arange(14, dtype=np.uint8)),
+                 _stump(np.uint8(0), np.float64(0.25))]
+        model = ForestModel(trees=trees, d=3, seed=0)
+        assert model.feature.tolist() == [2, 0, 0, 1, 0, 0, 0, 0, 0]
+        assert model.threshold.tolist() == [1.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.25, 0.0, 0.0]
         assert model.dist[4].tolist() == (np.arange(14) / 91).tolist()
+
+    def test_every_leaf_holds_an_int64_row(self, tmp_path):
+        """Trained, built and loaded leaves alike, so their counts take arithmetic."""
+        gen = np.random.default_rng(5)
+        X = gen.normal(size=(30, 4))
+        y = gen.integers(1, 15, size=30)
+        trained = rf_train(X, y, m=3, seed=2)
+        trained.save(tmp_path / "rf.json")
+        loaded = ForestModel.load(tmp_path / "rf.json")
+        built = ForestModel(trees=[_stump(counts=[3] + [0] * 13)], d=4, seed=0)
+        for model in trained, loaded, built:
+            for tree in model.trees:
+                todo = [tree]
+                while todo:
+                    node = todo.pop()
+                    if node.is_leaf:
+                        assert node.counts.dtype == np.int64 and node.counts.shape == (14,)
+                    else:
+                        todo += [node.left, node.right]
+        assert np.array_equal(per_tree_predict_proba(loaded, X), trained.predict_proba(X))

@@ -287,6 +287,10 @@ INCONSISTENT = {
     "rf-count-string": ("hwr-rf/1", lambda doc: _first_count(doc, "3")),
     "rf-count-bool": ("hwr-rf/1", lambda doc: _first_count(doc, True)),
     "rf-count-huge": ("hwr-rf/1", lambda doc: _first_count(doc, 2**70)),
+    "rf-counts-null": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
+        counts=None)),
+    "rf-counts-number": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
+        counts=5)),
     "rf-threshold-bool": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
         threshold=True)),
     "rf-threshold-string": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
