@@ -81,7 +81,7 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeNode":
-        """Node as saved by to_dict; ForestModel checks its values."""
+        """Node as saved by to_dict; ForestModel checks it and makes its counts a row."""
         if "counts" in doc:
             return cls(counts=list(doc["counts"]))
         return cls(feature=doc["feature"], threshold=doc["threshold"],
