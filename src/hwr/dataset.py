@@ -221,6 +221,16 @@ def unpack(text: str, *shape: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+def number(value, kind: type = int):
+    """A model file's header number as ``kind``: an int field takes a Python or
+    numpy integer (not a bool), a float field a finite positive integer or float."""
+    if kind is int and np.issubdtype(type(value), np.integer):
+        return int(value)
+    if kind is float and np.issubdtype(type(value), np.number) and 0 < value < math.inf:
+        return float(value)
+    raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a positive number'}")
+
+
 def write_model(path: str | os.PathLike, doc: dict) -> None:
     """Write a model document, its "format" tag first, as one line of JSON."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -80,7 +80,7 @@ class PcaModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PcaModel":
-        d, k = int(doc["d"]), int(doc["k"])
+        d, k = dataset.number(doc["d"]), dataset.number(doc["k"])
         return cls(
             mean=dataset.unpack(doc["mean"], d),
             components=dataset.unpack(doc["components"], k, d),
@@ -155,7 +155,7 @@ class ProjectionMatrix:
     def from_doc(cls, doc: dict) -> "ProjectionMatrix":
         if doc["generator"] != rng.GENERATOR_NAME:
             raise ValueError(f"generator {doc['generator']!r} is not {rng.GENERATOR_NAME!r}")
-        return rp_fit(doc["kind"], int(doc["d"]), int(doc["k"]), int(doc["seed"]))
+        return rp_fit(doc["kind"], *(dataset.number(doc[key]) for key in ("d", "k", "seed")))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ProjectionMatrix":

@@ -219,6 +219,8 @@ class ForestModel:
             todo = [(tree, 0, None)]
             while todo:
                 node, level, parent = todo.pop()
+                if node is None:
+                    raise ValueError("a split is missing a child")
                 i = len(feature)
                 if parent is not None:
                     right[parent] = i
@@ -295,10 +297,10 @@ class ForestModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForestModel":
-        if doc["n_classes"] != N_CLASSES:
+        if dataset.number(doc["n_classes"]) != N_CLASSES:
             raise ValueError(f"n_classes is {doc['n_classes']!r}, not {N_CLASSES}")
-        return cls(trees=[TreeNode.from_dict(t) for t in doc["trees"]], d=int(doc["d"]),
-                   seed=int(doc["seed"]))
+        return cls(trees=[TreeNode.from_dict(t) for t in doc["trees"]],
+                   d=dataset.number(doc["d"]), seed=dataset.number(doc["seed"]))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ForestModel":

@@ -65,7 +65,7 @@ class MlpModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MlpModel":
-        m, h, o = int(doc["m"]), int(doc["h"]), int(doc["o"])
+        m, h, o = (dataset.number(doc[key]) for key in ("m", "h", "o"))
         if o != N_CLASSES:
             raise ValueError(f"o is {o}, not the {N_CLASSES} classes")
         return cls(

@@ -30,7 +30,11 @@ majority voting; vote ties break by summed |decision| and then the lowest
 class id.  The machines share most of their support vectors, so a model is
 LIBSVM's layout (Chang & Lin, 2011): one matrix of distinct support vectors
 and one coefficient row per machine.  A prediction is one kernel block and
-one matrix product for all machines.
+one matrix product for all machines.  Training writes that layout from the
+solver's outcomes: a support vector's coefficient goes to the column of its
+training row's bytes.  A pair's Gram matrix comes from one array object, as
+numpy computes A @ A.T of one buffer by a symmetric BLAS routine whose bits
+differ from a general product's (and would change the SMO step counts).
 Grid search runs stratified FOLDS-fold cross-validation over every (C, gamma)
 of DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, solving every pair at every C of
 one (fold, gamma) as one batch that shares each pair's Gram matrix, and
@@ -83,7 +87,7 @@ def _rbf(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, gamma: float) -> np.nda
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"feature dims differ: {A.shape[1]} vs {B.shape[1]}")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     sq = a_sq[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
@@ -141,6 +145,9 @@ class _Smo:
 
     def __init__(self, grams: list[np.ndarray], labels: list[np.ndarray],
                  costs: list[float], tol: float):
+        for c in costs:
+            if not c > 0:
+                raise ValueError(f"C must be > 0, got {c}")
         sizes = np.array([len(y) for y in labels])
         width = int(sizes.max())
         self.K = np.zeros((len(grams), width, width))
@@ -296,47 +303,18 @@ class _Smo:
         return self.outcomes
 
 
-def _train(
-    problems: list[tuple[np.ndarray, np.ndarray]],
-    costs: list[float],
-    gamma: float,
-    tol: float,
-) -> list[list[BinarySvm | TrainingError]]:
-    """Train a machine for every (C, problem) in one lockstep batch.
-
-    ``problems`` are (X, y) pairs with y in {-1, +1}.  Entry [k][p] of the
-    result is the machine for costs[k] on problems[p], or the TrainingError
-    that machine raised; a failure leaves the other machines untouched.
-    Each problem's Gram matrix is computed once and shared by every C.
-    """
-    for c in costs:
-        if c <= 0:
-            raise ValueError(f"C must be > 0, got {c}")
-    solver = _Smo([kernel_matrix(X, X, gamma) for X, _ in problems],
-                  [y for _, y in problems], costs, tol)
-    outcomes = iter(solver.solve())
-    return [[_machine(X, y, next(outcomes), c, gamma) for X, y in problems] for c in costs]
-
-
-def _machine(X, y, outcome, c, gamma) -> BinarySvm | TrainingError:
+def _failure(outcome) -> TrainingError | None:
+    """The error of a machine's solver outcome, or None if the machine is usable."""
     if isinstance(outcome, TrainingError):
         return outcome
-    alphas, raw, bias, passes = outcome
+    _, raw, bias, _ = outcome
     decision = raw + bias
     if float(decision.max() - decision.min()) < 1e-9:
         return DegenerateDataError(
             "decision function is constant over the training data (zero margin); "
             "inputs carry no separating information"
         )
-    sv = alphas > _SV_EPS
-    return BinarySvm(
-        support_vectors=X[sv].copy(),
-        dual_coef=(alphas * y)[sv],
-        bias=bias,
-        c=float(c),
-        gamma=float(gamma),
-        passes=passes,
-    )
+    return None
 
 
 def smo_train(
@@ -358,10 +336,14 @@ def smo_train(
         raise ValueError("labels must be -1 or +1")
     if X.shape[0] < 2 or len(np.unique(y)) < 2:
         raise TrainingError("training needs at least 2 samples covering both classes")
-    [[machine]] = _train([(X, y)], [c], gamma, tol)
-    if isinstance(machine, TrainingError):
-        raise machine
-    return machine
+    [outcome] = _Smo([kernel_matrix(X, X, gamma)], [y], [c], tol).solve()
+    error = _failure(outcome)
+    if error is not None:
+        raise error
+    alphas, _, bias, passes = outcome
+    sv = alphas > _SV_EPS
+    return BinarySvm(support_vectors=X[sv], dual_coef=(alphas * y)[sv], bias=bias, c=float(c),
+                     gamma=float(gamma), passes=passes)
 
 
 def dual_objective(machine_alphas: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
@@ -399,29 +381,6 @@ class SvmModel:
         self.sides = np.array([[index[a] for a, _ in self.pairs],
                                [index[b] for _, b in self.pairs]], dtype=np.intp)
         self.sv_sq = (self.sv * self.sv).sum(axis=1)
-
-    @classmethod
-    def from_machines(cls, classes: list[int], machines: dict[tuple[int, int], BinarySvm],
-                      c: float, gamma: float) -> "SvmModel":
-        """The model of trained machines.
-
-        Support vectors are deduplicated by their bytes, in order of first use
-        over sorted pairs.
-        """
-        pairs = sorted(machines)
-        stacked = np.concatenate([machines[p].support_vectors for p in pairs])
-        columns: dict[bytes, int] = {}
-        column = np.array([columns.setdefault(row.tobytes(), len(columns)) for row in stacked],
-                          dtype=np.intp)
-        owner = np.repeat(np.arange(len(pairs)), [len(machines[p].dual_coef) for p in pairs])
-        coef = np.zeros((len(pairs), len(columns)))
-        # a row a machine holds twice gets the sum of its coefficients
-        np.add.at(coef, (owner, column), np.concatenate([machines[p].dual_coef for p in pairs]))
-        first = np.unique(column, return_index=True)[1]
-        return cls(classes, pairs, stacked[first], coef,
-                   np.array([machines[p].bias for p in pairs], dtype=np.float64),
-                   float(c), float(gamma),
-                   np.array([machines[p].passes for p in pairs], dtype=np.int64))
 
     @property
     def machines(self) -> dict[tuple[int, int], BinarySvm]:
@@ -474,12 +433,12 @@ class SvmModel:
     def from_doc(cls, doc: dict) -> "SvmModel":
         if doc["kernel"] != "rbf":
             raise ValueError(f"kernel {doc['kernel']!r} is not supported (only 'rbf')")
-        classes = [int(c) for c in doc["classes"]]
+        classes = [dataset.number(c) for c in doc["classes"]]
         if len(classes) < 2 or len(set(classes)) != len(classes) or not all(
                 1 <= c <= N_CLASSES for c in classes):
             raise ValueError(f"classes {classes} are not 2 or more distinct ids in 1..{N_CLASSES}")
-        c, gamma = float(doc["c"]), float(doc["gamma"])
-        pairs = [(a, b) for a, b in doc["pairs"]]
+        c, gamma = dataset.number(doc["c"], float), dataset.number(doc["gamma"], float)
+        pairs = [(dataset.number(a), dataset.number(b)) for a, b in doc["pairs"]]
         for a, b in pairs:
             if not (a in classes and b in classes and a < b):
                 raise ValueError(f"pair {[a, b]} is not two classes a < b of {classes}")
@@ -488,7 +447,7 @@ class SvmModel:
         missing = set(itertools.combinations(sorted(classes), 2)) - set(pairs)
         if missing:
             raise ValueError(f"pair {list(min(missing))} of classes {classes} is missing")
-        n, dim = int(doc["n_support"]), int(doc["dim"])
+        n, dim = dataset.number(doc["n_support"]), dataset.number(doc["dim"])
         return cls(classes, pairs, dataset.unpack(doc["support_vectors"], n, dim),
                    dataset.unpack(doc["coef"], len(pairs), n),
                    dataset.unpack(doc["bias"], len(pairs)), c, gamma,
@@ -501,12 +460,8 @@ class SvmModel:
 
 def _ovo_problems(
     X: np.ndarray, labels: np.ndarray
-) -> tuple[list[int], dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]]:
-    """Sorted classes and the binary problem (X, y) of every class pair.
-
-    Within pair (a, b), a < b, class a maps to +1, so decision > 0 votes a.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+) -> tuple[list[int], list[tuple[int, int]], list[np.ndarray], list[np.ndarray]]:
+    """Sorted classes, their pairs (a, b), a < b, and each pair's rows of X and labels y."""
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape[0] != X.shape[0]:
         raise ValueError(f"{labels.shape[0]} labels for {X.shape[0]} samples")
@@ -517,11 +472,48 @@ def _ovo_problems(
     classes = [int(v) for v in present]
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    problems = {}
-    for a, b in itertools.combinations(classes, 2):
-        mask = (labels == a) | (labels == b)
-        problems[(a, b)] = (X[mask], np.where(labels[mask] == a, 1.0, -1.0))
-    return classes, problems
+    pairs = list(itertools.combinations(classes, 2))
+    rows_of = [np.flatnonzero((labels == a) | (labels == b)) for a, b in pairs]
+    ys = [np.where(labels[rows] == a, 1.0, -1.0) for rows, (a, _) in zip(rows_of, pairs)]
+    return classes, pairs, rows_of, ys
+
+
+def _ovo_models(X: np.ndarray, labels: np.ndarray, costs: list[float],
+                gamma: float) -> list[SvmModel | TrainingError]:
+    """The one-vs-one model at each of ``costs``, or the error of its first failing pair.
+
+    Every pair at every C is one machine of one lockstep batch.  Rows with
+    equal bytes share one column, numbered by first use over the sorted
+    pairs; a column a machine holds twice gets the sum of its coefficients.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    classes, pairs, rows_of, ys = _ovo_problems(X, labels)
+    # one id per distinct row of bytes, so -0.0 and 0.0 stay apart
+    row_bytes = np.ascontiguousarray(X).view(np.dtype((np.void, 8 * X.shape[1])))[:, 0]
+    byte_id = np.unique(row_bytes, return_inverse=True)[1]
+    # each Gram from one array object, see the module docstring
+    grams = [kernel_matrix(Xp, Xp, gamma) for Xp in (X[rows] for rows in rows_of)]
+    outcomes = _Smo(grams, ys, costs, _TOL).solve()
+    models: list[SvmModel | TrainingError] = []
+    for k, c in enumerate(costs):
+        batch = outcomes[k * len(ys):(k + 1) * len(ys)]
+        errors = [error for error in map(_failure, batch) if error is not None]
+        if errors:
+            models.append(errors[0])
+            continue
+        alphas, _, bias, passes = zip(*batch)
+        sv = [a > _SV_EPS for a in alphas]
+        used = np.concatenate([rows[s] for rows, s in zip(rows_of, sv)])
+        _, first, column = np.unique(byte_id[used], return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))  # column ids renumbered by first use
+        owner = np.repeat(np.arange(len(ys)), [int(s.sum()) for s in sv])
+        coef = np.zeros((len(ys), len(first)))
+        np.add.at(coef, (owner, rank[column]),
+                  np.concatenate([(a * y)[s] for a, y, s in zip(alphas, ys, sv)]))
+        models.append(SvmModel(classes, pairs, X[used[np.sort(first)]], coef,
+                               np.array(bias, dtype=np.float64), float(c), float(gamma),
+                               np.array(passes, dtype=np.int64)))
+    return models
 
 
 def ovo_train(X: np.ndarray, labels: np.ndarray, c: float, gamma: float) -> SvmModel:
@@ -530,12 +522,10 @@ def ovo_train(X: np.ndarray, labels: np.ndarray, c: float, gamma: float) -> SvmM
     Within pair (a, b), a < b, class a maps to +1, so decision > 0 votes a.
     The first pair (in sorted order) whose machine fails raises its error.
     """
-    classes, problems = _ovo_problems(X, labels)
-    [machines] = _train(list(problems.values()), [c], gamma, _TOL)
-    for machine in machines:
-        if isinstance(machine, TrainingError):
-            raise machine
-    return SvmModel.from_machines(classes, dict(zip(problems, machines)), c, gamma)
+    [model] = _ovo_models(X, labels, [c], gamma)
+    if isinstance(model, TrainingError):
+        raise model
+    return model
 
 
 @dataclass
@@ -579,24 +569,20 @@ def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchR
     labels = np.asarray(labels, dtype=np.intp)
     folds = stratified_folds(labels, seed)
     n = labels.shape[0]
-    all_idx = np.arange(n)
     c_values, gamma_values = sorted(DEFAULT_C_VALUES), sorted(DEFAULT_GAMMA_VALUES)
     # correct predictions per cell, None once one of its machines failed
     correct: dict[tuple[float, float], int | None] = {
         (c, gamma): 0 for c in c_values for gamma in gamma_values}
     for held in folds:
-        train_idx = np.setdiff1d(all_idx, held)
-        classes, problems = _ovo_problems(X[train_idx], labels[train_idx])
+        train_idx = np.setdiff1d(np.arange(n), held)
         for gamma in gamma_values:
             live = [c for c in c_values if correct[c, gamma] is not None]
             if not live:
                 continue
-            fits = _train(list(problems.values()), live, gamma, _TOL)
-            for c, machines in zip(live, fits):
-                if any(isinstance(m, TrainingError) for m in machines):
+            for c, model in zip(live, _ovo_models(X[train_idx], labels[train_idx], live, gamma)):
+                if isinstance(model, TrainingError):
                     correct[c, gamma] = None
                     continue
-                model = SvmModel.from_machines(classes, dict(zip(problems, machines)), c, gamma)
                 correct[c, gamma] += int((model.predict_batch(X[held]) == labels[held]).sum())
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []

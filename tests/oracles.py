@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: the SVM dual optimum
 comes from exhaustive active-set enumeration, gradients from central finite
 differences, the exact SMO reference solves one machine at a time with
 scalar pair steps, the schedule the batched solver must reproduce bit for
-bit, one-vs-one prediction runs one machine and one kernel block at a
+bit, the reference layout puts trained machines' support vectors into shared
+columns by hashing each row's bytes, the model training must build byte for
+byte, one-vs-one prediction runs one machine and one kernel block at a
 time, the exact forest reference searches splits one feature at a time
 over a one-hot class cumsum, the result the vectorized search must
 reproduce bit for bit, and forest prediction walks one tree node by node
@@ -223,8 +225,8 @@ def scalar_smo_train(X, y, c, gamma=1.0, tol=1e-3, max_iter=None) -> BinarySvm:
                      bias=solver.b, c=float(c), gamma=float(gamma), passes=iterations)
 
 
-def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, max_iter=None) -> SvmModel:
-    """One-vs-one model whose machines are trained one after another by the scalar solver."""
+def scalar_ovo_machines(X, labels, c, gamma, tol=1e-3, max_iter=None):
+    """Sorted classes and each pair's machine, trained one after another by the scalar solver."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
     classes = sorted(int(v) for v in np.unique(labels))
@@ -233,7 +235,36 @@ def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, max_iter=None) -> SvmModel:
         mask = (labels == a) | (labels == b)
         y = np.where(labels[mask] == a, 1.0, -1.0)
         machines[(a, b)] = scalar_smo_train(X[mask], y, c, gamma, tol, max_iter)
-    return SvmModel.from_machines(classes, machines, c, gamma)
+    return classes, machines
+
+
+def scalar_ovo_train(X, labels, c, gamma, tol=1e-3, max_iter=None) -> SvmModel:
+    """One-vs-one model of the scalar solver's machines in the reference layout."""
+    classes, machines = scalar_ovo_machines(X, labels, c, gamma, tol, max_iter)
+    return layout_from_machines(classes, machines, c, gamma)
+
+
+def layout_from_machines(classes: list[int], machines: dict[tuple[int, int], BinarySvm],
+                         c: float, gamma: float) -> SvmModel:
+    """The model of trained machines.
+
+    Support vectors are deduplicated by their bytes, in order of first use
+    over sorted pairs.
+    """
+    pairs = sorted(machines)
+    stacked = np.concatenate([machines[p].support_vectors for p in pairs])
+    columns: dict[bytes, int] = {}
+    column = np.array([columns.setdefault(row.tobytes(), len(columns)) for row in stacked],
+                      dtype=np.intp)
+    owner = np.repeat(np.arange(len(pairs)), [len(machines[p].dual_coef) for p in pairs])
+    coef = np.zeros((len(pairs), len(columns)))
+    # a row a machine holds twice gets the sum of its coefficients
+    np.add.at(coef, (owner, column), np.concatenate([machines[p].dual_coef for p in pairs]))
+    first = np.unique(column, return_index=True)[1]
+    return SvmModel(classes, pairs, stacked[first], coef,
+                    np.array([machines[p].bias for p in pairs], dtype=np.float64),
+                    float(c), float(gamma),
+                    np.array([machines[p].passes for p in pairs], dtype=np.int64))
 
 
 def machine_decision(machine: BinarySvm, X: np.ndarray) -> np.ndarray:

@@ -56,12 +56,10 @@ def test_bench_rf_train(benchmark):
 
 
 def test_bench_smo(benchmark):
-    """One lockstep batch of the grid: 91 pairs of a 392-row fold at the 5 C values."""
+    """One grid batch, solved and built: 91 pairs of a 392-row fold at the 5 C values."""
     X, y = _pca_like(392)
-    problems = list(svm._ovo_problems(X, y)[1].values())
-    fits = benchmark(svm._train, problems, list(svm.DEFAULT_C_VALUES), 2.0**-7, svm._TOL)
-    assert len(problems) == 91 and [len(row) for row in fits] == [91] * 5
-    assert not any(isinstance(m, svm.TrainingError) for row in fits for m in row)
+    models = benchmark(svm._ovo_models, X, y, list(svm.DEFAULT_C_VALUES), 2.0**-7)
+    assert [len(model.pairs) for model in models] == [91] * 5
 
 
 def test_bench_rbf(benchmark):
@@ -99,14 +97,13 @@ def test_bench_svm_predict(benchmark, rows):
     gen = np.random.default_rng(42)
     pool = gen.normal(size=(471, 733))
     owner = np.arange(471) % 14 + 1  # the class each support vector belongs to
-    machines = {}
-    for a, b in itertools.combinations(range(1, 15), 2):
+    pairs = list(itertools.combinations(range(1, 15), 2))
+    coef = np.zeros((91, 471))
+    for k, (a, b) in enumerate(pairs):
         used = np.flatnonzero(((owner == a) | (owner == b)) & (gen.random(471) < 0.55))
-        machines[(a, b)] = svm.BinarySvm(support_vectors=pool[used],
-                                         dual_coef=gen.normal(size=len(used)),
-                                         bias=float(gen.normal()), c=0.5, gamma=2.0**-9)
-    model = svm.SvmModel.from_machines(list(range(1, 15)), machines, c=0.5, gamma=2.0**-9)
-    assert model.sv.shape == (471, 733)
+        coef[k, used] = gen.normal(size=len(used))
+    model = svm.SvmModel(list(range(1, 15)), pairs, pool, coef, gen.normal(size=91), c=0.5,
+                         gamma=2.0**-9, passes=np.zeros(91, dtype=np.int64))
     X = gen.normal(size=(rows, 733))
     assert benchmark(model.predict_batch, X).shape == (rows,)
 

@@ -66,6 +66,13 @@ SVM_CLASSES_15_16 = json.dumps({
     "coef": dataset.pack([1.0]), "bias": dataset.pack([0.0]),
 })
 
+# A gamma of NaN makes every decision NaN, so predict would print the second class.
+SVM_GAMMA_NAN = json.dumps({
+    "format": "hwr-svm/3", "classes": [1, 2], "c": 1.0, "gamma": float("nan"), "kernel": "rbf",
+    "pairs": [[1, 2]], "n_support": 1, "dim": 8, "support_vectors": dataset.pack(np.zeros(8)),
+    "coef": dataset.pack([1.0]), "bias": dataset.pack([0.0]),
+})
+
 
 def _pairless_svm(classes: list[int]) -> str:
     return json.dumps({
@@ -326,7 +333,8 @@ class TestTrainEvalPredict:
                                       pytest.param(_pairless_svm([1, 2]), id="svm-no-pairs"),
                                       pytest.param(_pairless_svm([5]), id="svm-one-class"),
                                       pytest.param(MLP_20_OUTPUTS, id="mlp-20-outputs"),
-                                      pytest.param(SVM_CLASSES_15_16, id="svm-classes-15-16")])
+                                      pytest.param(SVM_CLASSES_15_16, id="svm-classes-15-16"),
+                                      pytest.param(SVM_GAMMA_NAN, id="svm-gamma-nan")])
     def test_corrupt_model_exit_2_without_traceback(self, tmp_path, pipeline_dir, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

@@ -467,6 +467,13 @@ class TestNodeChecks:
         with pytest.raises(ValueError, match="leaf counts"):
             ForestModel(trees=[_leaf([1] * 14), _stump(counts=counts)], d=3, seed=0)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_split_missing_a_child(self, side):
+        split = _stump()
+        setattr(split, side, None)
+        with pytest.raises(ValueError, match="missing a child"):
+            ForestModel(trees=[split], d=3, seed=0)
+
     def test_ints_floats_and_integer_arrays_accepted(self):
         trees = [_stump(2, 1, [np.int64(3)] + [0] * 13),
                  _stump(np.int64(1), np.float32(-0.5), np.arange(14, dtype=np.uint8)),

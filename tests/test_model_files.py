@@ -228,7 +228,9 @@ def _first_pairs(doc: dict, keep: int, classes: list[int] | None = None) -> None
 # unknown kind or too large for any address space (10**14 entries), a
 # kernel other than rbf, svm pairs that leave out a pair of its classes or
 # none at all, an svm of one class, of a class listed twice or of a class
-# outside 1..14, an mlp whose outputs are not the 14 classes, a forest leaf
+# outside 1..14, an mlp whose outputs are not the 14 classes, a header field
+# that is not an integer (a float, a string or a bool, even one equal to an
+# integer), an svm C or gamma that is not a finite positive number, a forest leaf
 # that is not 14 non-negative integer counts with a positive sum, a forest
 # split on a feature that is not an integer in [0, d) or at a threshold that
 # is not a finite number, a forest of other than 14 classes, a number too
@@ -300,6 +302,21 @@ INCONSISTENT = {
     "mlp-o-20": ("hwr-mlp/2", lambda doc: _mlp_outputs(doc, 20)),
     "mlp-o-3": ("hwr-mlp/2", lambda doc: _mlp_outputs(doc, 3)),
     "svm-class-15": ("hwr-svm/3", lambda doc: _svm_class_3_as(doc, 15)),
+    "rf-d-float": ("hwr-rf/1", lambda doc: doc.update(d=3.7)),
+    "rf-seed-string": ("hwr-rf/1", lambda doc: doc.update(seed="7")),
+    "rf-n_classes-float": ("hwr-rf/1", lambda doc: doc.update(n_classes=14.0)),
+    "pca-k-float": ("hwr-pca/2", lambda doc: doc.update(k=2.0)),
+    "rp-seed-string": ("hwr-rp/2 gaussian", lambda doc: doc.update(seed="1")),
+    "rp-d-bool": ("hwr-rp/2 sparse", lambda doc: doc.update(d=True)),
+    "mlp-h-float": ("hwr-mlp/2", lambda doc: doc.update(h=4.0)),
+    "svm-dim-float": ("hwr-svm/3", lambda doc: doc.update(dim=doc["dim"] + 0.7)),
+    "svm-classes-float": ("hwr-svm/3", lambda doc: _first_pairs(
+        doc, 3, classes=[1.5, 2.5, 3.5])),
+    "svm-gamma-nan": ("hwr-svm/3", lambda doc: doc.update(gamma=float("nan"))),
+    "svm-gamma-inf": ("hwr-svm/3", lambda doc: doc.update(gamma=float("inf"))),
+    "svm-gamma-string": ("hwr-svm/3", lambda doc: doc.update(gamma="0.001953125")),
+    "svm-gamma-negative": ("hwr-svm/3", lambda doc: doc.update(gamma=-1.0)),
+    "svm-c-zero": ("hwr-svm/3", lambda doc: doc.update(c=0)),
 }
 
 

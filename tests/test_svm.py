@@ -28,9 +28,11 @@ from hwr.svm import (
 import oracles
 from oracles import (
     brute_force_dual,
+    layout_from_machines,
     machine_decision,
     per_machine_predict,
     recover_alphas,
+    scalar_ovo_machines,
     scalar_ovo_train,
     scalar_smo_train,
 )
@@ -58,6 +60,8 @@ class TestRbfKernel:
             kernel_matrix(np.zeros(2), np.zeros(3), 1.0)
         with pytest.raises(ValueError):
             kernel_matrix(np.zeros(2), np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="gamma must be > 0, got nan"):
+            kernel_matrix(np.zeros(2), np.zeros(2), float("nan"))
 
     def test_kernel_matrix_psd_with_jitter(self):
         gen = np.random.default_rng(1)
@@ -94,6 +98,14 @@ class TestSmoTrain:
         y = np.array([1.0, -1.0, 1.0, -1.0])
         with pytest.raises(DegenerateDataError):
             smo_train(X, y, c=1.0, gamma=1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+    def test_c_not_positive_rejected(self, c):
+        X = np.random.default_rng(2).normal(size=(6, 2))
+        with pytest.raises(ValueError, match="C must be > 0"):
+            smo_train(X, np.tile([1.0, -1.0], 3), c=c, gamma=1.0)
+        with pytest.raises(ValueError, match="C must be > 0"):
+            ovo_train(X, np.repeat([1, 2, 3], 2), c=c, gamma=1.0)
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(2).normal(size=(5, 2))
@@ -184,9 +196,9 @@ class TestOvo:
         X = np.vstack([gen.normal(c, 0.4, (8, 2)) for c in [(0, 0), (4, 0), (0, 4)]])
         labels = np.repeat([1, 2, 3], 8)
         model = ovo_train(X, labels, c=5.0, gamma=0.5)
-        shuffled = SvmModel.from_machines(model.classes,
-                                          dict(reversed(list(model.machines.items()))),
-                                          model.c, model.gamma)
+        shuffled = layout_from_machines(model.classes,
+                                        dict(reversed(list(model.machines.items()))),
+                                        model.c, model.gamma)
         probe = gen.normal(1.5, 2.0, size=(20, 2))
         assert np.array_equal(model.predict_batch(probe), shuffled.predict_batch(probe))
 
@@ -290,6 +302,14 @@ def _assert_same_machine(machine, ref):
     assert (machine.support_vectors == ref.support_vectors).all()
 
 
+def _assert_same_layout(model, ref):
+    """Byte equality with the reference layout of the scalar machines."""
+    assert model.pairs == ref.pairs
+    for name in ("sv", "coef", "bias", "passes"):
+        array, expected = getattr(model, name), getattr(ref, name)
+        assert array.shape == expected.shape and array.tobytes() == expected.tobytes(), name
+
+
 def _sequential_grid(X, labels, seed, train):
     """grid_search's table, one cell and one fold at a time with ``train``."""
     folds = stratified_folds(labels, seed)
@@ -355,10 +375,7 @@ class TestLockstepExactness:
         X, labels = small_features
         ref = scalar_ovo_train(X[:, :cols], labels, c, gamma)
         model = ovo_train(X[:, :cols], labels, c, gamma)
-        assert model.pairs == ref.pairs
-        for name in ("sv", "coef", "bias", "passes"):
-            array, expected = getattr(model, name), getattr(ref, name)
-            assert array.shape == expected.shape and array.tobytes() == expected.tobytes(), name
+        _assert_same_layout(model, ref)
         assert list(model.machines) == list(ref.machines)
         for pair, machine in model.machines.items():
             _assert_same_machine(machine, ref.machines[pair])
@@ -367,6 +384,20 @@ class TestLockstepExactness:
             assert at_bound >= len(labels) * 6  # half of the 12 samples of each machine
         if case == "flat":
             assert flat_steps[0] > 0
+
+    def test_byte_equal_rows_share_one_column(self):
+        gen = np.random.default_rng(8)
+        X = np.vstack([gen.normal(c, 1.0, (6, 2)) for c in [(0, 0), (1.5, 0), (0, 1.5)]])
+        X[0] = [0.0, 0.25]
+        # rows byte-equal to rows of their own class, then X[0] with its zero's sign flipped
+        X = np.vstack([X, X[[1, 2, 7]], [[-0.0, 0.25]]])
+        labels = np.concatenate([np.repeat([1, 2, 3], 6), [1, 1, 2, 1]])
+        model = ovo_train(X, labels, 0.5, 0.5)
+        _assert_same_layout(model, scalar_ovo_train(X, labels, 0.5, 0.5))
+        # every row is a support vector: 19 distinct rows of bytes, 19 columns
+        columns = {row.tobytes() for row in model.sv}
+        assert len(columns) == len(model.sv) == 19
+        assert X[0].tobytes() != X[21].tobytes() and {X[0].tobytes(), X[21].tobytes()} <= columns
 
     def test_concave_directions_match_scalar(self, flat_steps):
         # a sigmoid Gram matrix is not positive semidefinite, so some pair directions
@@ -454,7 +485,7 @@ class TestTieBreak:
     # a vote cycle: 2 beats 5, 5 beats 9, 9 beats 2, so every class has one vote
     def _cycle(self, f25, f59, f29):
         machines = {(2, 5): _constant(f25), (5, 9): _constant(f59), (2, 9): _constant(f29)}
-        return SvmModel.from_machines([2, 5, 9], machines, c=1.0, gamma=1.0)
+        return layout_from_machines([2, 5, 9], machines, c=1.0, gamma=1.0)
 
     def test_equal_votes_larger_magnitude_wins(self):
         model = self._cycle(0.5, 0.9, -0.2)
@@ -466,7 +497,7 @@ class TestTieBreak:
 
     def test_two_way_tie_below_a_third_class(self):
         # 9 beats both others; 2 and 5 tie on votes and magnitude
-        model = SvmModel.from_machines([2, 5, 9], {
+        model = layout_from_machines([2, 5, 9], {
             (2, 5): _constant(0.0), (2, 9): _constant(-0.5), (5, 9): _constant(-0.5)},
             c=1.0, gamma=1.0)
         assert model.predict_batch(np.zeros((1, 1))).tolist() == [9]
@@ -481,7 +512,7 @@ class TestTieBreak:
                                     dual_coef=gen.choice([-1.0, 0.0, 1.0], size=1),
                                     bias=float(gen.choice([-0.5, 0.5])), c=1.0, gamma=1e3)
                     for pair in itertools.combinations(classes, 2)}
-        model = SvmModel.from_machines(classes, machines, c=1.0, gamma=1e3)
+        model = layout_from_machines(classes, machines, c=1.0, gamma=1e3)
         X = gen.choice([-1.0, 0.0, 1.0], size=(40, 1))
         votes = {cls: np.zeros(len(X)) for cls in classes}
         magnitude = {cls: np.zeros(len(X)) for cls in classes}
@@ -499,7 +530,7 @@ class TestTieBreak:
 @pytest.fixture(scope="module", params=[100, 733], ids=lambda m: f"width{m}")
 def seeded_model(request):
     """A 14-class model on seeded blobs of the given width, 148 wider-spread probe rows,
-    and the trained machines the model was built from.
+    and the machines the scalar solver trains on the same problems.
 
     Some training rows are no support vector, so machines share some of their rows.
     """
@@ -509,10 +540,8 @@ def seeded_model(request):
     y = np.repeat(np.arange(1, 15), 20)
     X = centers[y - 1] + gen.normal(scale=0.3, size=(len(y), m))
     probe = centers[gen.integers(0, 14, size=148)] + gen.normal(scale=1.0, size=(148, m))
-    classes, problems = svm._ovo_problems(X, y)
-    [trained] = svm._train(list(problems.values()), [8.0], 0.1 / m, 1e-3)
-    machines = dict(zip(problems, trained))
-    return SvmModel.from_machines(classes, machines, 8.0, 0.1 / m), probe, machines
+    _, machines = scalar_ovo_machines(X, y, 8.0, 0.1 / m)
+    return ovo_train(X, y, 8.0, 0.1 / m), probe, machines
 
 
 class TestSharedLayout:
@@ -593,7 +622,7 @@ class TestSharedLayout:
                     st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
                     min_size=len(rows), max_size=len(rows)))),
                 bias=data.draw(st.sampled_from([-0.5, 0.0, 0.5])), c=1.0, gamma=1e3)
-        model = SvmModel.from_machines(classes, machines, c=1.0, gamma=1e3)
+        model = layout_from_machines(classes, machines, c=1.0, gamma=1e3)
         X = np.array(data.draw(st.lists(points, min_size=1, max_size=8)), dtype=np.float64)
         assert model.predict_batch(X).tolist() == per_machine_predict(model, X).tolist()
         F = model.decisions(X)
