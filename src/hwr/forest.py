@@ -5,7 +5,9 @@ distinct candidate features from the tree's seeded stream (consumed in
 depth-first order) and splits at the midpoint threshold with the largest
 Gini impurity decrease.  Gain ties break toward the lower feature index,
 then the lower threshold.  Nodes stop at purity, at fewer than 2 samples,
-or when no positive-gain split exists; trees are not pruned.
+or when no positive-gain split exists; trees are not pruned.  A tree
+depends only on the training rows and its (seed, index), so the trees of a
+forest grow in worker processes.
 
 A node's split search is one vectorized pass over its k candidate
 features.  Each tree keeps X transposed, so a node gathers only its (k, n)
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataset
+from . import dataset, workers
 from .labels import N_CLASSES
 
 DEFAULT_TREE_COUNTS = (50, 100, 2000)
@@ -152,6 +154,12 @@ def _best_split(
 
 def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> TreeNode:
     """CART tree over 1-based labels; floor(sqrt(d)) candidate features per node."""
+    return _tree(*_grown(X, labels, tree_seed))
+
+
+def _grown(X: np.ndarray, labels: np.ndarray, tree_seed) -> tuple[list, list, np.ndarray]:
+    """grow_tree's tree in preorder: split features and thresholds (-1 and 0.0 at a
+    leaf) and the leaves' class counts, one row each."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(labels, dtype=np.intp)
     if y.shape[0] != X.shape[0]:
@@ -160,24 +168,47 @@ def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> TreeNode:
         raise ValueError("need at least one sample")
     if y.min() < 1 or y.max() > N_CLASSES:
         raise ValueError(f"labels must lie in [1, {N_CLASSES}]")
-    return _grow(np.ascontiguousarray(X.T), y - 1, np.arange(X.shape[0]),
-                 np.random.default_rng(tree_seed), math.isqrt(X.shape[1]))
+    feature, threshold, counts = [], [], []
+    _grow(np.ascontiguousarray(X.T), y - 1, np.arange(X.shape[0]),
+          np.random.default_rng(tree_seed), math.isqrt(X.shape[1]), (feature, threshold, counts))
+    return feature, threshold, np.array(counts)
 
 
-def _grow(XT: np.ndarray, y0: np.ndarray, idx: np.ndarray, gen, k: int) -> TreeNode:
-    """Subtree of the samples idx; each split draws k features from gen, preorder."""
+def _grow(XT: np.ndarray, y0: np.ndarray, idx: np.ndarray, gen, k: int, tree: tuple) -> None:
+    """Append the subtree of the samples idx to the preorder lists of tree.
+
+    A split appends its feature and threshold, a leaf appends feature -1,
+    threshold 0.0 and its class counts; each split draws k features from gen.
+    """
+    feature, threshold, leaves = tree
     counts = np.bincount(y0[idx], minlength=N_CLASSES)
-    if idx.shape[0] < 2 or (counts > 0).sum() == 1:
-        return TreeNode(counts=counts)
-    features = np.sort(gen.choice(XT.shape[0], size=k, replace=False))
-    best = _best_split(XT[features][:, idx], y0[idx], features)
-    if best is None:
-        return TreeNode(counts=counts)
-    _, feature, threshold = best
-    goes_left = XT[feature, idx] <= threshold
-    return TreeNode(feature=feature, threshold=threshold,
-                    left=_grow(XT, y0, idx[goes_left], gen, k),
-                    right=_grow(XT, y0, idx[~goes_left], gen, k))
+    if idx.shape[0] >= 2 and (counts > 0).sum() > 1:
+        features = np.sort(gen.choice(XT.shape[0], size=k, replace=False))
+        best = _best_split(XT[features][:, idx], y0[idx], features)
+        if best is not None:
+            _, f, t = best
+            feature.append(f)
+            threshold.append(t)
+            goes_left = XT[f, idx] <= t
+            _grow(XT, y0, idx[goes_left], gen, k, tree)
+            _grow(XT, y0, idx[~goes_left], gen, k, tree)
+            return
+    feature.append(-1)
+    threshold.append(0.0)
+    leaves.append(counts)
+
+
+def _tree(feature: list, threshold: list, counts: np.ndarray) -> TreeNode:
+    """The TreeNode graph of a preorder from _grown; leaves take the rows of counts."""
+    nodes, leaves = zip(feature, threshold), iter(counts)
+
+    def node() -> TreeNode:
+        f, t = next(nodes)
+        if f < 0:
+            return TreeNode(counts=next(leaves))
+        return TreeNode(feature=f, threshold=t, left=node(), right=node())
+
+    return node()
 
 
 @dataclass
@@ -308,7 +339,11 @@ class ForestModel:
 
 
 def rf_train(X: np.ndarray, labels: np.ndarray, m: int, seed: int) -> ForestModel:
-    """Grow m trees on independent bootstraps; streams derive from (seed, b)."""
+    """Grow m trees on independent bootstraps; streams derive from (seed, b).
+
+    Tree b depends only on (seed, b) and the training rows, so the trees are
+    grown by ``workers.map_jobs`` and come back in _grown's flat preorder.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape[0] != X.shape[0]:
@@ -317,9 +352,12 @@ def rf_train(X: np.ndarray, labels: np.ndarray, m: int, seed: int) -> ForestMode
         raise ValueError("need at least 2 samples")
     if m < 1:
         raise ValueError(f"tree count must be >= 1, got {m}")
-    boots = (bootstrap_indices(seed, b, X.shape[0]) for b in range(m))
-    trees = [grow_tree(X[boot], labels[boot], tree_seed=[seed, b, 1])
-             for b, boot in enumerate(boots)]
+
+    def grown(b: int) -> tuple[list, list, np.ndarray]:
+        boot = bootstrap_indices(seed, b, X.shape[0])
+        return _grown(X[boot], labels[boot], [seed, b, 1])
+
+    trees = [_tree(*flat) for flat in workers.map_jobs(grown, range(m))]
     return ForestModel(trees=trees, d=X.shape[1], seed=seed)
 
 

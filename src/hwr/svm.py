@@ -38,19 +38,22 @@ differ from a general product's (and would change the SMO step counts).
 Grid search runs stratified FOLDS-fold cross-validation over every (C, gamma)
 of DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, solving every pair at every C of
 one (fold, gamma) as one batch that shares each pair's Gram matrix, and
-prefers smaller C, then smaller gamma, on ties.  One-vs-one training and
-grid search run SMO to tol _TOL (1e-3).
+prefers smaller C, then smaller gamma, on ties.  Its batches are solved in
+worker processes, which is exact because a machine's result does not depend
+on its batch; everything that calls BLAS stays in the calling process.
+One-vs-one training and grid search run SMO to tol _TOL (1e-3).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataset
+from . import dataset, workers
 from .labels import N_CLASSES
 
 # Grid from the practical-guide convention: coarse powers of two.
@@ -82,13 +85,18 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return _rbf(A, (A * A).sum(axis=1), B, gamma)
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a C or gamma that is not finite and > 0, as model files do."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be {'finite' if value > 0 else '> 0'}, got {value}")
+
+
 def _rbf(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """kernel_matrix(A, B, gamma) for a 2-D float64 A whose squared row norms are a_sq."""
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"feature dims differ: {A.shape[1]} vs {B.shape[1]}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    _check_positive("gamma", gamma)
     sq = a_sq[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
@@ -146,8 +154,7 @@ class _Smo:
     def __init__(self, grams: list[np.ndarray], labels: list[np.ndarray],
                  costs: list[float], tol: float):
         for c in costs:
-            if not c > 0:
-                raise ValueError(f"C must be > 0, got {c}")
+            _check_positive("C", c)
         sizes = np.array([len(y) for y in labels])
         width = int(sizes.max())
         self.K = np.zeros((len(grams), width, width))
@@ -460,8 +467,9 @@ class SvmModel:
 
 def _ovo_problems(
     X: np.ndarray, labels: np.ndarray
-) -> tuple[list[int], list[tuple[int, int]], list[np.ndarray], list[np.ndarray]]:
-    """Sorted classes, their pairs (a, b), a < b, and each pair's rows of X and labels y."""
+) -> tuple[list[int], list[tuple[int, int]], list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Sorted classes, their pairs (a, b), a < b, each pair's rows of X and labels y, and
+    the id of each row of X among its distinct rows of bytes."""
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape[0] != X.shape[0]:
         raise ValueError(f"{labels.shape[0]} labels for {X.shape[0]} samples")
@@ -475,25 +483,26 @@ def _ovo_problems(
     pairs = list(itertools.combinations(classes, 2))
     rows_of = [np.flatnonzero((labels == a) | (labels == b)) for a, b in pairs]
     ys = [np.where(labels[rows] == a, 1.0, -1.0) for rows, (a, _) in zip(rows_of, pairs)]
-    return classes, pairs, rows_of, ys
-
-
-def _ovo_models(X: np.ndarray, labels: np.ndarray, costs: list[float],
-                gamma: float) -> list[SvmModel | TrainingError]:
-    """The one-vs-one model at each of ``costs``, or the error of its first failing pair.
-
-    Every pair at every C is one machine of one lockstep batch.  Rows with
-    equal bytes share one column, numbered by first use over the sorted
-    pairs; a column a machine holds twice gets the sum of its coefficients.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    classes, pairs, rows_of, ys = _ovo_problems(X, labels)
-    # one id per distinct row of bytes, so -0.0 and 0.0 stay apart
+    # bytes, not values, so -0.0 and 0.0 stay apart
     row_bytes = np.ascontiguousarray(X).view(np.dtype((np.void, 8 * X.shape[1])))[:, 0]
-    byte_id = np.unique(row_bytes, return_inverse=True)[1]
-    # each Gram from one array object, see the module docstring
-    grams = [kernel_matrix(Xp, Xp, gamma) for Xp in (X[rows] for rows in rows_of)]
-    outcomes = _Smo(grams, ys, costs, _TOL).solve()
+    return classes, pairs, rows_of, ys, np.unique(row_bytes, return_inverse=True)[1]
+
+
+def _grams(X: np.ndarray, rows_of: list[np.ndarray], gamma: float) -> list[np.ndarray]:
+    """Each pair's Gram matrix, from one array object (see the module docstring)."""
+    return [kernel_matrix(Xp, Xp, gamma) for Xp in (X[rows] for rows in rows_of)]
+
+
+def _build(X: np.ndarray, problems: tuple, costs: list[float], gamma: float,
+           outcomes: list) -> list[SvmModel | TrainingError]:
+    """The one-vs-one model at each of ``costs`` from its machines' solver outcomes, or
+    the error of its first failing pair.
+
+    Rows with equal bytes share one column, numbered by first use over the
+    sorted pairs; a column a machine holds twice gets the sum of its
+    coefficients.
+    """
+    classes, pairs, rows_of, ys, byte_id = problems
     models: list[SvmModel | TrainingError] = []
     for k, c in enumerate(costs):
         batch = outcomes[k * len(ys):(k + 1) * len(ys)]
@@ -514,6 +523,19 @@ def _ovo_models(X: np.ndarray, labels: np.ndarray, costs: list[float],
                                np.array(bias, dtype=np.float64), float(c), float(gamma),
                                np.array(passes, dtype=np.int64)))
     return models
+
+
+def _ovo_models(X: np.ndarray, labels: np.ndarray, costs: list[float],
+                gamma: float) -> list[SvmModel | TrainingError]:
+    """The one-vs-one model at each of ``costs``, or the error of its first failing pair.
+
+    Every pair at every C is one machine of one lockstep batch.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    problems = _ovo_problems(X, labels)
+    _, _, rows_of, ys, _ = problems
+    outcomes = _Smo(_grams(X, rows_of, gamma), ys, costs, _TOL).solve()
+    return _build(X, problems, costs, gamma, outcomes)
 
 
 def ovo_train(X: np.ndarray, labels: np.ndarray, c: float, gamma: float) -> SvmModel:
@@ -560,30 +582,40 @@ def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchR
 
     The cells are DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, scored over
     FOLDS (3) stratified folds.  Accuracy is pooled over folds (total
-    correct / total samples).  Cells whose machines fail to train
-    (degenerate folds) score 0 rather than aborting the sweep.  The machines
-    of one (fold, gamma), every pair at every C still in the running, are
-    solved as one lockstep batch.
+    correct / total samples).  Cells whose machines fail to train in any
+    fold (degenerate folds) score 0 rather than aborting the sweep.  The
+    machines of one (fold, gamma), every pair at every C, are solved as one
+    lockstep batch, and the batches are solved by ``workers.map_jobs``: this
+    process computes their Gram matrices, builds the models and scores the
+    held-out rows, so that every BLAS call stays in one process.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
-    folds = stratified_folds(labels, seed)
     n = labels.shape[0]
     c_values, gamma_values = sorted(DEFAULT_C_VALUES), sorted(DEFAULT_GAMMA_VALUES)
+    # per fold: its held-out rows, its training rows and their pair problems
+    folds = []
+    for held in stratified_folds(labels, seed):
+        train_idx = np.setdiff1d(np.arange(n), held)
+        Xt = X[train_idx]
+        folds.append((held, Xt, _ovo_problems(Xt, labels[train_idx])))
+    # one fold's Gram matrices at a time, each fold's in one go: after a threaded call
+    # OpenBLAS's threads spin for about 0.1 s, taking a CPU from the workers
+    solved = workers.map_jobs(lambda job: _Smo(*job, c_values, _TOL).solve(), (
+        job for _, Xt, (_, _, rows_of, ys, _) in folds
+        for job in [(_grams(Xt, rows_of, gamma), ys) for gamma in gamma_values]))
     # correct predictions per cell, None once one of its machines failed
     correct: dict[tuple[float, float], int | None] = {
         (c, gamma): 0 for c in c_values for gamma in gamma_values}
-    for held in folds:
-        train_idx = np.setdiff1d(np.arange(n), held)
-        for gamma in gamma_values:
-            live = [c for c in c_values if correct[c, gamma] is not None]
-            if not live:
+    jobs = ((fold, gamma) for fold in folds for gamma in gamma_values)
+    for ((held, Xt, problems), gamma), outcomes in zip(jobs, solved):
+        for c, model in zip(c_values, _build(Xt, problems, c_values, gamma, outcomes)):
+            if correct[c, gamma] is None:
                 continue
-            for c, model in zip(live, _ovo_models(X[train_idx], labels[train_idx], live, gamma)):
-                if isinstance(model, TrainingError):
-                    correct[c, gamma] = None
-                    continue
-                correct[c, gamma] += int((model.predict_batch(X[held]) == labels[held]).sum())
+            if isinstance(model, TrainingError):
+                correct[c, gamma] = None
+                continue
+            correct[c, gamma] += int((model.predict_batch(X[held]) == labels[held]).sum())
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []
     for c in c_values:

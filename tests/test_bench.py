@@ -55,6 +55,13 @@ def test_bench_rf_train(benchmark):
     assert model.m == 100 and model.depth > 1
 
 
+def test_bench_grid_search(benchmark):
+    """The pca100 workload's grid: 25 (C, gamma) cells over 3 folds of 588 rows."""
+    X, y = _pca_like(588)
+    result = benchmark(svm.grid_search, X, y, seed=42)
+    assert len(result.table) == 25 and result.accuracy > 0.9
+
+
 def test_bench_smo(benchmark):
     """One grid batch, solved and built: 91 pairs of a 392-row fold at the 5 C values."""
     X, y = _pca_like(392)

@@ -266,6 +266,17 @@ class TestTrainEvalPredict:
                            "--model", str(tmp_path / "svm.json"), "--split-seed", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("c, gamma, name", [("inf", "0.5", "C"), ("1", "inf", "gamma")])
+    def test_svm_infinite_hyperparameter_exit_2(self, capsys, tmp_path, pipeline_dir, c, gamma,
+                                                name):
+        code, _, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
+                           "--labels", str(pipeline_dir / "feat.fmx.labels"),
+                           "--classifier", "svm", "--c", c, "--gamma", gamma,
+                           "--out", str(tmp_path / "svm.json"))
+        assert code == 2
+        assert err == f"error: {name} must be finite, got inf\n"
+        assert not (tmp_path / "svm.json").exists()
+
     def test_svm_without_params_usage_error(self, capsys, tmp_path, pipeline_dir):
         code, _, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
                            "--labels", str(pipeline_dir / "feat.fmx.labels"),

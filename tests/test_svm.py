@@ -107,6 +107,17 @@ class TestSmoTrain:
         with pytest.raises(ValueError, match="C must be > 0"):
             ovo_train(X, np.repeat([1, 2, 3], 2), c=c, gamma=1.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["C", "gamma"])
+    def test_c_or_gamma_not_finite_rejected(self, name, value):
+        X = np.random.default_rng(2).normal(size=(6, 2))
+        c, gamma = (value, 1.0) if name == "C" else (1.0, value)
+        rule = "finite" if value > 0 else "> 0"
+        with pytest.raises(ValueError, match=f"{name} must be {rule}, got {value}"):
+            smo_train(X, np.tile([1.0, -1.0], 3), c=c, gamma=gamma)
+        with pytest.raises(ValueError, match=f"{name} must be {rule}, got {value}"):
+            ovo_train(X, np.repeat([1, 2, 3], 2), c=c, gamma=gamma)
+
     def test_single_class_rejected(self):
         X = np.random.default_rng(2).normal(size=(5, 2))
         with pytest.raises(TrainingError):
