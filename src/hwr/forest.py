@@ -7,7 +7,8 @@ Gini impurity decrease.  Gain ties break toward the lower feature index,
 then the lower threshold.  Nodes stop at purity, at fewer than 2 samples,
 or when no positive-gain split exists; trees are not pruned.  A tree
 depends only on the training rows and its (seed, index), so the trees of a
-forest grow in worker processes.
+forest grow in worker processes.  A forest is held, saved (``hwr-rf/2``)
+and loaded as the preorder lists that growth writes; only growth recurses.
 
 A node's split search is one vectorized pass over its k candidate
 features.  Each tree keeps X transposed, so a node gathers only its (k, n)
@@ -28,7 +29,7 @@ the features one at a time (the reference in tests/oracles.py):
 
 The forest predicts by averaging the per-tree leaf distributions (soft
 voting) and taking the most probable class, ties toward the lowest id.
-Prediction walks flat arrays over the nodes of all trees (the layout of
+Prediction walks arrays numbered from the preorder (the layout of
 scikit-learn's ``tree_``), every (row, tree) pair at once, for as many steps
 as the deepest leaf.  It is exactly the one-tree-at-a-time walk of
 tests/oracles.py:
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +62,8 @@ _GAIN_EPS = 1e-12
 
 @dataclass
 class TreeNode:
+    """A tree as a graph: the form ForestModel takes trees in and shows its own in."""
+
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
@@ -70,24 +73,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.counts is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"counts": [int(c) for c in self.counts]}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
-        """Node as saved by to_dict; ForestModel checks it and makes its counts a row."""
-        if "counts" in doc:
-            return cls(counts=list(doc["counts"]))
-        return cls(feature=doc["feature"], threshold=doc["threshold"],
-                   left=cls.from_dict(doc["left"]), right=cls.from_dict(doc["right"]))
 
 
 def gini(counts) -> float:
@@ -152,14 +137,9 @@ def _best_split(
     return best
 
 
-def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> TreeNode:
-    """CART tree over 1-based labels; floor(sqrt(d)) candidate features per node."""
-    return _tree(*_grown(X, labels, tree_seed))
-
-
-def _grown(X: np.ndarray, labels: np.ndarray, tree_seed) -> tuple[list, list, np.ndarray]:
-    """grow_tree's tree in preorder: split features and thresholds (-1 and 0.0 at a
-    leaf) and the leaves' class counts, one row each."""
+def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> tuple[list, list, np.ndarray]:
+    """CART tree over 1-based labels, floor(sqrt(d)) candidate features per node, in
+    preorder: features and thresholds (-1 and 0.0 at a leaf), and a row of counts per leaf."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(labels, dtype=np.intp)
     if y.shape[0] != X.shape[0]:
@@ -198,108 +178,120 @@ def _grow(XT: np.ndarray, y0: np.ndarray, idx: np.ndarray, gen, k: int, tree: tu
     leaves.append(counts)
 
 
-def _tree(feature: list, threshold: list, counts: np.ndarray) -> TreeNode:
-    """The TreeNode graph of a preorder from _grown; leaves take the rows of counts."""
-    nodes, leaves = zip(feature, threshold), iter(counts)
-
-    def node() -> TreeNode:
-        f, t = next(nodes)
-        if f < 0:
-            return TreeNode(counts=next(leaves))
-        return TreeNode(feature=f, threshold=t, left=node(), right=node())
-
-    return node()
+_BAD_LEAF = f"leaf counts must be {N_CLASSES} non-negative integers with a positive sum"
 
 
-@dataclass
+def _all_of(values, kinds) -> bool:
+    """Whether a list's elements, or an array's dtype, which stands for its elements,
+    are all of the numpy kinds (numpy integers are integers, bools are not)."""
+    types = {values.dtype.type} if isinstance(values, np.ndarray) else set(map(type, values))
+    return all(issubclass(np.dtype(t).type, kinds) for t in types)
+
+
 class ForestModel:
-    """Trees over d features, with their nodes laid out as flat arrays.
+    """Trees over d features as grow_tree's preorder lists, which ``hwr-rf/2`` stores.
 
-    Node i of the arrays splits on ``feature[i]`` at ``threshold[i]`` with
-    children ``left[i]`` and ``right[i]``, or is a leaf with its own index as
-    both children and class distribution ``dist[i]`` (zeros at a split).
-    Each tree's nodes are numbered in preorder from ``roots`` of that tree;
-    ``depth`` is the largest root-to-leaf edge count.  Numbering checks the
-    nodes of trained, built and loaded forests alike: split features must be
-    integers in [0, d), thresholds finite integers or floats, and leaf counts
-    N_CLASSES non-negative integers with a positive sum, which each leaf then
-    holds as an int64 row (numpy integers count, bools do not).
+    ``feature`` and ``threshold`` hold every node, tree after tree, each tree
+    in preorder (a split, its left subtree, its right subtree), with -1 and
+    0.0 at a leaf; ``counts`` holds a row of N_CLASSES class counts per leaf.
+    Numbering checks trained, built and loaded forests alike (split features
+    integers in [0, d), thresholds finite integers or floats, each leaf's
+    counts non-negative integers with a positive sum, whole trees) and
+    derives the walk's arrays: node i splits at ``threshold[i]`` into
+    ``left[i]`` and ``right[i]``, or is a leaf, its own children, with class
+    distribution ``dist[i]``; ``roots`` are the trees' first nodes and
+    ``depth`` the largest root-to-leaf edge count.
     """
 
-    FORMAT = "hwr-rf/1"
+    FORMAT = "hwr-rf/2"
 
-    trees: list[TreeNode]
-    d: int
-    seed: int
-    feature: np.ndarray = field(init=False)    # (nodes,)
-    threshold: np.ndarray = field(init=False)  # (nodes,)
-    left: np.ndarray = field(init=False)       # (nodes,)
-    right: np.ndarray = field(init=False)      # (nodes,)
-    dist: np.ndarray = field(init=False)       # (nodes, N_CLASSES)
-    roots: np.ndarray = field(init=False)      # (m,)
-    depth: int = field(init=False)
+    def __init__(self, trees: list[TreeNode], d: int, seed: int) -> None:
+        """The forest of TreeNode graphs, walked into the preorder lists, which cannot hold a
+        split missing a child or on feature -1, a leaf's mark, or leaf counts of another shape."""
+        feature, threshold, counts = [], [], []
+        todo = list(reversed(trees))
+        while todo:
+            node = todo.pop()
+            if node is None:
+                raise ValueError("a split is missing a child")
+            if node.is_leaf:
+                if np.shape(node.counts) != (N_CLASSES,):
+                    raise ValueError(_BAD_LEAF)
+                feature.append(-1)
+                threshold.append(0.0)
+                counts.extend(node.counts)
+            elif node.feature == -1:
+                raise ValueError("a split feature is -1, a leaf's mark")
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                todo += [node.right, node.left]
+        self._number(feature, threshold, counts, d, seed)
 
-    def __post_init__(self) -> None:
-        if not self.trees:
-            raise ValueError("a forest needs at least one tree")
-        feature, threshold, left, right, roots, leaves = [], [], [], [], [], []
-        self.depth = 0
-        for tree in self.trees:
-            roots.append(len(feature))
-            # (node, its depth, the index of the split it is the right child of)
-            todo = [(tree, 0, None)]
-            while todo:
-                node, level, parent = todo.pop()
-                if node is None:
-                    raise ValueError("a split is missing a child")
-                i = len(feature)
-                if parent is not None:
-                    right[parent] = i
-                if node.is_leaf:
-                    self.depth = max(self.depth, level)
-                    feature.append(0)
-                    threshold.append(0.0)
-                    left.append(i)
-                    right.append(i)
-                    leaves.append(node)
-                else:
-                    feature.append(node.feature)
-                    threshold.append(node.threshold)
-                    left.append(i + 1)  # preorder: the left child comes next
-                    right.append(-1)
-                    todo += [(node.right, level + 1, i), (node.left, level + 1, None)]
-        if not all(np.issubdtype(t, np.integer) for t in set(map(type, feature))):
+    @classmethod
+    def from_preorder(cls, feature, threshold, counts, d: int, seed: int) -> "ForestModel":
+        """The forest of preorder lists; counts flat, or an integer array of a row per leaf."""
+        model = cls.__new__(cls)
+        model._number(feature, threshold, counts, d, seed)
+        return model
+
+    def _number(self, feature, threshold, counts, d: int, seed: int) -> None:
+        self.d, self.seed = d, seed
+        if not _all_of(feature, np.integer):
             raise ValueError("a split feature is not an integer")
-        if not all(np.issubdtype(t, np.integer) or np.issubdtype(t, np.floating)
-                   for t in set(map(type, threshold))) or not all(map(math.isfinite, threshold)):
+        if not _all_of(threshold, (np.integer, np.floating)):
             raise ValueError("a split threshold is not a finite integer or float")
+        if not _all_of(counts, np.integer):
+            raise ValueError(_BAD_LEAF)
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold, dtype=np.float64)
-        self.left = np.array(left, dtype=np.intp)
+        if self.feature.shape != self.threshold.shape:
+            raise ValueError(f"{len(self.feature)} features but {len(self.threshold)} thresholds")
+        if not np.isfinite(self.threshold).all():
+            raise ValueError("a split threshold is not a finite integer or float")
+        if ((self.feature < -1) | (self.feature >= d)).any():
+            raise ValueError(f"a split feature is outside [0, {d})")
+        leaf = self.feature == -1
+        self.counts = np.array(counts, dtype=np.int64).reshape(leaf.sum(), N_CLASSES)
+        if (self.counts < 0).any() or (self.counts.sum(axis=1) < 1).any():
+            raise ValueError(_BAD_LEAF)
+        # A split expects its left child next and its right child after the left
+        # subtree; a node that no split expects starts a tree.
+        right, roots, self.depth = list(range(len(leaf))), [], 0
+        expected = []  # (level, split whose right child it is, or None) of nodes to come
+        for i, is_leaf in enumerate(leaf.tolist()):
+            level, parent = expected.pop() if expected else (0, None)
+            if parent is not None:
+                right[parent] = i
+            if level == 0:
+                roots.append(i)
+            if is_leaf:
+                self.depth = max(self.depth, level)
+            else:
+                expected += [(level + 1, i), (level + 1, None)]
+        if expected:
+            raise ValueError("the preorder ends inside a tree")
+        if not roots:
+            raise ValueError("a forest needs at least one tree")
+        self.left = np.arange(len(leaf)) + ~leaf  # the next node at a split
         self.right = np.array(right, dtype=np.intp)
         self.roots = np.array(roots, dtype=np.intp)
-        leaf = self.left == np.arange(len(left))
-        if (~leaf & ((self.feature < 0) | (self.feature >= self.d))).any():
-            raise ValueError(f"a split feature is outside [0, {self.d})")
-        bad_leaf = f"leaf counts must be {N_CLASSES} non-negative integers with a positive sum"
-        shapes, types = set(), set()
-        for c in (node.counts for node in leaves):  # an array's dtype stands for its elements
-            array = isinstance(c, np.ndarray)
-            shapes.add(c.shape if array else (len(c),))
-            types.update([c.dtype.type] if array else map(type, c))
-        if shapes != {(N_CLASSES,)} or not all(np.issubdtype(t, np.integer) for t in types):
-            raise ValueError(bad_leaf)
-        counts = np.array([node.counts for node in leaves], dtype=np.int64)
-        if (counts < 0).any() or (counts.sum(axis=1) < 1).any():
-            raise ValueError(bad_leaf)
-        for node, row in zip(leaves, counts):
-            node.counts = row
-        self.dist = np.zeros((len(feature), N_CLASSES))
-        self.dist[leaf] = counts / counts.sum(axis=1, keepdims=True)
+        self.dist = np.zeros((len(leaf), N_CLASSES))
+        self.dist[leaf] = self.counts / self.counts.sum(axis=1, keepdims=True)
 
     @property
     def m(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
+
+    @property
+    def trees(self) -> list[TreeNode]:
+        """Each tree as a TreeNode graph over the rows of counts, built on each access."""
+        rows = iter(self.counts)
+        nodes = [TreeNode(f, t) if f >= 0 else TreeNode(counts=next(rows))
+                 for f, t in zip(self.feature.tolist(), self.threshold.tolist())]
+        for i in np.flatnonzero(self.feature >= 0).tolist():
+            nodes[i].left, nodes[i].right = nodes[i + 1], nodes[self.right[i]]
+        return [nodes[root] for root in self.roots.tolist()]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf class distribution of every row, shape (rows, N_CLASSES)."""
@@ -310,6 +302,7 @@ class ForestModel:
         row_start = np.arange(X.shape[0])[:, None] * self.d
         node = np.broadcast_to(self.roots, (X.shape[0], self.m))
         for _ in range(self.depth):
+            # a leaf's feature -1 reads another value of X; both children are the leaf
             goes_left = flat[row_start + self.feature[node]] <= self.threshold[node]
             node = np.where(goes_left, self.left[node], self.right[node])
         return np.cumsum(self.dist[node], axis=1)[:, -1] / self.m
@@ -323,15 +316,17 @@ class ForestModel:
             "d": self.d,
             "seed": self.seed,
             "n_classes": N_CLASSES,
-            "trees": [t.to_dict() for t in self.trees],
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "counts": self.counts.ravel().tolist(),
         })
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForestModel":
         if dataset.number(doc["n_classes"]) != N_CLASSES:
             raise ValueError(f"n_classes is {doc['n_classes']!r}, not {N_CLASSES}")
-        return cls(trees=[TreeNode.from_dict(t) for t in doc["trees"]],
-                   d=dataset.number(doc["d"]), seed=dataset.number(doc["seed"]))
+        return cls.from_preorder(doc["feature"], doc["threshold"], doc["counts"],
+                                 dataset.number(doc["d"]), dataset.number(doc["seed"]))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ForestModel":
@@ -342,7 +337,7 @@ def rf_train(X: np.ndarray, labels: np.ndarray, m: int, seed: int) -> ForestMode
     """Grow m trees on independent bootstraps; streams derive from (seed, b).
 
     Tree b depends only on (seed, b) and the training rows, so the trees are
-    grown by ``workers.map_jobs`` and come back in _grown's flat preorder.
+    grown by ``workers.map_jobs`` and their preorders concatenated in tree order.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
@@ -355,10 +350,11 @@ def rf_train(X: np.ndarray, labels: np.ndarray, m: int, seed: int) -> ForestMode
 
     def grown(b: int) -> tuple[list, list, np.ndarray]:
         boot = bootstrap_indices(seed, b, X.shape[0])
-        return _grown(X[boot], labels[boot], [seed, b, 1])
+        return grow_tree(X[boot], labels[boot], [seed, b, 1])
 
-    trees = [_tree(*flat) for flat in workers.map_jobs(grown, range(m))]
-    return ForestModel(trees=trees, d=X.shape[1], seed=seed)
+    trees = workers.map_jobs(grown, range(m))
+    return ForestModel.from_preorder(*(np.concatenate(lists) for lists in zip(*trees)),
+                                     d=X.shape[1], seed=seed)
 
 
 def bootstrap_indices(seed: int, tree_index: int, n: int) -> np.ndarray:

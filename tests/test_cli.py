@@ -40,16 +40,21 @@ POLY_SVM = json.dumps({
 })
 
 # A forest over the 8 PCA dimensions whose left leaf has one count instead of
-# 14; no image reaches it, since every projection exceeds the threshold.
+# 14, so its two leaves have 15; no image reaches it, since every projection
+# exceeds the threshold.
 SHORT_LEAF_RF = json.dumps({
-    "format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14,
-    "trees": [{"feature": 0, "threshold": -1e300, "left": {"counts": [1]},
-               "right": {"counts": [1] + [0] * 13}}],
+    "format": "hwr-rf/2", "d": 8, "seed": 0, "n_classes": 14, "feature": [0, -1, -1],
+    "threshold": [-1e300, 0.0, 0.0], "counts": [1] + [1] + [0] * 13,
 })
 
 # Files that loaded and predicted a class with exit 0 before they were refused:
 # a forest without trees, an svm without pairs, and an svm of one class.
-EMPTY_RF = json.dumps({"format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14, "trees": []})
+EMPTY_RF = json.dumps({"format": "hwr-rf/2", "d": 8, "seed": 0, "n_classes": 14,
+                       "feature": [], "threshold": [], "counts": []})
+
+# A forest as the previous version wrote it: nested JSON trees.
+RF_1 = json.dumps({"format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14,
+                   "trees": [{"counts": [1] + [0] * 13}]})
 
 
 # An mlp file whose 20 outputs predict class 20 and an svm file of classes 15
@@ -82,12 +87,16 @@ def _pairless_svm(classes: list[int]) -> str:
     })
 
 
-# A tree of 3,000 splits, each with a leaf on its right; json.load, like
-# TreeNode.from_dict, recurses once per level.
-_LEAF = json.dumps({"counts": [1] + [0] * 13})
-DEEP_RF = ('{"format": "hwr-rf/1", "d": 8, "seed": 0, "n_classes": 14, "trees": ['
-           + '{"feature": 0, "threshold": 0.0, "left": ' * 3000 + _LEAF
-           + f', "right": {_LEAF}}}' * 3000 + "]}")
+# A tree of 3,000 splits, each with a leaf on its right: flat lists, so it
+# loads and predicts class 1.
+CHAIN_RF = json.dumps({"format": "hwr-rf/2", "d": 8, "seed": 0, "n_classes": 14,
+                       "feature": [0] * 3000 + [-1] * 3001, "threshold": [0.0] * 6001,
+                       "counts": ([1] + [0] * 13) * 3001})
+
+# A forest whose feature list nests 3,000 levels deep; json.load recurses once
+# per level.
+DEEP_RF = ('{"format": "hwr-rf/2", "d": 8, "seed": 0, "n_classes": 14, "feature": '
+           + "[" * 3000 + "]" * 3000 + ', "threshold": [], "counts": []}')
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +362,27 @@ class TestTrainEvalPredict:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {bad}: ")
         assert "Traceback" not in proc.stderr
+
+    def test_chain_forest_of_3000_splits_predicts(self, tmp_path, pipeline_dir):
+        chain = tmp_path / "chain.json"
+        chain.write_text(CHAIN_RF, encoding="utf-8")
+        proc = predict_in_subprocess(pipeline_dir, pipeline_dir / "pca.json", chain)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_rf_1_file_exit_2_with_rebuild_hint(self, capsys, tmp_path, pipeline_dir, command):
+        old = tmp_path / "old.json"
+        old.write_text(RF_1, encoding="utf-8")
+        if command == "predict":
+            proc = predict_in_subprocess(pipeline_dir, pipeline_dir / "pca.json", old)
+            code, err = proc.returncode, proc.stderr
+        else:
+            code, _, err = run(capsys, "eval", "--in", str(pipeline_dir / "reduced.fmx"),
+                               "--labels", str(pipeline_dir / "feat.fmx.labels"),
+                               "--model", str(old), "--split-seed", "5")
+        assert code == 2
+        assert err.startswith(f"error: {old}: format 'hwr-rf/1' is not hwr-mlp/2 or ")
+        assert "`hwr train`" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("tag, role", [("hwr-pca/1", "reducer"), ("hwr-rp/1", "reducer"),
                                            ("hwr-mlp/1", "model"), ("hwr-svm/1", "model"),

@@ -57,24 +57,33 @@ def exhaustive_best_split(X, y0, features):
     return best
 
 
+def _graph(X, y, tree_seed) -> TreeNode:
+    """grow_tree's tree as a TreeNode graph."""
+    return ForestModel.from_preorder(*grow_tree(X, y, tree_seed), d=X.shape[1], seed=0).trees[0]
+
+
+def _preorder(model: ForestModel) -> tuple[bytes, bytes, bytes]:
+    """The bytes of a forest's preorder lists, as equal as hwr-rf/2 files of it are."""
+    return model.feature.tobytes(), model.threshold.tobytes(), model.counts.tobytes()
+
+
 class TestGrowTree:
     def test_single_class_is_leaf(self):
         X = np.random.default_rng(0).normal(size=(6, 3))
-        tree = grow_tree(X, np.full(6, 4), tree_seed=0)
-        assert tree.is_leaf
-        assert tree.counts[3] == 6
+        feature, threshold, counts = grow_tree(X, np.full(6, 4), tree_seed=0)
+        assert (feature, threshold) == ([-1], [0.0])
+        assert counts.tolist() == [[0, 0, 0, 6] + [0] * 10]
 
     def test_1d_two_class_threshold(self):
         X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
         y = np.array([1, 1, 1, 2, 2, 2])
-        tree = grow_tree(X, y, tree_seed=0)
-        assert not tree.is_leaf
-        assert tree.feature == 0
-        assert 0.3 < tree.threshold < 0.7
-        assert tree.left.is_leaf and tree.right.is_leaf
+        feature, threshold, counts = grow_tree(X, y, tree_seed=0)
+        assert feature == [0, -1, -1] and threshold[1:] == [0.0, 0.0]
+        assert 0.3 < threshold[0] < 0.7
+        assert counts.tolist() == [[3, 0] + [0] * 12, [0, 3] + [0] * 12]
         # oracle: exhaustive threshold enumeration picks the same cut
         oracle = exhaustive_best_split(X, y - 1, [0])
-        assert tree.threshold == oracle[2]
+        assert threshold[0] == oracle[2]
 
     def test_feature_subset_size_sqrt_100(self, monkeypatch):
         drawn = []
@@ -95,20 +104,20 @@ class TestGrowTree:
         gen = np.random.default_rng(2)
         X = gen.normal(size=(10, 4))
         y = gen.integers(1, 4, size=10)
-        tree = grow_tree(X, y, tree_seed=5)
+        feature, threshold, _ = grow_tree(X, y, tree_seed=5)
         # the root searches the first floor(sqrt(4)) = 2 features its stream draws
         drawn = np.random.default_rng(5).choice(4, size=2, replace=False)
         oracle = exhaustive_best_split(X, y - 1, drawn)
         if oracle is None or oracle[0] <= 0:
-            assert tree.is_leaf
+            assert feature == [-1]
         else:
-            assert (tree.feature, tree.threshold) == (oracle[1], oracle[2])
+            assert (feature[0], threshold[0]) == (oracle[1], oracle[2])
 
     def test_paths_strictly_decrease_weighted_impurity(self):
         gen = np.random.default_rng(4)
         X = gen.normal(size=(60, 5))
         y = gen.integers(1, 4, size=60)
-        tree = grow_tree(X, y, tree_seed=7)
+        tree = _graph(X, y, tree_seed=7)
 
         def check(node):
             if node.is_leaf:
@@ -224,8 +233,10 @@ class TestSplitOracle:
         gen = np.random.default_rng(seed)
         X = np.round(gen.normal(size=(120, 40)), 1)
         y = gen.integers(1, 15, size=120)
-        assert (grow_tree(X, y, tree_seed=[seed, 0, 1]).to_dict()
-                == scalar_grow_tree(X, y, tree_seed=[seed, 0, 1]).to_dict())
+        grown = grow_tree(X, y, tree_seed=[seed, 0, 1])
+        oracle = scalar_grow_tree(X, y, tree_seed=[seed, 0, 1])
+        assert (_preorder(ForestModel.from_preorder(*grown, d=40, seed=0))
+                == _preorder(ForestModel(trees=[oracle], d=40, seed=0)))
 
     @pytest.mark.parametrize("seed", [3, 42])
     def test_rf_train_matches_scalar_trees(self, seed):
@@ -233,10 +244,10 @@ class TestSplitOracle:
         X = gen.normal(size=(90, 25))
         y = gen.integers(1, 15, size=90)
         model = rf_train(X, y, m=6, seed=seed)
-        for b, tree in enumerate(model.trees):
-            boot = bootstrap_indices(seed, b, 90)
-            expected = scalar_grow_tree(X[boot], y[boot], tree_seed=[seed, b, 1])
-            assert tree.to_dict() == expected.to_dict()
+        boots = [bootstrap_indices(seed, b, 90) for b in range(6)]
+        expected = ForestModel(trees=[scalar_grow_tree(X[boot], y[boot], tree_seed=[seed, b, 1])
+                                      for b, boot in enumerate(boots)], d=25, seed=seed)
+        assert _preorder(model) == _preorder(expected)
 
 
 class TestRfTrain:
@@ -247,7 +258,7 @@ class TestRfTrain:
         model = rf_train(X, y, m=1, seed=9)
         boot = bootstrap_indices(9, 0, 30)
         solo = grow_tree(X[boot], y[boot], tree_seed=[9, 0, 1])
-        expected = per_tree_predict_proba(ForestModel(trees=[solo], d=4, seed=9), X[:10])
+        expected = per_tree_predict_proba(ForestModel.from_preorder(*solo, d=4, seed=9), X[:10])
         assert model.predict_proba(X[:10]).tobytes() == expected.tobytes()
 
     def test_seed_determinism(self):
@@ -259,8 +270,8 @@ class TestRfTrain:
         c = rf_train(X, y, m=5, seed=2)
         probe = gen.normal(size=(12, 3))
         assert np.array_equal(a.predict_batch(probe), b.predict_batch(probe))
-        assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
-        assert any(ta.to_dict() != tc.to_dict() for ta, tc in zip(a.trees, c.trees))
+        assert _preorder(a) == _preorder(b)
+        assert _preorder(a) != _preorder(c)
 
     def test_default_tree_counts_exposed(self):
         assert DEFAULT_TREE_COUNTS == (50, 100, 2000)
@@ -479,7 +490,7 @@ class TestNodeChecks:
                  _stump(np.int64(1), np.float32(-0.5), np.arange(14, dtype=np.uint8)),
                  _stump(np.uint8(0), np.float64(0.25))]
         model = ForestModel(trees=trees, d=3, seed=0)
-        assert model.feature.tolist() == [2, 0, 0, 1, 0, 0, 0, 0, 0]
+        assert model.feature.tolist() == [2, -1, -1, 1, -1, -1, 0, -1, -1]
         assert model.threshold.tolist() == [1.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.25, 0.0, 0.0]
         assert model.dist[4].tolist() == (np.arange(14) / 91).tolist()
 
@@ -502,3 +513,38 @@ class TestNodeChecks:
                     else:
                         todo += [node.left, node.right]
         assert np.array_equal(per_tree_predict_proba(loaded, X), trained.predict_proba(X))
+
+
+class TestPreorder:
+    """Built and trained forests are one form: preorder lists, numbered in one pass."""
+
+    def test_trees_view_builds_the_same_forest(self):
+        gen = np.random.default_rng(10)
+        X = gen.normal(size=(50, 5))
+        y = gen.integers(1, 15, size=50)
+        trained = rf_train(X, y, m=5, seed=3)
+        built = ForestModel(trees=trained.trees, d=5, seed=3)
+        for name in ("feature", "threshold", "counts", "left", "right", "roots", "dist"):
+            assert getattr(built, name).tobytes() == getattr(trained, name).tobytes()
+        assert (built.depth, built.m) == (trained.depth, 5)
+
+    def test_numbering_of_two_trees(self):
+        # a stump, then a split whose left child is a split
+        model = ForestModel.from_preorder([1, -1, -1, 0, 2, -1, -1, -1], [0.5] + [0.0] * 7,
+                                          np.eye(14, dtype=int)[:5], d=3, seed=0)
+        assert model.roots.tolist() == [0, 3]
+        assert model.left.tolist() == [1, 1, 2, 4, 5, 5, 6, 7]
+        assert model.right.tolist() == [2, 1, 2, 7, 6, 5, 6, 7]
+        assert model.depth == 2
+        assert np.array_equal(model.dist[model.feature == -1], np.eye(14)[:5])
+
+    def test_chain_of_3000_splits_is_numbered_without_recursion(self):
+        splits = 3000
+        # the deepest split's left leaf holds class 2, every right leaf class 1
+        model = ForestModel.from_preorder([0] * splits + [-1] * (splits + 1),
+                                          [0.0] * (2 * splits + 1),
+                                          [0, 1] + [0] * 12 + ([1] + [0] * 13) * splits,
+                                          d=1, seed=0)
+        assert model.depth == splits and model.right[0] == 2 * splits
+        assert model.predict_batch(np.array([[1.0], [-1.0]])).tolist() == [1, 2]
+        assert len(model.trees) == 1

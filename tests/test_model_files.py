@@ -25,7 +25,7 @@ LAYOUT = {
     "hwr-mlp/2": ["format", "m", "h", "o", "w1", "b1", "w2", "b2"],
     "hwr-svm/3": ["format", "classes", "c", "gamma", "kernel", "pairs", "n_support", "dim",
                   "support_vectors", "coef", "bias"],
-    "hwr-rf/1": ["format", "d", "seed", "n_classes", "trees"],
+    "hwr-rf/2": ["format", "d", "seed", "n_classes", "feature", "threshold", "counts"],
 }
 
 
@@ -45,7 +45,7 @@ def _tiny_model(layout: str):
         "hwr-mlp/2": lambda: mlp.train(mlp.mlp_init(3, 4, 14, seed=0), X, y,
                                        mlp.TrainConfig(epochs=2, seed=0)),
         "hwr-svm/3": lambda: svm.ovo_train(X, y, c=1.0, gamma=0.5),
-        "hwr-rf/1": lambda: forest.rf_train(X, y, m=2, seed=0),
+        "hwr-rf/2": lambda: forest.rf_train(X, y, m=2, seed=0),
     }[layout]()
 
 
@@ -70,7 +70,7 @@ def _arrays(model) -> dict[str, np.ndarray]:
     return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
 
 
-@pytest.mark.parametrize("layout", sorted(set(LAYOUT) - {"hwr-rf/1"}))
+@pytest.mark.parametrize("layout", sorted(LAYOUT))
 def test_saved_arrays_load_bit_equal(layout, tmp_path):
     model = _tiny_model(layout)
     model.save(tmp_path / "model.json")
@@ -78,7 +78,8 @@ def test_saved_arrays_load_bit_equal(layout, tmp_path):
     saved, back = _arrays(model), _arrays(loaded)
     assert saved and list(back) == list(saved)
     for name, array in saved.items():
-        assert back[name].dtype == np.float64 and back[name].shape == array.shape, name
+        assert back[name].dtype == array.dtype and back[name].shape == array.shape, name
+        assert array.dtype == np.float64 or isinstance(model, ForestModel), name
         assert back[name].tobytes() == array.tobytes(), name
         assert back[name].flags.writeable, name
     if isinstance(model, ProjectionMatrix):
@@ -86,8 +87,9 @@ def test_saved_arrays_load_bit_equal(layout, tmp_path):
 
 
 # The smallest document of each kind's first version, each of which loaded
-# before the array fields became base64 payloads, and of hwr-svm/2, which
-# loaded before the machines shared one support-vector matrix.
+# before the array fields became base64 payloads or, for hwr-rf/1, before a
+# forest became its preorder lists, and of hwr-svm/2, which loaded before the
+# machines shared one support-vector matrix.
 VERSION_1 = [
     (PcaModel, {"format": "hwr-pca/1", "d": 1, "k": 1, "mean": [0.0], "components": [1.0],
                 "explained_variance": [1.0]}),
@@ -105,6 +107,8 @@ VERSION_1 = [
                                                "n_support": 1, "dim": 1,
                                                "dual_coef": dataset.pack([1.0]),
                                                "bias": 0.0}]}),
+    (ForestModel, {"format": "hwr-rf/1", "d": 1, "seed": 0, "n_classes": 14,
+                   "trees": [{"counts": [1] + [0] * 13}]}),
 ]
 
 
@@ -159,16 +163,16 @@ def test_recursion_while_building_raises_model_file_error(tmp_path):
     assert str(info.value).startswith(f"{path}: ")
 
 
-def _first_rf_node(doc: dict, leaf: bool) -> dict:
-    """The first leaf (or split) of a saved forest, depth first."""
-    todo = list(reversed(doc["trees"]))
-    while todo:
-        node = todo.pop()
-        if ("counts" in node) == leaf:
-            return node
-        if "counts" not in node:
-            todo += [node["right"], node["left"]]
-    raise AssertionError("the forest has no such node")
+def _first_split(doc: dict, **fields) -> None:
+    """Set fields of the first split of a saved forest: its feature or threshold."""
+    i = next(i for i, f in enumerate(doc["feature"]) if f != -1)
+    for name, value in fields.items():
+        doc[name][i] = value
+
+
+def _first_leaf(doc: dict, counts: list) -> None:
+    """Set the class counts of a saved forest's first leaf."""
+    doc["counts"][:14] = counts
 
 
 def _one_short(record: dict, field: str) -> None:
@@ -178,19 +182,12 @@ def _one_short(record: dict, field: str) -> None:
 
 def _three_classes(doc: dict) -> None:
     """Make a saved forest of the blobs' classes 1-3 a 3-class forest."""
-    doc["n_classes"] = 3
-    todo = list(doc["trees"])
-    while todo:
-        node = todo.pop()
-        if "counts" in node:
-            del node["counts"][3:]
-        else:
-            todo += [node["left"], node["right"]]
+    doc.update(n_classes=3, counts=[c for i, c in enumerate(doc["counts"]) if i % 14 < 3])
 
 
 def _first_count(doc: dict, value) -> None:
     """Set the first class count of a saved forest's first leaf."""
-    _first_rf_node(doc, leaf=True)["counts"][0] = value
+    doc["counts"][0] = value
 
 
 def _mlp_outputs(doc: dict, o: int) -> None:
@@ -231,11 +228,13 @@ def _first_pairs(doc: dict, keep: int, classes: list[int] | None = None) -> None
 # outside 1..14, an mlp whose outputs are not the 14 classes, a header field
 # that is not an integer (a float, a string or a bool, even one equal to an
 # integer), an svm C or gamma that is not a finite positive number, a forest leaf
-# that is not 14 non-negative integer counts with a positive sum, a forest
-# split on a feature that is not an integer in [0, d) or at a threshold that
-# is not a finite number, a forest of other than 14 classes, a number too
-# large to convert, or a forest without trees (the tiny forest has d = 3, the
-# tiny svm classes 1, 2 and 3).  The pair and class edits keep the
+# that is not 14 non-negative integer counts with a positive sum, forest counts
+# that are not a list, a forest split on a feature that is not an integer in
+# [0, d) or at a threshold that is not a finite number, a forest of other than
+# 14 classes, a number too large to convert, a forest without trees, and
+# forest lists that disagree: a preorder that ends inside a tree, more rows of
+# counts than leaves, or fewer thresholds than nodes (the tiny forest has
+# d = 3, the tiny svm classes 1, 2 and 3).  The pair and class edits keep the
 # coefficient and bias payloads consistent with the pairs left.
 INCONSISTENT = {
     "pca-mean": ("hwr-pca/2", lambda doc: _one_short(doc, "mean")),
@@ -264,47 +263,39 @@ INCONSISTENT = {
     "svm-no-pairs": ("hwr-svm/3", lambda doc: _first_pairs(doc, 0)),
     "svm-one-class": ("hwr-svm/3", lambda doc: _first_pairs(doc, 0, classes=[2])),
     "svm-class-twice": ("hwr-svm/3", lambda doc: _first_pairs(doc, 1, classes=[1, 2, 2])),
-    "rf-leaf-short": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True)["counts"].pop()),
-    "rf-leaf-negative": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
-        counts=[-1, 2] + [0] * 12)),
-    "rf-leaf-zero-sum": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
-        counts=[0] * 14)),
-    "rf-feature-d": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(feature=3)),
-    "rf-feature-negative": ("hwr-rf/1",
-                            lambda doc: _first_rf_node(doc, leaf=False).update(feature=-1)),
-    "rf-threshold-nan": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        threshold=float("nan"))),
-    "rf-threshold-inf": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        threshold=float("-inf"))),
-    "rf-no-trees": ("hwr-rf/1", lambda doc: doc.update(trees=[])),
-    "rf-feature-float": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        feature=0.9)),
-    "rf-feature-string": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        feature="1")),
-    "rf-feature-bool": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        feature=True)),
-    "rf-feature-huge": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        feature=2**70)),
-    "rf-count-float": ("hwr-rf/1", lambda doc: _first_count(doc, 2.7)),
-    "rf-count-string": ("hwr-rf/1", lambda doc: _first_count(doc, "3")),
-    "rf-count-bool": ("hwr-rf/1", lambda doc: _first_count(doc, True)),
-    "rf-count-huge": ("hwr-rf/1", lambda doc: _first_count(doc, 2**70)),
-    "rf-counts-null": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
-        counts=None)),
-    "rf-counts-number": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=True).update(
-        counts=5)),
-    "rf-threshold-bool": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        threshold=True)),
-    "rf-threshold-string": ("hwr-rf/1", lambda doc: _first_rf_node(doc, leaf=False).update(
-        threshold="0.5")),
-    "rf-n_classes-3": ("hwr-rf/1", _three_classes),
-    "rf-d-infinite": ("hwr-rf/1", lambda doc: doc.update(d=float("inf"))),
+    "rf-leaf-short": ("hwr-rf/2", lambda doc: doc["counts"].pop(13)),
+    "rf-leaf-negative": ("hwr-rf/2", lambda doc: _first_leaf(doc, [-1, 2] + [0] * 12)),
+    "rf-leaf-zero-sum": ("hwr-rf/2", lambda doc: _first_leaf(doc, [0] * 14)),
+    "rf-feature-d": ("hwr-rf/2", lambda doc: _first_split(doc, feature=3)),
+    "rf-feature-negative": ("hwr-rf/2", lambda doc: _first_split(doc, feature=-2)),
+    "rf-threshold-nan": ("hwr-rf/2", lambda doc: _first_split(doc, threshold=float("nan"))),
+    "rf-threshold-inf": ("hwr-rf/2", lambda doc: _first_split(doc, threshold=float("-inf"))),
+    "rf-no-trees": ("hwr-rf/2", lambda doc: doc.update(feature=[], threshold=[], counts=[])),
+    "rf-feature-float": ("hwr-rf/2", lambda doc: _first_split(doc, feature=0.9)),
+    "rf-feature-string": ("hwr-rf/2", lambda doc: _first_split(doc, feature="1")),
+    "rf-feature-bool": ("hwr-rf/2", lambda doc: _first_split(doc, feature=True)),
+    "rf-feature-huge": ("hwr-rf/2", lambda doc: _first_split(doc, feature=2**70)),
+    "rf-count-float": ("hwr-rf/2", lambda doc: _first_count(doc, 2.7)),
+    "rf-count-string": ("hwr-rf/2", lambda doc: _first_count(doc, "3")),
+    "rf-count-bool": ("hwr-rf/2", lambda doc: _first_count(doc, True)),
+    "rf-count-huge": ("hwr-rf/2", lambda doc: _first_count(doc, 2**70)),
+    "rf-count-null": ("hwr-rf/2", lambda doc: _first_count(doc, None)),
+    "rf-counts-null": ("hwr-rf/2", lambda doc: doc.update(counts=None)),
+    "rf-counts-number": ("hwr-rf/2", lambda doc: doc.update(counts=5)),
+    "rf-threshold-bool": ("hwr-rf/2", lambda doc: _first_split(doc, threshold=True)),
+    "rf-threshold-string": ("hwr-rf/2", lambda doc: _first_split(doc, threshold="0.5")),
+    "rf-ends-inside-a-tree": ("hwr-rf/2", lambda doc: doc.update(
+        feature=doc["feature"] + [0], threshold=doc["threshold"] + [0.5])),
+    "rf-leaves-not-rows": ("hwr-rf/2", lambda doc: doc["counts"].extend([1] + [0] * 13)),
+    "rf-lengths-differ": ("hwr-rf/2", lambda doc: doc["threshold"].pop()),
+    "rf-n_classes-3": ("hwr-rf/2", _three_classes),
+    "rf-d-infinite": ("hwr-rf/2", lambda doc: doc.update(d=float("inf"))),
     "mlp-o-20": ("hwr-mlp/2", lambda doc: _mlp_outputs(doc, 20)),
     "mlp-o-3": ("hwr-mlp/2", lambda doc: _mlp_outputs(doc, 3)),
     "svm-class-15": ("hwr-svm/3", lambda doc: _svm_class_3_as(doc, 15)),
-    "rf-d-float": ("hwr-rf/1", lambda doc: doc.update(d=3.7)),
-    "rf-seed-string": ("hwr-rf/1", lambda doc: doc.update(seed="7")),
-    "rf-n_classes-float": ("hwr-rf/1", lambda doc: doc.update(n_classes=14.0)),
+    "rf-d-float": ("hwr-rf/2", lambda doc: doc.update(d=3.7)),
+    "rf-seed-string": ("hwr-rf/2", lambda doc: doc.update(seed="7")),
+    "rf-n_classes-float": ("hwr-rf/2", lambda doc: doc.update(n_classes=14.0)),
     "pca-k-float": ("hwr-pca/2", lambda doc: doc.update(k=2.0)),
     "rp-seed-string": ("hwr-rp/2 gaussian", lambda doc: doc.update(seed="1")),
     "rp-d-bool": ("hwr-rp/2 sparse", lambda doc: doc.update(d=True)),
@@ -340,14 +331,14 @@ def test_inconsistent_forest_eval_exit_2(case, tmp_path, capsys):
     dataset.write_fmx(X, tmp_path / "x.fmx")
     dataset.write_label_file(y, tmp_path / "x.labels")
     path = tmp_path / "rf.json"
-    _tiny_model("hwr-rf/1").save(path)
+    _tiny_model("hwr-rf/2").save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     INCONSISTENT[case][1](doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = cli.main(["eval", "--in", str(tmp_path / "x.fmx"), "--labels",
                      str(tmp_path / "x.labels"), "--model", str(path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: malformed hwr-rf/1 model ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed hwr-rf/2 model ")
 
 
 def _python_encoder_bytes(doc: dict) -> bytes:
@@ -406,7 +397,7 @@ def test_benchmark_span_hooks_install_and_record(tmp_path):
         X, y = _blobs()
         dimred.pca_fit(X, 2).save(tmp_path / "pca.json")
         dimred.load_reducer(tmp_path / "pca.json").transform(X)
-        for name in ("hwr-mlp/2", "hwr-svm/3", "hwr-rf/1"):
+        for name in ("hwr-mlp/2", "hwr-svm/3", "hwr-rf/2"):
             path = tmp_path / f"{name.split('/')[0]}.json"
             _tiny_model(name).save(path)
             cli.load_classifier(path).predict_batch(X[:1])

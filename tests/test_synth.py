@@ -84,7 +84,7 @@ class TestLearnability:
         labels = small_synth.labels()
         train_mask = np.arange(len(labels)) % 2 == 0
         tree = forest.grow_tree(X[train_mask], labels[train_mask], tree_seed=0)
-        model = forest.ForestModel(trees=[tree], d=X.shape[1], seed=0)
+        model = forest.ForestModel.from_preorder(*tree, d=X.shape[1], seed=0)
         predictions = np.argmax(per_tree_predict_proba(model, X[~train_mask]), axis=1) + 1
         accuracy = (predictions == labels[~train_mask]).mean()
         assert accuracy > 1 / 14

@@ -83,7 +83,11 @@ class TestForest:
         model = forest.rf_train(X, y, m=4, seed=3)
         for b, tree in enumerate(model.trees):
             boot = forest.bootstrap_indices(3, b, len(y))
-            assert tree.to_dict() == forest.grow_tree(X[boot], y[boot], [3, b, 1]).to_dict()
+            grown = forest.grow_tree(X[boot], y[boot], [3, b, 1])
+            expected = forest.ForestModel.from_preorder(*grown, d=6, seed=3)
+            built = forest.ForestModel(trees=[tree], d=6, seed=3)
+            for name in ("feature", "threshold", "counts"):
+                assert getattr(built, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_bad_labels_raise_from_a_worker(self, cpus):
         X, y = _forest_data()
