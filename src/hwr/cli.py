@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, dimred, features, forest, imaging, labels, metrics, mlp, svm, synth
+from . import (dataset, dimred, features, forest, imaging, labels, metrics, mlp, svm, synth,
+               workers)
 from .rng import derive_seed
 
 DEFAULT_MASTER_SEED = 42
@@ -55,23 +56,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     manifest = dataset.load_manifest(args.manifest)
-    rows, row_labels, failures = [], [], []
-    for (rel, cid), path in zip(manifest.records, manifest.paths()):
-        try:
-            img = imaging.read_pgm(path)
-            rows.append(features.extract_word_features(img, include_scalars=args.scalars))
-        except (ValueError, OSError) as exc:
-            failures.append((rel, exc))
-            continue
-        row_labels.append(cid)
-    if rows:
-        matrix = np.array(rows)
+    paths = manifest.paths()
+    width = features.hog_length(imaging.CANONICAL_HEIGHT, imaging.CANONICAL_WIDTH)
+    if args.scalars:
+        width += len(features.ScalarFeatures._fields)
+
+    def extract(start: int, stop: int, rows: np.ndarray) -> list[tuple[int, str]]:
+        failed = []
+        for i in range(start, stop):
+            try:
+                img = imaging.read_pgm(paths[i])
+                rows[i - start] = features.extract_word_features(img, include_scalars=args.scalars)
+            except (ValueError, OSError) as exc:
+                failed.append((i, str(exc)))
+        return failed
+
+    matrix, failed = workers.map_rows(extract, len(paths), width)
+    failures = dict(item for block in failed for item in block)  # row -> message, in order
+    if len(failures) < len(paths):
+        good = [i for i in range(len(paths)) if i not in failures]
+        if failures:
+            matrix = matrix[good]
         dataset.write_fmx(matrix, args.out)
-        dataset.write_label_file(row_labels, str(args.out) + ".labels")
+        dataset.write_label_file(manifest.labels()[good], str(args.out) + ".labels")
         print(f"{matrix.shape[0]} x {matrix.shape[1]} features written to {args.out}")
         print(f"labels: {args.out}.labels")
-    for rel, exc in failures:
-        print(f"failed: {rel}: {exc}", file=sys.stderr)
+    for i, message in failures.items():
+        print(f"failed: {manifest.records[i][0]}: {message}", file=sys.stderr)
     if failures:
         print(f"{len(failures)} of {len(manifest)} images failed", file=sys.stderr)
         return 1

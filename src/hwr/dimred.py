@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import dataset, rng
+from . import dataset, rng, workers
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -187,12 +187,22 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
 
 
 def project(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
+    """The rows of X projected by P.
+
+    A sparse P is applied to `workers.map_rows` blocks of rows.  This gives
+    the whole product's bits: CSR adds each output's products in index
+    order, starting from 0, whatever the block.
+    """
     X = _as_matrix(X)
     if X.shape[1] != P.d:
         raise ValueError(f"X has {X.shape[1]} columns, projection expects {P.d}")
-    if P.kind == "sparse":
-        return np.asarray((P.matrix @ X.T).T)
-    return X @ np.asarray(P.matrix).T
+    if P.kind == "gaussian":
+        return X @ P.matrix.T
+
+    def rows(start: int, stop: int, out: np.ndarray) -> None:
+        out[:] = (P.matrix @ X[start:stop].T).T
+
+    return workers.map_rows(rows, X.shape[0], P.k)[0]
 
 
 def jl_min_dim(n: int, eps: float) -> int:

@@ -93,8 +93,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be {'finite' if lr > 0 else '> 0'}, got {lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

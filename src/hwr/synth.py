@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import imaging
+from . import imaging, workers
 from .dataset import Manifest, write_manifest
 from .labels import N_CLASSES
 
@@ -204,15 +204,23 @@ def render_word(class_id: int, spec: SynthSpec, index: int) -> np.ndarray:
 
 
 def synth_generate(spec: SynthSpec, out_dir: str | os.PathLike) -> Manifest:
-    """Render per_class samples of each class and write images + manifest."""
+    """Render per_class samples of each class and write images + manifest.
+
+    Images are rendered and written by `workers.map_jobs`, `workers.BLOCK` at a time.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
-    for class_id in range(1, N_CLASSES + 1):
-        for index in range(spec.per_class):
-            name = f"c{class_id:02d}_s{index:03d}.pgm"
-            imaging.write_pgm(out / name, render_word(class_id, spec, index))
-            records.append((name, class_id))
-    manifest = Manifest(records=records, root=out)
+    images = [(class_id, index) for class_id in range(1, N_CLASSES + 1)
+              for index in range(spec.per_class)]
+    names = [f"c{class_id:02d}_s{index:03d}.pgm" for class_id, index in images]
+
+    def write(block: tuple[int, int]) -> None:
+        for k in range(*block):
+            class_id, index = images[k]
+            imaging.write_pgm(out / names[k], render_word(class_id, spec, index))
+
+    workers.map_jobs(write, workers.blocks(len(images)))
+    manifest = Manifest(records=[(name, class_id) for name, (class_id, _) in zip(names, images)],
+                        root=out)
     write_manifest(manifest, out / "manifest.csv")
     return manifest

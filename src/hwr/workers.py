@@ -1,16 +1,54 @@
-"""Independent jobs on the CPUs this process may run on."""
+"""Independent jobs on the CPUs this process may run on.
+
+`map_jobs` forks one worker process per allowed CPU and maps jobs over them;
+`map_rows` fills the rows of one float64 matrix, BLOCK rows per job, for the
+per-image stages (synthesis, features, the sparse projection).  Every worker
+runs numpy's bundled OpenBLAS on one thread: two processes that each ran two
+threads would compete for the same cores.  The parent process is never
+pinned, so its BLAS calls keep the bits they have at its own thread count.
+Work that fits in one job runs inline, in this process, without a pool.
+"""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import mmap
 import os
 from operator import length_hint
+from pathlib import Path
+
+import numpy as np
+
+BLOCK = 64  # rows per job of `map_rows`: images, or samples to project
 
 _fn = None  # set in worker processes only: the job function they inherited
 
 
-def _install(fn) -> None:
+@functools.cache
+def openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, with its thread-count calls declared, or None if not found."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.blas_thread_shutdown_.argtypes = []
+    lib.blas_thread_shutdown_.restype = ctypes.c_int
+    return lib
+
+
+def _install(fn, lib: ctypes.CDLL | None) -> None:
     global _fn
     _fn = fn
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+        # after a fork that call starts the thread pool again; idle, its threads
+        # would spin for about 0.14 s on a core the other workers need
+        lib.blas_thread_shutdown_()
 
 
 def _run(job):
@@ -29,8 +67,9 @@ def map_jobs(fn, jobs) -> list:
     import the program again and be sent all of it pickled.  Each job and its
     result travel pickled.  Jobs are drawn lazily, in chunks of about
     a quarter of a worker's share, results come back in job order, and the
-    first job that raises raises its exception here, with its own type.  The
-    pool is torn down on every exit path.
+    first job that raises raises its exception here, with its own type (from
+    workers, once the other jobs have run).  The pool is torn down on every
+    exit path.
     """
     cpus = len(os.sched_getaffinity(0))
     count = length_hint(jobs, cpus)
@@ -39,5 +78,35 @@ def map_jobs(fn, jobs) -> list:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, so that `hwr predict` does not pay for its import
 
-    with multiprocessing.get_context("fork").Pool(workers, _install, (fn,)) as pool:
-        return list(pool.imap(_run, jobs, max(1, count // (4 * workers))))
+    # the library is looked up here, once per process, and the workers inherit it
+    with multiprocessing.get_context("fork").Pool(workers, _install, (fn, openblas())) as pool:
+        try:
+            return list(pool.imap(_run, jobs, max(1, count // (4 * workers))))
+        except Exception:
+            # let the workers finish the queued jobs and exit: the terminate that ends
+            # the with block would kill busy ones, and a worker killed while it holds
+            # the result queue's lock leaves the pool waiting on that lock for ever
+            pool.close()
+            pool.join()
+            raise
+
+
+def blocks(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of BLOCK items in ``range(n)``; the last may be shorter."""
+    return [(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
+
+
+def map_rows(fn, n: int, width: int) -> tuple[np.ndarray, list]:
+    """An (n, width) float64 matrix whose rows ``fn(start, stop, rows)`` fills, and fn's results.
+
+    ``fn`` runs through `map_jobs` once per block of `blocks(n)` and writes
+    ``rows``, the matrix rows ``start:stop``; only what it returns travels
+    pickled.  When the blocks go to workers, the matrix lives in anonymous
+    shared memory mapped before the fork, so the rows need no copy.
+    """
+    jobs = blocks(n)
+    if len(jobs) > 1 and len(os.sched_getaffinity(0)) > 1:  # as map_jobs decides to fork
+        out = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width)
+    else:
+        out = np.empty((n, width))
+    return out, map_jobs(lambda job: fn(*job, out[job[0]:job[1]]), jobs)

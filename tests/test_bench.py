@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hwr import dataset, dimred, features, forest, imaging, svm
+from hwr import cli, dataset, dimred, features, forest, imaging, svm, synth
 
 
 def test_bench_hog(benchmark):
@@ -30,6 +30,23 @@ def test_bench_extract_word_features(benchmark, small_synth):
     """The whole chain on one raw synthetic word: preprocess, then HOG."""
     img = imaging.read_pgm(small_synth.paths()[0])
     assert benchmark(features.extract_word_features, img).shape == (3780,)
+
+
+def test_bench_features_stage(benchmark, tmp_path):
+    """`hwr features` on 98 synthetic words: read, preprocess and HOG in blocks of rows."""
+    synth.synth_generate(synth.SynthSpec(per_class=7, seed=42), tmp_path / "imgs")
+    argv = ["features", "--manifest", str(tmp_path / "imgs" / "manifest.csv"),
+            "--out", str(tmp_path / "f.fmx")]
+    assert benchmark(cli.main, argv) == 0
+    assert dataset.read_fmx(tmp_path / "f.fmx").shape == (98, 3780)
+
+
+def test_bench_srp_project(benchmark):
+    """The srp733 workload's projection: 736 HOG-sized rows to 733 columns."""
+    gen = np.random.default_rng(42)
+    X = gen.random(size=(736, 3780))
+    P = dimred.rp_fit("sparse", 3780, 733, 42)
+    assert benchmark(dimred.project, P, X).shape == (736, 733)
 
 
 def test_bench_grow_tree(benchmark):

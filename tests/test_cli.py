@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import scalar_word_features
 
-from hwr import cli, dataset, imaging
+from hwr import cli, dataset, features, imaging, workers
 
 
 def run(capsys, *args):
@@ -156,19 +156,41 @@ class TestFeatures:
         labels = dataset.read_label_file(str(pipeline_dir / "feat.fmx") + ".labels")
         assert labels.shape == (56,)
 
-    def test_unreadable_image_listed_and_run_continues(self, capsys, tmp_path):
-        img = np.full((20, 40), 255, np.uint8)
-        img[5:15, 5:35] = 10
-        imaging.write_pgm(tmp_path / "good.pgm", img)
+    def test_unreadable_image_listed_and_run_continues(self, capsys, tmp_path, monkeypatch):
+        """A missing, a truncated and a blank image, each in its own block of rows."""
+        for k in range(3):
+            img = np.full((20, 40), 255, np.uint8)
+            img[5:15, 5 + k:35 - k] = 10
+            imaging.write_pgm(tmp_path / f"good{k}.pgm", img)
         (tmp_path / "broken.pgm").write_bytes(b"P5\n9 9\n255\n123")
+        imaging.write_pgm(tmp_path / "blank.pgm", np.full((20, 40), 255, np.uint8))
+        n = 2 * workers.BLOCK + 5
+        bad = {3: "missing.pgm", workers.BLOCK + 1: "broken.pgm",
+               2 * workers.BLOCK + 2: "blank.pgm"}
+        records = [(bad.get(i, f"good{i % 3}.pgm"), i % 14 + 1) for i in range(n)]
         (tmp_path / "manifest.csv").write_text(
-            "path,label\ngood.pgm,1\nbroken.pgm,2\n", encoding="utf-8")
-        code, out, err = run(capsys, "features",
-                             "--manifest", str(tmp_path / "manifest.csv"),
-                             "--out", str(tmp_path / "f.fmx"))
-        assert code == 1
-        assert "broken.pgm" in err
-        assert dataset.read_fmx(tmp_path / "f.fmx").shape == (1, 3780)
+            "path,label\n" + "".join(f"{rel},{cid}\n" for rel, cid in records), encoding="utf-8")
+        good = [(rel, cid) for rel, cid in records if rel.startswith("good")]
+        dataset.write_fmx(np.array([features.extract_word_features(imaging.read_pgm(tmp_path / rel))
+                                    for rel, _ in good]), tmp_path / "reference.fmx")
+        missing = tmp_path / "missing.pgm"
+        expected_err = (
+            f"failed: missing.pgm: [Errno 2] No such file or directory: '{missing}'\n"
+            "failed: broken.pgm: truncated pixel data: expected 81 bytes, got 3\n"
+            "failed: blank.pgm: image contains no ink pixels\n"
+            f"3 of {n} images failed\n")
+        for count in (1, 2):  # inline, then two workers
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+            code, out, err = run(capsys, "features",
+                                 "--manifest", str(tmp_path / "manifest.csv"),
+                                 "--out", str(tmp_path / f"f{count}.fmx"))
+            assert code == 1
+            assert err == expected_err
+            assert out.startswith(f"{len(good)} x 3780 features written to ")
+            assert ((tmp_path / f"f{count}.fmx").read_bytes()
+                    == (tmp_path / "reference.fmx").read_bytes())
+            assert (tmp_path / f"f{count}.fmx.labels").read_text() == "".join(
+                f"{cid}\n" for _, cid in good)
 
     @pytest.mark.parametrize("label", ["1_4", "\u0661\u0664", "+3"])
     def test_non_decimal_manifest_label_exit_2(self, capsys, tmp_path, label):
@@ -285,6 +307,19 @@ class TestTrainEvalPredict:
         assert code == 2
         assert err == f"error: {name} must be finite, got inf\n"
         assert not (tmp_path / "svm.json").exists()
+
+    @pytest.mark.parametrize("lr, rule", [("nan", "> 0"), ("inf", "finite"), ("-inf", "> 0"),
+                                          ("0", "> 0")])
+    def test_mlp_bad_learning_rate_exit_2(self, capsys, recwarn, tmp_path, pipeline_dir, lr,
+                                          rule):
+        code, _, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
+                           "--labels", str(pipeline_dir / "feat.fmx.labels"),
+                           "--classifier", "mlp", f"--lr={lr}", "--epochs", "1",
+                           "--out", str(tmp_path / "mlp.json"))
+        assert code == 2
+        assert err == f"error: learning_rate must be {rule}, got {float(lr)}\n"
+        assert len(recwarn) == 0
+        assert not (tmp_path / "mlp.json").exists()
 
     def test_svm_without_params_usage_error(self, capsys, tmp_path, pipeline_dir):
         code, _, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),

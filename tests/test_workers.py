@@ -1,14 +1,18 @@
-"""Training in forked worker processes gives what the in-process loop gives."""
+"""Work in forked worker processes gives what the in-process loop gives."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hwr import forest, svm, workers
+from hwr import cli, dimred, forest, imaging, svm, synth, workers
 
 
 def _cpus(monkeypatch, count: int) -> None:
@@ -54,6 +58,118 @@ class TestMapJobs:
         with pytest.raises(type(error), match=str(error.args[0])):
             workers.map_jobs(job, range(12))
         assert multiprocessing.active_children() == []
+
+    def test_workers_finish_their_jobs_after_one_raises(self, monkeypatch, tmp_path):
+        """The pool is closed, not terminated, on an error.
+
+        Terminating it killed workers still sending results, and a worker killed while
+        it held the result queue's lock left the pool waiting for ever.
+        """
+        _cpus(monkeypatch, 2)
+
+        def job(j):
+            if j == 0:
+                raise ValueError("first job")
+            time.sleep(0.01)
+            (tmp_path / str(j)).touch()
+
+        with pytest.raises(ValueError, match="first job"):
+            workers.map_jobs(job, range(12))
+        assert sorted(int(path.name) for path in tmp_path.iterdir()) == list(range(1, 12))
+        assert multiprocessing.active_children() == []
+
+
+class TestMapRows:
+    def test_rows_and_results_in_block_order(self, cpus):
+        def fill(start, stop, rows):
+            rows[:] = np.arange(start, stop)[:, None] * [1.0, -1.0]
+            return start, os.getpid()
+
+        n = 3 * workers.BLOCK + 1
+        matrix, results = workers.map_rows(fill, n, 2)
+        assert matrix.tolist() == [[i, -i] for i in range(n)]
+        assert [start for start, _ in results] == [start for start, _ in workers.blocks(n)]
+        assert (os.getpid() in {pid for _, pid in results}) == (cpus == 1)
+
+    def test_one_block_runs_inline(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        _, pids = workers.map_rows(lambda *_: os.getpid(), workers.BLOCK, 1)
+        assert pids == [os.getpid()]
+
+
+_OPENBLAS = workers.openblas()
+
+
+@pytest.mark.skipif(_OPENBLAS is None, reason="numpy's bundled OpenBLAS is not found")
+def test_workers_run_one_blas_thread_and_the_parent_keeps_its_count(monkeypatch):
+    _cpus(monkeypatch, 2)
+    threads = _OPENBLAS.scipy_openblas_get_num_threads64_
+    before = threads()
+    # the OS threads of a worker: none of OpenBLAS's idle pool threads must spin there
+    seen = workers.map_jobs(lambda _: (os.getpid(), threads(), len(os.listdir("/proc/self/task"))),
+                            range(8))
+    assert os.getpid() not in {pid for pid, _, _ in seen}
+    assert {(count, tasks) for _, count, tasks in seen} == {(1, 1)}
+    assert threads() == before
+
+
+def test_cold_predict_with_a_sparse_reducer_does_not_import_multiprocessing(tmp_path):
+    """The single row of `hwr predict` stays in its process, so it never pays for a pool."""
+    dimred.rp_fit("sparse", 3780, 20, 3).save(tmp_path / "srp.json")
+    gen = np.random.default_rng(0)
+    y = np.arange(28) % 14 + 1
+    forest.rf_train(gen.normal(size=(28, 20)), y, m=3, seed=0).save(tmp_path / "rf.json")
+    image = tmp_path / "word.pgm"
+    imaging.write_pgm(image, synth.render_word(3, synth.SynthSpec(1, 0), 0))
+    argv = ["predict", "--image", str(image), "--reducer", str(tmp_path / "srp.json"),
+            "--model", str(tmp_path / "rf.json")]
+    script = ("import sys; from hwr import cli; code = cli.main(sys.argv[1:]); "
+              "assert 'multiprocessing' not in sys.modules; sys.exit(code)")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert 1 <= int(proc.stdout) <= 14
+
+
+class TestImageStages:
+    @pytest.mark.parametrize("seed", ["42", "7"])
+    def test_cli_files_and_output_equal_for_any_cpu_count(self, monkeypatch, capsys, tmp_path,
+                                                          seed):
+        """synth, features with and without scalars, and an srp reduce of more than one block."""
+        monkeypatch.setenv("HWR_SEED", seed)
+        per_class = workers.BLOCK // 14 + 1
+        commands = [
+            ["synth", "--out", "imgs", "--per-class", str(per_class)],
+            ["features", "--manifest", "imgs/manifest.csv", "--out", "f.fmx"],
+            ["features", "--manifest", "imgs/manifest.csv", "--out", "s.fmx", "--scalars"],
+            ["reduce", "--in", "f.fmx", "--method", "srp", "--dim", "60", "--model", "srp.json",
+             "--out", "r.fmx"],
+        ]
+        runs = []
+        for count in (1, 2):
+            _cpus(monkeypatch, count)
+            (tmp_path / str(count)).mkdir()
+            monkeypatch.chdir(tmp_path / str(count))
+            printed = []
+            for argv in commands:
+                assert cli.main(argv) == 0
+                printed.append(capsys.readouterr())
+            assert multiprocessing.active_children() == []
+            files = {str(f.relative_to(Path.cwd())): f.read_bytes()
+                     for f in sorted(Path.cwd().rglob("*")) if f.is_file()}
+            runs.append((printed, files))
+        assert len(runs[0][1]) == 14 * per_class + 1 + 2 + 2 + 2
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("rows", [1, workers.BLOCK - 1, workers.BLOCK, workers.BLOCK + 1])
+    def test_sparse_projection_equals_the_whole_product(self, cpus, rows):
+        gen = np.random.default_rng(rows)
+        X = gen.normal(size=(rows, 300))
+        X[gen.random(X.shape) < 0.3] = -0.0
+        X[0] = -0.0
+        P = dimred.rp_fit("sparse", 300, 40, 5)
+        assert dimred.project(P, X).tobytes() == (P.matrix @ X.T).T.tobytes()
 
 
 def _forest_data():
