@@ -57,9 +57,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     manifest = dataset.load_manifest(args.manifest)
     paths = manifest.paths()
-    width = features.hog_length(imaging.CANONICAL_HEIGHT, imaging.CANONICAL_WIDTH)
-    if args.scalars:
-        width += len(features.ScalarFeatures._fields)
 
     def extract(start: int, stop: int, rows: np.ndarray) -> list[tuple[int, str]]:
         failed = []
@@ -71,7 +68,8 @@ def cmd_features(args: argparse.Namespace) -> int:
                 failed.append((i, str(exc)))
         return failed
 
-    matrix, failed = workers.map_rows(extract, len(paths), width)
+    matrix, failed = workers.map_rows(extract, len(paths),
+                                       features.word_feature_length(args.scalars))
     failures = dict(item for block in failed for item in block)  # row -> message, in order
     if len(failures) < len(paths):
         good = [i for i in range(len(paths)) if i not in failures]

@@ -170,6 +170,12 @@ def scalar_features(mask: np.ndarray) -> ScalarFeatures:
     return ScalarFeatures(int(arr[:half].sum()), int(arr[half:].sum()), arr.shape[1])
 
 
+def word_feature_length(include_scalars: bool = False) -> int:
+    """Length of an `extract_word_features` row."""
+    length = hog_length(imaging.CANONICAL_HEIGHT, imaging.CANONICAL_WIDTH)
+    return length + len(ScalarFeatures._fields) if include_scalars else length
+
+
 def extract_word_features(img: np.ndarray, include_scalars: bool = False) -> np.ndarray:
     """Run the preprocessing chain on a raw word image and return features.
 

@@ -101,12 +101,9 @@ def map_rows(fn, n: int, width: int) -> tuple[np.ndarray, list]:
 
     ``fn`` runs through `map_jobs` once per block of `blocks(n)` and writes
     ``rows``, the matrix rows ``start:stop``; only what it returns travels
-    pickled.  When the blocks go to workers, the matrix lives in anonymous
-    shared memory mapped before the fork, so the rows need no copy.
+    pickled.  The matrix lives in anonymous shared memory, mapped before any
+    fork, so rows that workers write need no copy.  ``n`` and ``width`` must
+    be at least 1.
     """
-    jobs = blocks(n)
-    if len(jobs) > 1 and len(os.sched_getaffinity(0)) > 1:  # as map_jobs decides to fork
-        out = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width)
-    else:
-        out = np.empty((n, width))
-    return out, map_jobs(lambda job: fn(*job, out[job[0]:job[1]]), jobs)
+    out = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width)
+    return out, map_jobs(lambda job: fn(*job, out[job[0]:job[1]]), blocks(n))

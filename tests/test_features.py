@@ -16,6 +16,7 @@ from hwr.features import (
     hog,
     hog_length,
     scalar_features,
+    word_feature_length,
 )
 
 
@@ -121,13 +122,13 @@ class TestExtractWordFeatures:
     def test_hog_only_by_default(self):
         img = np.full((40, 80), 255, dtype=np.uint8)
         img[10:30, 10:70] = 20
-        assert extract_word_features(img).shape == (3780,)
+        assert extract_word_features(img).shape == (3780,) == (word_feature_length(),)
 
     def test_scalars_appended(self):
         img = np.full((40, 80), 255, dtype=np.uint8)
         img[10:30, 10:70] = 20
         vec = extract_word_features(img, include_scalars=True)
-        assert vec.shape == (3783,)
+        assert vec.shape == (3783,) == (word_feature_length(include_scalars=True),)
         assert (vec[-3:] >= 0.0).all()
 
     def test_matches_manual_chain(self):
