@@ -15,6 +15,11 @@ again:
 * sparse (Achlioptas s=3): entry t is +sqrt(3/k) if u[t] < 1/6, -sqrt(3/k)
   if 1/6 <= u[t] < 1/3, else 0.
 
+A sparse projection is applied in numpy alone.  Output j of a row x is the
+sum of entry * x[column] over the nonzero entries of matrix row j, added in
+ascending column order starting from +0.0, which is the order of a CSR
+sparse-matrix product, so both give the same bits.
+
 Table-matching target dimensions come from the Johnson-Lindenstrauss bound
 jl_min_dim(n=736, eps=0.5/0.3/0.2) = 316/733/1523.
 """
@@ -24,14 +29,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import dataset, rng, workers
 
-if TYPE_CHECKING:
-    from scipy import sparse
+# u = (out >> 11) * 2**-53, u from splitmix64 output `out` (hwr.rng.uniforms), is
+# exact, so u < p exactly when out >> 11 < ceil(p * 2**53), that is when
+# out < ceil(p * 2**53) << 11; the product p * 2**53 is exact too.
+_SIXTH, _THIRD = (np.uint64(math.ceil(2.0**53 * p) << 11) for p in (1.0 / 6.0, 1.0 / 3.0))
+# terms gathered per step of the sparse product: 1 MiB, which stays in a core's L2
+# cache; 178 slot rows per step for one sample and k = 733, 2 for a block of 64
+TERMS = 1 << 17
 
 
 def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -124,19 +133,23 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProjectionMatrix:
+    """A k x d random projection.
+
+    A gaussian `matrix` holds the (k, d) entries.  A sparse one holds slots,
+    one column per output and one row per nonzero position: output j's
+    nonzero entries, in ascending column order, are ``matrix[:, j]``, where
+    slot c < d stands for +sqrt(3/k) at column c and slot d + c for
+    -sqrt(3/k) at column c; slot 2d, which pads outputs with fewer nonzero
+    entries, stands for nothing.
+    """
+
     FORMAT = "hwr-rp/2"
 
     kind: str                 # "gaussian" | "sparse"
     seed: int
-    matrix: np.ndarray | sparse.csr_array  # (k, d)
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
+    d: int
+    k: int
+    matrix: np.ndarray        # gaussian: (k, d) entries; sparse: (max nonzeros, k) slots
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return project(self, X)
@@ -174,24 +187,27 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
         z = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
         matrix = (z / math.sqrt(k)).reshape(k, d)
     else:
-        from scipy import sparse  # only this kind needs scipy; it is slow to import
-
-        u = rng.uniforms(seed, count)
-        scale = math.sqrt(3.0 / k)
-        nz = np.nonzero(u < 1.0 / 3.0)[0]
-        data = np.where(u[nz] < 1.0 / 6.0, scale, -scale)
-        matrix = sparse.coo_array(
-            (data, (nz // d, nz % d)), shape=(k, d)
-        ).tocsr()
-    return ProjectionMatrix(kind=kind, seed=seed, matrix=matrix)
+        # each nonzero entry's slot is its column, plus d where it is negative;
+        # each row's slots, padded with 2d, make one column of the matrix
+        draws = rng.splitmix64(seed, count)
+        kept = draws < _THIRD
+        per_row = np.count_nonzero(kept.reshape(k, d), axis=1)
+        nonzero = np.flatnonzero(kept)  # row-major, so each row's columns ascend
+        slots = nonzero - np.repeat(np.arange(0, count, d), per_row)
+        slots += d * (np.take(draws, nonzero) >= _SIXTH)
+        width = per_row.max()
+        padded = np.full((k, width), 2 * d, dtype=np.intp)
+        padded[np.arange(width) < per_row[:, None]] = slots
+        matrix = padded.T.copy()
+    return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)
 
 
 def project(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
     """The rows of X projected by P.
 
-    A sparse P is applied to `workers.map_rows` blocks of rows.  This gives
-    the whole product's bits: CSR adds each output's products in index
-    order, starting from 0, whatever the block.
+    A sparse P is applied to `workers.map_rows` blocks of rows, each by
+    `_sparse_product`.  Each output adds its terms in ascending column order
+    from +0.0 whatever the block, so the blocks give the whole product's bits.
     """
     X = _as_matrix(X)
     if X.shape[1] != P.d:
@@ -200,9 +216,37 @@ def project(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
         return X @ P.matrix.T
 
     def rows(start: int, stop: int, out: np.ndarray) -> None:
-        out[:] = (P.matrix @ X[start:stop].T).T
+        out[:] = _sparse_product(P, X[start:stop]).T
 
     return workers.map_rows(rows, X.shape[0], P.k)[0]
+
+
+def _sparse_product(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
+    """The (k, n) product of sparse P with the rows of X.
+
+    Each slot indexes one row of a table that holds scale * X.T, then its
+    negation, then zeros: ``(-s) * x == -(s * x)`` exactly, and adding the
+    zero row changes no sum, since a sum that starts at +0.0 is never -0.0.
+    A step's slot rows, about TERMS terms (one slot row at least), are
+    gathered behind the running sum, and `np.add.reduce` along that first
+    axis adds them to it one after another (numpy sums pairwise only along a
+    contiguous last axis).
+    """
+    n, d = X.shape
+    table = np.empty((2 * d + 1, n))
+    np.multiply(X.T, math.sqrt(3.0 / P.k), out=table[:d])
+    np.negative(table[:d], out=table[d:2 * d])
+    table[2 * d] = 0.0
+    step = max(1, TERMS // (P.k * n))  # slot rows per step
+    total = np.zeros((P.k, n))
+    terms = np.empty((step + 1, P.k, n))  # terms[0] holds the running sum
+    for start in range(0, len(P.matrix), step):
+        slots = P.matrix[start:start + step]
+        terms[0] = total
+        # mode="clip" writes straight into `terms`; every slot is in range
+        np.take(table, slots, axis=0, mode="clip", out=terms[1:len(slots) + 1])
+        np.add.reduce(terms[:len(slots) + 1], axis=0, out=total)
+    return total
 
 
 def jl_min_dim(n: int, eps: float) -> int:

@@ -24,25 +24,45 @@ import numpy as np
 GENERATOR_NAME = "splitmix64"
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+CHUNK = 1 << 14  # outputs mixed at a time, in place: two 128 KiB buffers stay in cache
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
-    """The first `count` outputs of the splitmix64 stream, as uint64."""
+    """The first `count` outputs of the splitmix64 stream, as uint64.
+
+    Any integer seed is taken modulo 2**64.  The output array is allocated
+    first, so a count too large for memory fails at once.
+    """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    i = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + _GAMMA * i
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    out = np.empty(count, dtype=np.uint64)
+    ramp = _GAMMA * np.arange(1, min(CHUNK, count) + 1, dtype=np.uint64)
+    shifted = np.empty_like(ramp)
+    for start in range(0, count, CHUNK):
+        z = out[start:start + CHUNK]
+        t = shifted[:len(z)]
+        # z[i] = seed + (start + i + 1) * gamma = ramp[i] + (seed + start * gamma)
+        np.add(ramp[:len(z)], np.uint64((seed + start * _GAMMA_INT) & _MASK64), out=z)
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= _MIX1
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= _MIX2
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+    return out
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
     """float64 uniforms in [0, 1), one per splitmix64 output."""
-    return (splitmix64(seed, count) >> np.uint64(11)) * 2.0**-53
+    bits = splitmix64(seed, count)
+    bits >>= np.uint64(11)
+    return bits * 2.0**-53
 
 
 def derive_seed(master: int, stage: str) -> int:

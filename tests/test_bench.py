@@ -49,6 +49,12 @@ def test_bench_srp_project(benchmark):
     assert benchmark(dimred.project, P, X).shape == (736, 733)
 
 
+def test_bench_rp_fit(benchmark):
+    """The srp733 projection's redraw, which every cold `hwr predict` behind srp.json pays."""
+    P = benchmark(dimred.rp_fit, "sparse", 3780, 733, 42)
+    assert (P.d, P.k) == (3780, 733)
+
+
 def test_bench_grow_tree(benchmark):
     """One tree of the srp733 workload's shape: 588 bootstrap rows, 733 columns."""
     gen = np.random.default_rng(42)

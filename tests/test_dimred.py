@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import projection_entries, sparse_projection
 
-from hwr import dimred
+from hwr import dimred, workers
 from hwr.dimred import (
     PcaModel,
     ProjectionMatrix,
@@ -21,7 +24,11 @@ from hwr.dimred import (
 
 
 def _dense(P: ProjectionMatrix) -> np.ndarray:
-    return P.matrix.toarray() if P.kind == "sparse" else P.matrix
+    """P's (k, d) entries; a sparse P's equal those of the scipy oracle drawn from (d, k, seed)."""
+    dense = projection_entries(P)
+    if P.kind == "sparse":
+        assert dense.tobytes() == sparse_projection(P.d, P.k, P.seed).toarray().tobytes()
+    return dense
 
 
 class TestPcaFit:
@@ -165,6 +172,33 @@ class TestRandomProjection:
         with pytest.raises(ValueError):
             rp_fit("uniform", 4, 2, seed=0)
 
+    @pytest.mark.parametrize("d, k, seed", [(3780, 733, 42), (3780, 316, 7), (1, 1, 0), (1, 9, 3),
+                                            (9, 1, 3), (40, 10, 2**64 - 1)])
+    def test_sparse_slots_are_the_oracle_matrix(self, d, k, seed):
+        P = rp_fit("sparse", d, k, seed)
+        assert P.matrix.dtype == np.intp and P.matrix.shape[1] == k
+        oracle = sparse_projection(d, k, seed)
+        assert len(P.matrix) == np.diff(oracle.indptr).max(initial=0)
+        assert projection_entries(P).tobytes() == oracle.toarray().tobytes()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "sparse"])
+    def test_seed_taken_modulo_2_64(self, kind):
+        drawn = [rp_fit(kind, 30, 8, seed).matrix for seed in (-1, 2**64 - 1, 2**65 - 1)]
+        assert drawn[0].tobytes() == drawn[1].tobytes() == drawn[2].tobytes()
+        assert drawn[0].tobytes() != rp_fit(kind, 30, 8, 2**64 - 2).matrix.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0 / 6.0, 1.0 / 3.0])
+    def test_sparse_thresholds_are_the_uniform_comparisons(self, p):
+        """An output out draws u = (out >> 11) * 2**-53; rp_fit compares out itself."""
+        threshold = {1.0 / 6.0: dimred._SIXTH, 1.0 / 3.0: dimred._THIRD}[p]
+        top = int(threshold) >> 11
+        assert top << 11 == int(threshold)
+        for bits in (top - 1, top):
+            for low in (0, 1, 2**11 - 1):
+                out = np.uint64((bits << 11) | low)
+                assert bool(out < threshold) == (bits * 2.0**-53 < p)
+        assert (top - 1) * 2.0**-53 < p <= top * 2.0**-53
+
 
 class TestProject:
     def test_zero_matrix(self):
@@ -174,7 +208,7 @@ class TestProject:
         assert out.shape == (4, 3)
 
     def test_identity_projection(self):
-        P = ProjectionMatrix(kind="gaussian", seed=0, matrix=np.eye(5))
+        P = ProjectionMatrix(kind="gaussian", seed=0, d=5, k=5, matrix=np.eye(5))
         X = np.random.default_rng(11).normal(size=(7, 5))
         assert np.allclose(project(P, X), X)
 
@@ -191,6 +225,45 @@ class TestProject:
         P = rp_fit("gaussian", 6, 3, seed=0)
         with pytest.raises(ValueError, match="columns"):
             project(P, np.zeros((2, 7)))
+
+
+# values whose sums cannot overflow, and the rows of one block, of one more, and of three
+_VALUES = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+_ROWS = [1, workers.BLOCK - 1, workers.BLOCK, workers.BLOCK + 1, 2 * workers.BLOCK + 2]
+
+
+class TestSparseProduct:
+    """`project` with a sparse P gives the bits of the scipy oracle's CSR product."""
+
+    @pytest.fixture(params=[1, 2], ids=["inline", "forked"])
+    def cpus(self, request, monkeypatch) -> int:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 400), k=st.integers(1, 30), seed=st.integers(0, 2**64 - 1),
+           rows=st.sampled_from(_ROWS), data=st.data())
+    def test_product_equals_the_oracle(self, cpus, d, k, seed, rows, data):
+        X = data.draw(arrays(np.float64, (rows, d), elements=_VALUES,
+                             fill=st.sampled_from([0.0, -0.0])))
+        P = rp_fit("sparse", d, k, seed)
+        expected = (sparse_projection(d, k, seed) @ X.T).T
+        assert project(P, X).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", _ROWS)
+    @pytest.mark.parametrize("d, k", [(1, 1), (1, 30), (30, 1), (300, 40)])
+    @pytest.mark.parametrize("terms", [1, dimred.TERMS], ids=["one-slot-row-per-step", "default"])
+    def test_signed_zero_and_one_entry_rows_equal_the_oracle(self, cpus, monkeypatch, d, k, rows,
+                                                             terms):
+        monkeypatch.setattr(dimred, "TERMS", terms)
+        gen = np.random.default_rng(rows)
+        X = gen.normal(size=(rows, d))
+        X[::3] = -0.0
+        X[1::3, 1:] = 0.0
+        P = rp_fit("sparse", d, k, seed=rows)
+        expected = (sparse_projection(d, k, rows) @ X.T).T
+        assert project(P, X).tobytes() == expected.tobytes()
 
 
 class TestJlMinDim:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import base64
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import projection_entries, sparse_projection
 
-from hwr import cli, dataset, dimred, forest, mlp, svm
+from hwr import cli, dataset, dimred, forest, imaging, mlp, svm, synth
 from hwr.dataset import ModelFileError
 from hwr.dimred import PcaModel, ProjectionMatrix
 from hwr.forest import ForestModel
@@ -66,7 +70,11 @@ def _arrays(model) -> dict[str, np.ndarray]:
     if isinstance(model, SvmModel):
         return {"support_vectors": model.sv, "coef": model.coef, "bias": model.bias}
     if isinstance(model, ProjectionMatrix):
-        return {"matrix": model.matrix.toarray() if model.kind == "sparse" else model.matrix}
+        dense = projection_entries(model)
+        if model.kind == "sparse":
+            oracle = sparse_projection(model.d, model.k, model.seed).toarray()
+            assert dense.tobytes() == oracle.tobytes()
+        return {"matrix": dense}
     return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
 
 
@@ -258,6 +266,7 @@ INCONSISTENT = {
     "rp-generator": ("hwr-rp/2 sparse", lambda doc: doc.update(generator="pcg64")),
     "rp-kind": ("hwr-rp/2 gaussian", lambda doc: doc.update(kind="foo")),
     "rp-too-large": ("hwr-rp/2 gaussian", lambda doc: doc.update(d=10**7, k=10**7)),
+    "rp-too-large-sparse": ("hwr-rp/2 sparse", lambda doc: doc.update(d=10**7, k=10**7)),
     "svm-poly-kernel": ("hwr-svm/3", lambda doc: doc.update(kernel="poly")),
     "svm-pair-missing": ("hwr-svm/3", lambda doc: _first_pairs(doc, 2)),
     "svm-no-pairs": ("hwr-svm/3", lambda doc: _first_pairs(doc, 0)),
@@ -323,6 +332,28 @@ def test_inconsistent_model_raises_model_file_error(case, tmp_path):
     with pytest.raises(ModelFileError) as info:
         type(model).load(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("case", ["rp-too-large", "rp-too-large-sparse"])
+def test_projection_too_large_to_draw_predict_exit_2_at_once(case, tmp_path):
+    """The draw allocates its whole stream before it computes any of it, so a file
+    that states 10**14 entries fails on that allocation and not hours into the draw."""
+    layout, edit = INCONSISTENT[case]
+    path = tmp_path / "rp.json"
+    _tiny_model(layout).save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    image = tmp_path / "word.pgm"
+    imaging.write_pgm(image, synth.render_word(3, synth.SynthSpec(1, 0), 0))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hwr.cli", "predict", "--image", str(image), "--reducer", str(path),
+         "--model", str(path)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: malformed hwr-rp/2 model (")
+    assert "MemoryError" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(c for c in INCONSISTENT if c.startswith("rf-")))

@@ -1,0 +1,44 @@
+"""The splitmix64 stream and its uniforms, against the formula in Python integers."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from oracles import scalar_splitmix64
+
+from hwr import rng
+
+# every count around the first two chunk boundaries; each is a prefix of the longest
+COUNTS = [0, 1, rng.CHUNK - 1, rng.CHUNK, rng.CHUNK + 1, 2 * rng.CHUNK - 1, 2 * rng.CHUNK,
+          2 * rng.CHUNK + 1]
+
+
+@pytest.fixture(scope="module", params=[0, 42, 2**64 - 1])
+def stream(request) -> tuple[int, list[int]]:
+    return request.param, scalar_splitmix64(request.param, max(COUNTS))
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_splitmix64_is_the_formula(stream, count):
+    seed, outputs = stream
+    drawn = rng.splitmix64(seed, count)
+    assert drawn.dtype == np.uint64
+    assert drawn.tolist() == outputs[:count]
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_uniforms_are_the_top_53_bits(stream, count):
+    seed, outputs = stream
+    expected = np.array([(z >> 11) * 2.0**-53 for z in outputs[:count]], dtype=np.float64)
+    assert rng.uniforms(seed, count).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64) - 1, 2**64 - 1 + 2**64, 2**70 + 42])
+def test_any_integer_seed_draws_as_seed_mod_2_64(seed):
+    count = rng.CHUNK + 1
+    assert rng.splitmix64(seed, count).tolist() == scalar_splitmix64(seed & (2**64 - 1), count)
+
+
+def test_negative_count_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.splitmix64(1, -1)
