@@ -229,15 +229,18 @@ def _sparse_product(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
     zero row changes no sum, since a sum that starts at +0.0 is never -0.0.
     A step's slot rows, about TERMS terms (one slot row at least), are
     gathered behind the running sum, and `np.add.reduce` along that first
-    axis adds them to it one after another (numpy sums pairwise only along a
-    contiguous last axis).
+    axis adds them to it one after another: numpy's loop runs over the other
+    axes, output by output.  Where there is one output (k = 1 and one row),
+    the first axis is the only one that is not of length 1; numpy then loops
+    over it and sums pairwise, so there each step gathers one slot row, which
+    the reduce adds to the running sum alone.
     """
     n, d = X.shape
     table = np.empty((2 * d + 1, n))
     np.multiply(X.T, math.sqrt(3.0 / P.k), out=table[:d])
     np.negative(table[:d], out=table[d:2 * d])
     table[2 * d] = 0.0
-    step = max(1, TERMS // (P.k * n))  # slot rows per step
+    step = max(1, TERMS // (P.k * n)) if P.k * n > 1 else 1  # slot rows per step
     total = np.zeros((P.k, n))
     terms = np.empty((step + 1, P.k, n))  # terms[0] holds the running sum
     for start in range(0, len(P.matrix), step):

@@ -265,6 +265,17 @@ class TestSparseProduct:
         expected = (sparse_projection(d, k, rows) @ X.T).T
         assert project(P, X).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", [30, 400])
+    def test_one_output_adds_its_terms_in_column_order(self, cpus, d):
+        """At k = 1 one row, alone or as the last block of BLOCK + 1, has a single output,
+        whose many terms still add in column order."""
+        X = np.random.default_rng(d).normal(size=(workers.BLOCK + 1, d))
+        P = rp_fit("sparse", d, 1, seed=d)
+        expected = (sparse_projection(d, 1, d) @ X.T).T
+        assert project(P, X).tobytes() == expected.tobytes()
+        for row, want in zip(X, expected):
+            assert project(P, row[None]).tobytes() == want.tobytes()
+
 
 class TestJlMinDim:
     @pytest.mark.parametrize("eps, expected", [(0.5, 316), (0.3, 733), (0.2, 1523)])
