@@ -38,9 +38,8 @@ differ from a general product's (and would change the SMO step counts).
 Grid search runs stratified FOLDS-fold cross-validation over every (C, gamma)
 of DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, solving every pair at every C of
 one (fold, gamma) as one batch that shares each pair's Gram matrix, and
-prefers smaller C, then smaller gamma, on ties.  Its batches are solved in
-worker processes, which is exact because a machine's result does not depend
-on its batch; everything that calls BLAS stays in the calling process.
+prefers smaller C, then smaller gamma, on ties.  Its (fold, gamma) batches
+are trained and scored in worker processes.
 One-vs-one training and grid search run SMO to tol _TOL (1e-3).
 """
 
@@ -488,21 +487,19 @@ def _ovo_problems(
     return classes, pairs, rows_of, ys, np.unique(row_bytes, return_inverse=True)[1]
 
 
-def _grams(X: np.ndarray, rows_of: list[np.ndarray], gamma: float) -> list[np.ndarray]:
-    """Each pair's Gram matrix, from one array object (see the module docstring)."""
-    return [kernel_matrix(Xp, Xp, gamma) for Xp in (X[rows] for rows in rows_of)]
+def _ovo_models(X: np.ndarray, labels: np.ndarray, costs: list[float],
+                gamma: float) -> list[SvmModel | TrainingError]:
+    """The one-vs-one model at each of ``costs``, or the error of its first failing pair.
 
-
-def _build(X: np.ndarray, problems: tuple, costs: list[float], gamma: float,
-           outcomes: list) -> list[SvmModel | TrainingError]:
-    """The one-vs-one model at each of ``costs`` from its machines' solver outcomes, or
-    the error of its first failing pair.
-
-    Rows with equal bytes share one column, numbered by first use over the
-    sorted pairs; a column a machine holds twice gets the sum of its
-    coefficients.
+    Every pair at every C is one machine of one lockstep batch.  Rows with
+    equal bytes share one column, numbered by first use over the sorted
+    pairs; a column a machine holds twice gets the sum of its coefficients.
     """
-    classes, pairs, rows_of, ys, byte_id = problems
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    classes, pairs, rows_of, ys, byte_id = _ovo_problems(X, labels)
+    # each Gram matrix from one array object (see the module docstring)
+    grams = [kernel_matrix(Xp, Xp, gamma) for Xp in (X[rows] for rows in rows_of)]
+    outcomes = _Smo(grams, ys, costs, _TOL).solve()
     models: list[SvmModel | TrainingError] = []
     for k, c in enumerate(costs):
         batch = outcomes[k * len(ys):(k + 1) * len(ys)]
@@ -523,19 +520,6 @@ def _build(X: np.ndarray, problems: tuple, costs: list[float], gamma: float,
                                np.array(bias, dtype=np.float64), float(c), float(gamma),
                                np.array(passes, dtype=np.int64)))
     return models
-
-
-def _ovo_models(X: np.ndarray, labels: np.ndarray, costs: list[float],
-                gamma: float) -> list[SvmModel | TrainingError]:
-    """The one-vs-one model at each of ``costs``, or the error of its first failing pair.
-
-    Every pair at every C is one machine of one lockstep batch.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    problems = _ovo_problems(X, labels)
-    _, _, rows_of, ys, _ = problems
-    outcomes = _Smo(_grams(X, rows_of, gamma), ys, costs, _TOL).solve()
-    return _build(X, problems, costs, gamma, outcomes)
 
 
 def ovo_train(X: np.ndarray, labels: np.ndarray, c: float, gamma: float) -> SvmModel:
@@ -583,45 +567,32 @@ def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchR
     The cells are DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, scored over
     FOLDS (3) stratified folds.  Accuracy is pooled over folds (total
     correct / total samples).  Cells whose machines fail to train in any
-    fold (degenerate folds) score 0 rather than aborting the sweep.  The
-    machines of one (fold, gamma), every pair at every C, are solved as one
-    lockstep batch, and the batches are solved by ``workers.map_jobs``: this
-    process computes their Gram matrices, builds the models and scores the
-    held-out rows, so that every BLAS call stays in one process.
+    fold (degenerate folds) score 0 rather than aborting the sweep.  Each
+    (fold, gamma) is one job of ``workers.map_jobs``, which trains the
+    models of every C as one lockstep batch and scores the held-out rows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.intp)
     n = labels.shape[0]
     c_values, gamma_values = sorted(DEFAULT_C_VALUES), sorted(DEFAULT_GAMMA_VALUES)
-    # per fold: its held-out rows, its training rows and their pair problems
-    folds = []
-    for held in stratified_folds(labels, seed):
-        train_idx = np.setdiff1d(np.arange(n), held)
-        Xt = X[train_idx]
-        folds.append((held, Xt, _ovo_problems(Xt, labels[train_idx])))
-    # one fold's Gram matrices at a time, each fold's in one go: after a threaded call
-    # OpenBLAS's threads spin for about 0.1 s, taking a CPU from the workers
-    solved = workers.map_jobs(lambda job: _Smo(*job, c_values, _TOL).solve(), (
-        job for _, Xt, (_, _, rows_of, ys, _) in folds
-        for job in [(_grams(Xt, rows_of, gamma), ys) for gamma in gamma_values]))
-    # correct predictions per cell, None once one of its machines failed
-    correct: dict[tuple[float, float], int | None] = {
-        (c, gamma): 0 for c in c_values for gamma in gamma_values}
-    jobs = ((fold, gamma) for fold in folds for gamma in gamma_values)
-    for ((held, Xt, problems), gamma), outcomes in zip(jobs, solved):
-        for c, model in zip(c_values, _build(Xt, problems, c_values, gamma, outcomes)):
-            if correct[c, gamma] is None:
-                continue
-            if isinstance(model, TrainingError):
-                correct[c, gamma] = None
-                continue
-            correct[c, gamma] += int((model.predict_batch(X[held]) == labels[held]).sum())
+
+    def hits(job) -> list[int | None]:
+        """Correct held-out predictions at each C, None where training failed."""
+        held, gamma = job
+        train = np.setdiff1d(np.arange(n), held)
+        return [None if isinstance(model, TrainingError)
+                else int((model.predict_batch(X[held]) == labels[held]).sum())
+                for model in _ovo_models(X[train], labels[train], c_values, gamma)]
+
+    # one list per (fold, gamma), gamma fastest
+    scores = workers.map_jobs(hits, [(held, gamma) for held in stratified_folds(labels, seed)
+                                     for gamma in gamma_values])
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []
-    for c in c_values:
-        for gamma in gamma_values:
-            hits = correct[c, gamma]
-            accuracy = hits / n if hits is not None else 0.0
+    for k, c in enumerate(c_values):
+        for g, gamma in enumerate(gamma_values):
+            per_fold = [fold[k] for fold in scores[g::len(gamma_values)]]
+            accuracy = 0.0 if None in per_fold else sum(per_fold) / n
             table.append((c, gamma, accuracy))
             if best is None or accuracy > best[2]:
                 best = (c, gamma, accuracy)

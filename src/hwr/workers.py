@@ -2,11 +2,8 @@
 
 `map_jobs` forks one worker process per allowed CPU and maps jobs over them;
 `map_rows` fills the rows of one float64 matrix, BLOCK rows per job, for the
-per-image stages (synthesis, features, the sparse projection).  Every worker
-runs numpy's bundled OpenBLAS on one thread: two processes that each ran two
-threads would compete for the same cores.  The parent process is never
-pinned, so its BLAS calls keep the bits they have at its own thread count.
-Work that fits in one job runs inline, in this process, without a pool.
+per-image stages (synthesis, features, the sparse projection).  Work that
+fits in one job runs inline, in this process, without a pool.
 """
 
 from __future__ import annotations
@@ -36,19 +33,12 @@ def openblas() -> ctypes.CDLL | None:
     lib.scipy_openblas_set_num_threads64_.restype = None
     lib.scipy_openblas_get_num_threads64_.argtypes = []
     lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    lib.blas_thread_shutdown_.argtypes = []
-    lib.blas_thread_shutdown_.restype = ctypes.c_int
     return lib
 
 
-def _install(fn, lib: ctypes.CDLL | None) -> None:
+def _install(fn) -> None:
     global _fn
     _fn = fn
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
-        # after a fork that call starts the thread pool again; idle, its threads
-        # would spin for about 0.14 s on a core the other workers need
-        lib.blas_thread_shutdown_()
 
 
 def _run(job):
@@ -78,8 +68,7 @@ def map_jobs(fn, jobs) -> list:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, so that `hwr predict` does not pay for its import
 
-    # the library is looked up here, once per process, and the workers inherit it
-    with multiprocessing.get_context("fork").Pool(workers, _install, (fn, openblas())) as pool:
+    with multiprocessing.get_context("fork").Pool(workers, _install, (fn,)) as pool:
         try:
             return list(pool.imap(_run, jobs, max(1, count // (4 * workers))))
         except Exception:

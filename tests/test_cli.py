@@ -465,7 +465,7 @@ class TestTopLevel:
         assert cli.main(["bogus"]) == 2
 
     def test_import_does_not_load_scipy(self):
-        """Only the sparse projection needs scipy, which is slow to import."""
+        """No runtime code needs scipy, which is slow to import; only tests use it."""
         src = Path(cli.__file__).resolve().parents[1]
         subprocess.run(
             [sys.executable, "-c", "import hwr.cli, sys; assert 'scipy' not in sys.modules"],

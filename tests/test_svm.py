@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 
 import numpy as np
@@ -664,7 +665,9 @@ class TestKernelCalls:
         model.predict_batch(X[0, :40])
         assert calls == [False, False]
 
-    def test_grid_scores_each_cell_with_one_block(self, small_features, calls):
+    def test_grid_scores_each_cell_with_one_block(self, monkeypatch, small_features, calls):
+        # one CPU: the grid's jobs run inline, where the calls are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         X, labels = small_features
         result = grid_search(X[:, :40], labels, seed=0)
         assert all(accuracy > 0.0 for _, _, accuracy in result.table)

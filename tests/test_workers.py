@@ -102,16 +102,43 @@ _OPENBLAS = workers.openblas()
 
 
 @pytest.mark.skipif(_OPENBLAS is None, reason="numpy's bundled OpenBLAS is not found")
-def test_workers_run_one_blas_thread_and_the_parent_keeps_its_count(monkeypatch):
+def test_every_process_runs_one_blas_thread(monkeypatch):
+    """Importing hwr overrides the thread count numpy loaded with, and forked workers
+    inherit the pin: one BLAS thread, and no idle pool thread beside it."""
+    src = Path(workers.__file__).resolve().parents[1]
+    script = ("import numpy, hwr; "
+              "print(hwr.workers.openblas().scipy_openblas_get_num_threads64_())")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2"))
+    assert proc.stdout.split() == ["1"]
     _cpus(monkeypatch, 2)
     threads = _OPENBLAS.scipy_openblas_get_num_threads64_
-    before = threads()
-    # the OS threads of a worker: none of OpenBLAS's idle pool threads must spin there
+    assert threads() == 1
     seen = workers.map_jobs(lambda _: (os.getpid(), threads(), len(os.listdir("/proc/self/task"))),
                             range(8))
     assert os.getpid() not in {pid for pid, _, _ in seen}
     assert {(count, tasks) for _, count, tasks in seen} == {(1, 1)}
-    assert threads() == before
+
+
+@pytest.mark.skipif(_OPENBLAS is None, reason="numpy's bundled OpenBLAS is not found")
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    """A PCA, its transform and an SVM trained on it, whose last bits once changed with
+    OPENBLAS_NUM_THREADS, are the same under 1, 2 and no setting."""
+    script = ("import hashlib, numpy as np; from hwr import dimred, svm; "
+              "X = np.random.default_rng(0).normal(size=(300, 500)); "
+              "pca = dimred.pca_fit(X, 20); Z = pca.transform(X); "
+              "coef = svm.ovo_train(Z, np.arange(300) % 14 + 1, 1.0, 0.5).coef; "
+              "print(hashlib.sha256(pca.components.tobytes() + Z.tobytes() + coef.tobytes())"
+              ".hexdigest())")
+    env = dict(os.environ, PYTHONPATH=str(Path(workers.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    digests = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, check=True, env=dict(env, **threads))
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_cold_predict_with_a_sparse_reducer_does_not_import_multiprocessing(tmp_path):
