@@ -15,10 +15,10 @@ again:
 * sparse (Achlioptas s=3): entry t is +sqrt(3/k) if u[t] < 1/6, -sqrt(3/k)
   if 1/6 <= u[t] < 1/3, else 0.
 
-A sparse projection is applied in numpy alone.  Output j of a row x is the
-sum of entry * x[column] over the nonzero entries of matrix row j, added in
-ascending column order starting from +0.0, which is the order of a CSR
-sparse-matrix product, so both give the same bits.
+PCA and both projections reduce a batch one row at a time, each row by one
+BLAS product of the shape a lone row makes, so a reduced row has the same
+bits whatever the batch, the block or the worker that holds it: `hwr predict`
+reduces an image to the bits `hwr reduce` wrote for it.
 
 Table-matching target dimensions come from the Johnson-Lindenstrauss bound
 jl_min_dim(n=736, eps=0.5/0.3/0.2) = 316/733/1523.
@@ -38,9 +38,6 @@ from . import dataset, rng, workers
 # exact, so u < p exactly when out >> 11 < ceil(p * 2**53), that is when
 # out < ceil(p * 2**53) << 11; the product p * 2**53 is exact too.
 _SIXTH, _THIRD = (np.uint64(math.ceil(2.0**53 * p) << 11) for p in (1.0 / 6.0, 1.0 / 3.0))
-# terms gathered per step of the sparse product: 1 MiB, which stays in a core's L2
-# cache; 178 slot rows per step for one sample and k = 733, 2 for a block of 64
-TERMS = 1 << 17
 
 
 def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -128,20 +125,12 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
     X = _as_matrix(X)
     if X.shape[1] != model.d:
         raise ValueError(f"X has {X.shape[1]} columns, model expects {model.d}")
-    return (X - model.mean) @ model.components.T
+    return _rows_times(X - model.mean, model.components)
 
 
 @dataclass
 class ProjectionMatrix:
-    """A k x d random projection.
-
-    A gaussian `matrix` holds the (k, d) entries.  A sparse one holds slots,
-    one column per output and one row per nonzero position: output j's
-    nonzero entries, in ascending column order, are ``matrix[:, j]``, where
-    slot c < d stands for +sqrt(3/k) at column c and slot d + c for
-    -sqrt(3/k) at column c; slot 2d, which pads outputs with fewer nonzero
-    entries, stands for nothing.
-    """
+    """A k x d random projection, held as its (k, d) float64 entries whatever its kind."""
 
     FORMAT = "hwr-rp/2"
 
@@ -149,7 +138,7 @@ class ProjectionMatrix:
     seed: int
     d: int
     k: int
-    matrix: np.ndarray        # gaussian: (k, d) entries; sparse: (max nonzeros, k) slots
+    matrix: np.ndarray        # (k, d) entries, redrawn from (kind, d, k, seed) on load
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return project(self, X)
@@ -187,69 +176,36 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
         z = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
         matrix = (z / math.sqrt(k)).reshape(k, d)
     else:
-        # each nonzero entry's slot is its column, plus d where it is negative;
-        # each row's slots, padded with 2d, make one column of the matrix
         draws = rng.splitmix64(seed, count)
-        kept = draws < _THIRD
-        per_row = np.count_nonzero(kept.reshape(k, d), axis=1)
-        nonzero = np.flatnonzero(kept)  # row-major, so each row's columns ascend
-        slots = nonzero - np.repeat(np.arange(0, count, d), per_row)
-        slots += d * (np.take(draws, nonzero) >= _SIXTH)
-        width = per_row.max()
-        padded = np.full((k, width), 2 * d, dtype=np.intp)
-        padded[np.arange(width) < per_row[:, None]] = slots
-        matrix = padded.T.copy()
+        scale = math.sqrt(3.0 / k)
+        matrix = np.zeros(count)
+        matrix[draws < _THIRD] = -scale
+        matrix[draws < _SIXTH] = scale
+        matrix = matrix.reshape(k, d)
     return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)
 
 
 def project(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
-    """The rows of X projected by P.
-
-    A sparse P is applied to `workers.map_rows` blocks of rows, each by
-    `_sparse_product`.  Each output adds its terms in ascending column order
-    from +0.0 whatever the block, so the blocks give the whole product's bits.
-    """
+    """The rows of X projected by P."""
     X = _as_matrix(X)
     if X.shape[1] != P.d:
         raise ValueError(f"X has {X.shape[1]} columns, projection expects {P.d}")
-    if P.kind == "gaussian":
-        return X @ P.matrix.T
+    return _rows_times(X, P.matrix)
+
+
+def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``X @ M.T``, one row per BLAS product, in `workers.map_rows` blocks.
+
+    Row i is ``np.matmul(X[i], M.T)`` whatever the other rows, so its bits do
+    not depend on the batch, the block or the row's offset in memory.
+    """
+    MT = M.T
 
     def rows(start: int, stop: int, out: np.ndarray) -> None:
-        out[:] = _sparse_product(P, X[start:stop]).T
+        for i in range(start, stop):
+            np.matmul(X[i], MT, out=out[i - start])
 
-    return workers.map_rows(rows, X.shape[0], P.k)[0]
-
-
-def _sparse_product(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
-    """The (k, n) product of sparse P with the rows of X.
-
-    Each slot indexes one row of a table that holds scale * X.T, then its
-    negation, then zeros: ``(-s) * x == -(s * x)`` exactly, and adding the
-    zero row changes no sum, since a sum that starts at +0.0 is never -0.0.
-    A step's slot rows, about TERMS terms (one slot row at least), are
-    gathered behind the running sum, and `np.add.reduce` along that first
-    axis adds them to it one after another: numpy's loop runs over the other
-    axes, output by output.  Where there is one output (k = 1 and one row),
-    the first axis is the only one that is not of length 1; numpy then loops
-    over it and sums pairwise, so there each step gathers one slot row, which
-    the reduce adds to the running sum alone.
-    """
-    n, d = X.shape
-    table = np.empty((2 * d + 1, n))
-    np.multiply(X.T, math.sqrt(3.0 / P.k), out=table[:d])
-    np.negative(table[:d], out=table[d:2 * d])
-    table[2 * d] = 0.0
-    step = max(1, TERMS // (P.k * n)) if P.k * n > 1 else 1  # slot rows per step
-    total = np.zeros((P.k, n))
-    terms = np.empty((step + 1, P.k, n))  # terms[0] holds the running sum
-    for start in range(0, len(P.matrix), step):
-        slots = P.matrix[start:start + step]
-        terms[0] = total
-        # mode="clip" writes straight into `terms`; every slot is in range
-        np.take(table, slots, axis=0, mode="clip", out=terms[1:len(slots) + 1])
-        np.add.reduce(terms[:len(slots) + 1], axis=0, out=total)
-    return total
+    return workers.map_rows(rows, X.shape[0], M.shape[0])[0]
 
 
 def jl_min_dim(n: int, eps: float) -> int:

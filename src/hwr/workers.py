@@ -2,7 +2,7 @@
 
 `map_jobs` forks one worker process per allowed CPU and maps jobs over them;
 `map_rows` fills the rows of one float64 matrix, BLOCK rows per job, for the
-per-image stages (synthesis, features, the sparse projection).  Work that
+per-image stages (synthesis, features, the reducers).  Work that
 fits in one job runs inline, in this process, without a pool.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-BLOCK = 64  # rows per job of `map_rows`: images, or samples to project
+BLOCK = 64  # rows per job of `map_rows`: images, or samples to reduce
 
 _fn = None  # set in worker processes only: the job function they inherited
 

@@ -16,9 +16,8 @@ numpy's float remainder, normalize HOG blocks one at a time, build
 resize weights with one `np.add.at` per tap, and find the word box by
 dilating the ink; the vectorized feature chain must match them byte for
 byte.  The random streams come from the formula itself in Python integers,
-the sparse projection is a scipy CSR matrix drawn from float uniforms, whose
-product the numpy gather-reduce must match byte for byte, and a sparse
-projection's entries are read off its slots one output at a time.
+and the sparse projection is a scipy CSR matrix drawn from float uniforms,
+whose entries the dense matrix must match byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 from scipy import sparse
 
 from hwr import imaging, rng
-from hwr.dimred import ProjectionMatrix
 from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_shape
 from hwr.forest import _GAIN_EPS, ForestModel, TreeNode, gini
 from hwr.imaging import _as_mask, _cubic_kernel
@@ -608,31 +606,10 @@ def sparse_projection(d: int, k: int, seed: int) -> sparse.csr_array:
     """The k x d sparse projection as scipy CSR, drawn from float uniforms.
 
     Entry t (row-major) is +sqrt(3/k) where u[t] < 1/6 and -sqrt(3/k) where
-    1/6 <= u[t] < 1/3.  ``P @ X.T`` adds each output's products in ascending
-    column order, starting from 0.
+    1/6 <= u[t] < 1/3.
     """
     u = rng.uniforms(seed, d * k)
     scale = math.sqrt(3.0 / k)
     nz = np.nonzero(u < 1.0 / 3.0)[0]
     data = np.where(u[nz] < 1.0 / 6.0, scale, -scale)
     return sparse.coo_array((data, (nz // d, nz % d)), shape=(k, d)).tocsr()
-
-
-def projection_entries(P: ProjectionMatrix) -> np.ndarray:
-    """The (k, d) entries of a projection; a sparse one's read off its slots.
-
-    Each output's slots must name ascending columns, followed only by the
-    padding slot 2d.
-    """
-    if P.kind == "gaussian":
-        return P.matrix
-    scale = math.sqrt(3.0 / P.k)
-    dense = np.zeros((P.k, P.d))
-    for j, slots in enumerate(P.matrix.T):
-        used = slots[slots != 2 * P.d]
-        assert (slots[len(used):] == 2 * P.d).all()
-        assert (used >= 0).all() and (used < 2 * P.d).all()
-        columns = used % P.d
-        assert (np.diff(columns) > 0).all()
-        dense[j, columns] = np.where(used < P.d, scale, -scale)
-    return dense

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import projection_entries, sparse_projection
+from oracles import sparse_projection
 
 from hwr import cli, dataset, dimred, forest, imaging, mlp, svm, synth
 from hwr.dataset import ModelFileError
@@ -70,11 +70,10 @@ def _arrays(model) -> dict[str, np.ndarray]:
     if isinstance(model, SvmModel):
         return {"support_vectors": model.sv, "coef": model.coef, "bias": model.bias}
     if isinstance(model, ProjectionMatrix):
-        dense = projection_entries(model)
         if model.kind == "sparse":
             oracle = sparse_projection(model.d, model.k, model.seed).toarray()
-            assert dense.tobytes() == oracle.tobytes()
-        return {"matrix": dense}
+            assert model.matrix.tobytes() == oracle.tobytes()
+        return {"matrix": model.matrix}
     return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
 
 

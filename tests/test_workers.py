@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import sparse_projection
 
 from hwr import cli, dimred, forest, imaging, svm, synth, workers
 
@@ -193,14 +192,24 @@ class TestImageStages:
         assert len(runs[0][1]) == 14 * per_class + 1 + 2 + 2 + 2
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("rows", [1, workers.BLOCK - 1, workers.BLOCK, workers.BLOCK + 1])
-    def test_sparse_projection_equals_the_whole_product(self, cpus, rows):
+    @pytest.mark.parametrize("rows", [1, workers.BLOCK - 1, workers.BLOCK, workers.BLOCK + 1,
+                                      2 * workers.BLOCK + 2])
+    @pytest.mark.parametrize("method", ["pca", "grp", "srp"])
+    def test_a_reduced_row_has_the_bits_of_that_row_alone(self, cpus, method, rows):
+        """Each row of a batch transform equals the transform of the row by itself, whether
+        the row is a view into the batch or a copy, so `predict` reduces as `reduce` does."""
         gen = np.random.default_rng(rows)
-        X = gen.normal(size=(rows, 300))
+        X = gen.normal(size=(rows + 1, 300))[1:]  # rows that start at an odd row offset
         X[gen.random(X.shape) < 0.3] = -0.0
         X[0] = -0.0
-        P = dimred.rp_fit("sparse", 300, 40, 5)
-        assert dimred.project(P, X).tobytes() == (sparse_projection(300, 40, 5) @ X.T).T.tobytes()
+        reducer = {"pca": lambda: dimred.pca_fit(gen.normal(size=(80, 300)), 40),
+                   "grp": lambda: dimred.rp_fit("gaussian", 300, 40, 5),
+                   "srp": lambda: dimred.rp_fit("sparse", 300, 40, 5)}[method]()
+        reduced = reducer.transform(X)
+        assert reduced.shape == (rows, 40)
+        for i, row in enumerate(reduced):
+            assert reducer.transform(X[i:i + 1]).tobytes() == row.tobytes()
+            assert reducer.transform(X[i].copy()[None]).tobytes() == row.tobytes()
 
 
 def _forest_data():
