@@ -2,8 +2,8 @@
 
 `map_jobs` forks one worker process per allowed CPU and maps jobs over them;
 `map_rows` fills the rows of one float64 matrix, BLOCK rows per job, for the
-per-image stages (synthesis, features, the reducers).  Work that
-fits in one job runs inline, in this process, without a pool.
+per-image stages (synthesis, features) and the reducers.  Work that fits in
+one job runs inline, in this process, without a pool.
 """
 
 from __future__ import annotations

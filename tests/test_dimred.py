@@ -216,6 +216,13 @@ class TestProject:
         rhs = a * project(P, X) + b * project(P, Y)
         assert np.abs(lhs - rhs).max() < 1e-10
 
+    @pytest.mark.parametrize("d, k", [(1, 1), (1, 30), (30, 1), (300, 40)])
+    def test_sparse_product_is_the_oracle_product(self, d, k):
+        X = np.random.default_rng(d + k).normal(size=(5, d))
+        expected = (sparse_projection(d, k, 3) @ X.T).T
+        assert np.allclose(project(rp_fit("sparse", d, k, seed=3), X), expected,
+                           rtol=1e-12, atol=1e-12)
+
     def test_dimension_mismatch(self):
         P = rp_fit("gaussian", 6, 3, seed=0)
         with pytest.raises(ValueError, match="columns"):

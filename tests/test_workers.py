@@ -142,7 +142,7 @@ def test_bytes_do_not_depend_on_the_blas_thread_count():
 
 def test_cold_predict_with_a_sparse_reducer_does_not_import_multiprocessing(tmp_path):
     """The single row of `hwr predict` stays in its process, so it never pays for a pool,
-    and the sparse product is numpy's, so it never pays for importing scipy either."""
+    and the sparse projection is a numpy matrix, so it never pays for importing scipy either."""
     dimred.rp_fit("sparse", 3780, 20, 3).save(tmp_path / "srp.json")
     gen = np.random.default_rng(0)
     y = np.arange(28) % 14 + 1
