@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import sparse_projection
 
-from hwr import dimred
+from hwr import dimred, workers
 from hwr.dimred import (
     PcaModel,
     ProjectionMatrix,
@@ -216,17 +218,80 @@ class TestProject:
         rhs = a * project(P, X) + b * project(P, Y)
         assert np.abs(lhs - rhs).max() < 1e-10
 
-    @pytest.mark.parametrize("d, k", [(1, 1), (1, 30), (30, 1), (300, 40)])
-    def test_sparse_product_is_the_oracle_product(self, d, k):
-        X = np.random.default_rng(d + k).normal(size=(5, d))
-        expected = (sparse_projection(d, k, 3) @ X.T).T
-        assert np.allclose(project(rp_fit("sparse", d, k, seed=3), X), expected,
-                           rtol=1e-12, atol=1e-12)
-
     def test_dimension_mismatch(self):
         P = rp_fit("gaussian", 6, 3, seed=0)
         with pytest.raises(ValueError, match="columns"):
             project(P, np.zeros((2, 7)))
+
+
+# values whose sums cannot overflow, and the rows of one block, of one more, and of three
+_VALUES = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+_ROWS = [1, workers.BLOCK - 1, workers.BLOCK, workers.BLOCK + 1, 2 * workers.BLOCK + 2]
+
+
+def _oracle_product(X: np.ndarray, d: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scipy oracle's CSR product of X's rows, and how far a correctly rounded
+    product in another summation order may lie from it.
+
+    Two d-term dot products each lie within (d + 1) * 2**-53 of the sum of their
+    terms' magnitudes from the exact value, plus half a subnormal step per term.
+    """
+    oracle = sparse_projection(d, k, seed)
+    magnitude = (abs(oracle) @ np.abs(X).T).T
+    return (oracle @ X.T).T, 2 * (d + 1) * 2.0**-53 * magnitude + d * 2.0**-1074
+
+
+def _project(P: ProjectionMatrix, X: np.ndarray, order: str) -> np.ndarray:
+    if order == "whole-batch":
+        return project(P, X)
+    return np.vstack([project(P, X[i:i + 1]) for i in range(len(X))])
+
+
+class TestSparseProduct:
+    """`project` with a sparse P gives the scipy oracle's CSR product, to rounding, and
+    exactly where a row has at most one nonzero term."""
+
+    @pytest.fixture(params=[1, 2], ids=["inline", "forked"])
+    def cpus(self, request, monkeypatch) -> int:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 400), k=st.integers(1, 30), seed=st.integers(0, 2**64 - 1),
+           rows=st.sampled_from(_ROWS), data=st.data())
+    def test_product_equals_the_oracle(self, cpus, d, k, seed, rows, data):
+        X = data.draw(arrays(np.float64, (rows, d), elements=_VALUES,
+                             fill=st.sampled_from([0.0, -0.0])))
+        got = project(rp_fit("sparse", d, k, seed), X)
+        expected, bound = _oracle_product(X, d, k, seed)
+        assert got.shape == (rows, k)
+        assert (np.abs(got - expected) <= bound).all()
+
+    @pytest.mark.parametrize("rows", _ROWS)
+    @pytest.mark.parametrize("d, k", [(1, 1), (1, 30), (30, 1), (300, 40)])
+    @pytest.mark.parametrize("order", ["whole-batch", "row-by-row"])
+    def test_signed_zero_and_one_entry_rows_equal_the_oracle(self, cpus, d, k, rows, order):
+        gen = np.random.default_rng(rows)
+        X = gen.normal(size=(rows, d))
+        X[::3] = -0.0
+        X[1::3, 1:] = 0.0
+        got = _project(rp_fit("sparse", d, k, seed=rows), X, order)
+        expected, bound = _oracle_product(X, d, k, rows)
+        exact = np.arange(rows) % 3 < 2
+        assert np.array_equal(got[exact], expected[exact])
+        assert (np.abs(got - expected) <= bound).all()
+
+    @pytest.mark.parametrize("d", [30, 400])
+    def test_one_output_has_the_same_bits_alone_or_in_a_block(self, cpus, d):
+        """At k = 1 one row, alone or as the last block of BLOCK + 1, has a single output,
+        the oracle's to rounding, whose bits do not depend on the batch."""
+        X = np.random.default_rng(d).normal(size=(workers.BLOCK + 1, d))
+        P = rp_fit("sparse", d, 1, seed=d)
+        got = project(P, X)
+        expected, bound = _oracle_product(X, d, 1, d)
+        assert (np.abs(got - expected) <= bound).all()
+        assert got.tobytes() == _project(P, X, "row-by-row").tobytes()
 
 
 class TestJlMinDim:
