@@ -2,8 +2,9 @@
 
 `COMMANDS` runs the whole pipeline on a small synthetic corpus: synth,
 features with and without ``--scalars``, pca, grp and srp reduce, mlp, svm
-(grid and fixed C/gamma) and rf train and eval, cold predicts and one
-refused model file.  `run` executes them in one directory at one
+(grid and fixed C/gamma) and rf train and eval, an rf train and eval on
+the per-class (``--stratify``) split, cold predicts and one refused model
+file.  `run` executes them in one directory at one
 ``HWR_SEED`` and hashes every file written there, plus each command's
 stdout, stderr and exit code.  ``golden.json`` beside this script holds the
 hashes at each seed of `SEEDS`, with the `environment` they were made in:
@@ -48,9 +49,10 @@ def _train(reduced: str, labels: str, classifier: str, out: str, *options: str) 
             "--out", out, *options]
 
 
-def _eval(reduced: str, labels: str, model: str) -> list[str]:
+def _eval(reduced: str, labels: str, model: str, *options: str) -> list[str]:
     report = model.replace(".json", ".report.json")
-    return ["eval", "--in", reduced, "--labels", labels, "--model", model, "--json", report]
+    return ["eval", "--in", reduced, "--labels", labels, "--model", model, "--json", report,
+            *options]
 
 
 def _predict(image: str, reducer: str, model: str, *options: str) -> list[str]:
@@ -91,6 +93,8 @@ COMMANDS = [
     _predict("c12_s002.pgm", "srp.json", "rf_srp.json"),
     _predict("c07_s006.pgm", "grp.json", "svm_grp.json", "--scalars"),
     _predict("c03_s004.pgm", "pca.json", "pca.json"),  # a reducer is no classifier: exit 2
+    _train("pca.fmx", "f.fmx.labels", "rf", "rf_strat.json", "--trees", "30", "--stratify"),
+    _eval("pca.fmx", "f.fmx.labels", "rf_strat.json", "--stratify"),
 ]
 
 
