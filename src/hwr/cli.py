@@ -107,12 +107,8 @@ def _load_split(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray, datas
     y = dataset.read_label_file(args.labels)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"{y.shape[0]} labels for {X.shape[0]} feature rows")
-    seed = _stage_seed(args.split_seed, "split")
-    if args.stratify:
-        result = dataset.stratified_split(y, args.ratio, seed)
-    else:
-        result = dataset.split(X.shape[0], args.ratio, seed)
-    return X, y, result
+    strata = y if args.stratify else np.zeros_like(y)
+    return X, y, dataset.split(strata, args.ratio, _stage_seed(args.split_seed, "split"))
 
 
 def cmd_train(args: argparse.Namespace) -> int:

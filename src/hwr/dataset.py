@@ -1,5 +1,8 @@
-"""Dataset plumbing: manifests, train/test split, feature-matrix container,
+"""Dataset plumbing: manifests, held-out rows, feature-matrix container,
 model files.
+
+Held-out rows come from one seeded per-class shuffle, which `split` cuts
+into train and test rows and `stratified_folds` deals into CV folds.
 
 The FMX1 container is binary and bit-exact: magic "FMX1", row and column
 counts as little-endian uint32, then row-major float64 little-endian values.
@@ -110,39 +113,41 @@ class SplitResult:
     test_indices: np.ndarray
 
 
-def split(n: int, ratio: float, seed: int) -> SplitResult:
-    """Seeded uniform shuffle; first floor(ratio*n) indices train, rest test."""
-    if n < 2:
-        raise ValueError(f"need at least 2 samples to split, got {n}")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    perm = np.random.default_rng(seed).permutation(n)
-    n_train = math.floor(ratio * n)
-    return SplitResult(
-        train_indices=np.sort(perm[:n_train]),
-        test_indices=np.sort(perm[n_train:]),
-    )
-
-
-def stratified_split(labels: np.ndarray, ratio: float, seed: int) -> SplitResult:
-    """Per-class seeded shuffle keeping the train fraction within each class."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape[0] < 2:
-        raise ValueError(f"need at least 2 samples to split, got {labels.shape[0]}")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+def _class_shuffles(strata: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Each stratum's row indices, strata ascending, shuffled in turn by one stream."""
     gen = np.random.default_rng(seed)
-    train, test = [], []
-    for cls in np.unique(labels):
-        idx = np.nonzero(labels == cls)[0]
-        gen.shuffle(idx)
-        cut = math.floor(ratio * idx.shape[0])
-        train.extend(idx[:cut])
-        test.extend(idx[cut:])
+    return [gen.permutation(np.flatnonzero(strata == cls)) for cls in np.unique(strata)]
+
+
+def split(strata, ratio: float, seed: int) -> SplitResult:
+    """Seeded per-stratum shuffle (one stratum id per row); the first floor(ratio*size)
+    rows of each stratum train, the rest test.  One stratum is the uniform split."""
+    strata = np.asarray(strata, dtype=np.intp)
+    if strata.shape[0] < 2:
+        raise ValueError(f"need at least 2 samples to split, got {strata.shape[0]}")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+    shuffles = _class_shuffles(strata, seed)
+    cuts = [math.floor(ratio * idx.shape[0]) for idx in shuffles]
     return SplitResult(
-        train_indices=np.sort(np.array(train, dtype=np.intp)),
-        test_indices=np.sort(np.array(test, dtype=np.intp)),
+        train_indices=np.sort(np.concatenate([idx[:cut] for idx, cut in zip(shuffles, cuts)])),
+        test_indices=np.sort(np.concatenate([idx[cut:] for idx, cut in zip(shuffles, cuts)])),
     )
+
+
+def stratified_folds(labels, count: int, seed: int) -> list[np.ndarray]:
+    """``count`` cross-validation folds: fold f holds rows f, f + count, ... of
+    each class's shuffle, so every class spreads evenly over the folds."""
+    labels = np.asarray(labels, dtype=np.intp)
+    present, sizes = np.unique(labels, return_counts=True)
+    if not present.size:
+        raise ValueError("stratification infeasible: no samples")
+    if sizes.min() < count:
+        thin = present[sizes < count].tolist()
+        raise ValueError(
+            f"stratification infeasible: classes {thin} have fewer than {count} samples")
+    shuffles = _class_shuffles(labels, seed)
+    return [np.sort(np.concatenate([idx[f::count] for idx in shuffles])) for f in range(count)]
 
 
 def write_fmx(matrix: np.ndarray, path: str | os.PathLike) -> None:

@@ -35,11 +35,13 @@ solver's outcomes: a support vector's coefficient goes to the column of its
 training row's bytes.  A pair's Gram matrix comes from one array object, as
 numpy computes A @ A.T of one buffer by a symmetric BLAS routine whose bits
 differ from a general product's (and would change the SMO step counts).
-Grid search runs stratified FOLDS-fold cross-validation over every (C, gamma)
-of DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, solving every pair at every C of
-one (fold, gamma) as one batch that shares each pair's Gram matrix, and
-prefers smaller C, then smaller gamma, on ties.  Its (fold, gamma) batches
-are trained and scored in worker processes.
+Grid search runs FOLDS-fold cross-validation over every (C, gamma) of
+DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES on `dataset.stratified_folds`: each
+class's rows, shuffled as `dataset.split` shuffles them, dealt over the
+folds.  It solves every pair at every C of one (fold, gamma) as one batch
+that shares each pair's Gram matrix, and prefers smaller C, then smaller
+gamma, on ties.  Its (fold, gamma) batches are trained and scored in worker
+processes.
 One-vs-one training and grid search run SMO to tol _TOL (1e-3).
 """
 
@@ -542,30 +544,11 @@ class GridSearchResult:
     table: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def stratified_folds(labels: np.ndarray, seed: int) -> list[np.ndarray]:
-    """Deterministic stratified FOLDS-fold assignment (shuffle within class)."""
-    labels = np.asarray(labels, dtype=np.intp)
-    present, counts = np.unique(labels, return_counts=True)
-    if counts.min() < FOLDS:
-        thin = present[counts < FOLDS].tolist()
-        raise ValueError(
-            f"stratification infeasible: classes {thin} have fewer than {FOLDS} samples"
-        )
-    gen = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(FOLDS)]
-    for cls in present:
-        idx = np.nonzero(labels == cls)[0]
-        gen.shuffle(idx)
-        for j, i in enumerate(idx):
-            folds[j % FOLDS].append(int(i))
-    return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
-
-
 def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchResult:
     """Cross-validated accuracy for every (C, gamma) cell; returns the argmax.
 
     The cells are DEFAULT_C_VALUES x DEFAULT_GAMMA_VALUES, scored over
-    FOLDS (3) stratified folds.  Accuracy is pooled over folds (total
+    FOLDS (3) folds stratified per class.  Accuracy is pooled over folds (total
     correct / total samples).  Cells whose machines fail to train in any
     fold (degenerate folds) score 0 rather than aborting the sweep.  Each
     (fold, gamma) is one job of ``workers.map_jobs``, which trains the
@@ -584,9 +567,9 @@ def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchR
                 else int((model.predict_batch(X[held]) == labels[held]).sum())
                 for model in _ovo_models(X[train], labels[train], c_values, gamma)]
 
+    folds = dataset.stratified_folds(labels, FOLDS, seed)
     # one list per (fold, gamma), gamma fastest
-    scores = workers.map_jobs(hits, [(held, gamma) for held in stratified_folds(labels, seed)
-                                     for gamma in gamma_values])
+    scores = workers.map_jobs(hits, [(held, gamma) for held in folds for gamma in gamma_values])
     best: tuple[float, float, float] | None = None
     table: list[tuple[float, float, float]] = []
     for k, c in enumerate(c_values):

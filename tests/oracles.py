@@ -17,7 +17,10 @@ resize weights with one `np.add.at` per tap, and find the word box by
 dilating the ink; the vectorized feature chain must match them byte for
 byte.  The random streams come from the formula itself in Python integers,
 and the sparse projection is a scipy CSR matrix drawn from float uniforms,
-whose entries the dense matrix must match byte for byte.
+whose entries the dense matrix must match byte for byte.  The held-out rows
+come from the three functions that drew them before one per-class shuffle
+served them all, a uniform split, a per-class split and the grid's folds,
+whose indices the one shuffle must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ import numpy as np
 from scipy import sparse
 
 from hwr import imaging, rng
+from hwr.dataset import SplitResult
 from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_shape
 from hwr.forest import _GAIN_EPS, ForestModel, TreeNode, gini
 from hwr.imaging import _as_mask, _cubic_kernel
 from hwr.labels import N_CLASSES
 from hwr.mlp import batch_gradients
 from hwr.svm import (
+    FOLDS,
     BinarySvm,
     ConvergenceError,
     DegenerateDataError,
@@ -613,3 +618,57 @@ def sparse_projection(d: int, k: int, seed: int) -> sparse.csr_array:
     nz = np.nonzero(u < 1.0 / 3.0)[0]
     data = np.where(u[nz] < 1.0 / 6.0, scale, -scale)
     return sparse.coo_array((data, (nz // d, nz % d)), shape=(k, d)).tocsr()
+
+
+def uniform_split(n: int, ratio: float, seed: int) -> SplitResult:
+    """Seeded uniform shuffle; first floor(ratio*n) indices train, rest test."""
+    if n < 2:
+        raise ValueError(f"need at least 2 samples to split, got {n}")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = math.floor(ratio * n)
+    return SplitResult(
+        train_indices=np.sort(perm[:n_train]),
+        test_indices=np.sort(perm[n_train:]),
+    )
+
+
+def stratified_split(labels: np.ndarray, ratio: float, seed: int) -> SplitResult:
+    """Per-class seeded shuffle keeping the train fraction within each class."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape[0] < 2:
+        raise ValueError(f"need at least 2 samples to split, got {labels.shape[0]}")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+    gen = np.random.default_rng(seed)
+    train, test = [], []
+    for cls in np.unique(labels):
+        idx = np.nonzero(labels == cls)[0]
+        gen.shuffle(idx)
+        cut = math.floor(ratio * idx.shape[0])
+        train.extend(idx[:cut])
+        test.extend(idx[cut:])
+    return SplitResult(
+        train_indices=np.sort(np.array(train, dtype=np.intp)),
+        test_indices=np.sort(np.array(test, dtype=np.intp)),
+    )
+
+
+def stratified_folds(labels: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Deterministic stratified FOLDS-fold assignment (shuffle within class)."""
+    labels = np.asarray(labels, dtype=np.intp)
+    present, counts = np.unique(labels, return_counts=True)
+    if counts.min() < FOLDS:
+        thin = present[counts < FOLDS].tolist()
+        raise ValueError(
+            f"stratification infeasible: classes {thin} have fewer than {FOLDS} samples"
+        )
+    gen = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(FOLDS)]
+    for cls in present:
+        idx = np.nonzero(labels == cls)[0]
+        gen.shuffle(idx)
+        for j, i in enumerate(idx):
+            folds[j % FOLDS].append(int(i))
+    return [np.sort(np.array(f, dtype=np.intp)) for f in folds]

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from hwr import svm
 from hwr.dataset import (
     FmxError,
     Manifest,
@@ -17,7 +19,7 @@ from hwr.dataset import (
     read_fmx,
     read_label_file,
     split,
-    stratified_split,
+    stratified_folds,
     unpack,
     write_fmx,
     write_label_file,
@@ -91,45 +93,118 @@ class TestManifest:
         assert b"\r" not in raw  # LF endings
 
 
+def _uniform(n: int) -> np.ndarray:
+    """One stratum for n rows: the strata of the uniform split."""
+    return np.zeros(n, dtype=np.intp)
+
+
 class TestSplit:
     def test_paper_cardinalities(self):
-        result = split(736, 0.8, seed=0)
+        result = split(_uniform(736), 0.8, seed=0)
         assert len(result.train_indices) == 588
         assert len(result.test_indices) == 148
 
     def test_small_case(self):
-        result = split(10, 0.8, seed=1)
+        result = split(_uniform(10), 0.8, seed=1)
         assert len(result.train_indices) == 8
         assert len(result.test_indices) == 2
 
     def test_seed_determinism(self):
-        a, b = split(50, 0.8, seed=3), split(50, 0.8, seed=3)
-        c = split(50, 0.8, seed=4)
+        a, b = split(_uniform(50), 0.8, seed=3), split(_uniform(50), 0.8, seed=3)
+        c = split(_uniform(50), 0.8, seed=4)
         assert np.array_equal(a.train_indices, b.train_indices)
         assert not np.array_equal(a.train_indices, c.train_indices)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 300), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
     def test_partition_property(self, n, ratio, seed):
-        result = split(n, ratio, seed)
+        result = split(_uniform(n), ratio, seed)
         merged = np.sort(np.concatenate([result.train_indices, result.test_indices]))
         assert np.array_equal(merged, np.arange(n))
         assert len(result.train_indices) == int(np.floor(ratio * n))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            split(1, 0.8, 0)
+            split(_uniform(1), 0.8, 0)
         with pytest.raises(ValueError):
-            split(10, 0.0, 0)
+            split(_uniform(10), 0.0, 0)
         with pytest.raises(ValueError):
-            split(10, 1.0, 0)
+            split(_uniform(10), 1.0, 0)
 
     def test_stratified_keeps_class_ratio(self):
         labels = np.repeat([1, 2, 3, 4], 20)
-        result = stratified_split(labels, 0.8, seed=5)
+        result = split(labels, 0.8, seed=5)
         for cls in (1, 2, 3, 4):
             assert (labels[result.train_indices] == cls).sum() == 16
             assert (labels[result.test_indices] == cls).sum() == 4
+
+
+# Seeds on both sides of 2**63, where a seed stops fitting a signed 64-bit integer.
+SEEDS = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63 - 1, 2**63, 2**64 - 1])
+RATIOS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def class_layouts(draw, min_size: int = 0) -> np.ndarray:
+    """Labels of 1 to 14 classes of ``min_size`` to ``min_size + 6`` rows each, in a
+    drawn order; the sizes favour ``min_size`` itself."""
+    classes = draw(st.lists(st.integers(1, 14), min_size=1, max_size=14, unique=True))
+    sizes = [draw(st.just(min_size) | st.integers(min_size, min_size + 6)) for _ in classes]
+    labels = np.repeat(np.array(classes, dtype=np.intp), sizes)
+    return labels[draw(st.permutations(range(labels.shape[0])))]
+
+
+def _assert_same(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestHeldOutOracles:
+    """The one per-class shuffle draws the rows of the three functions it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 1000), RATIOS, SEEDS)
+    def test_one_stratum_is_the_uniform_split(self, n, ratio, seed):
+        got, want = split(_uniform(n), ratio, seed), oracles.uniform_split(n, ratio, seed)
+        _assert_same(got.train_indices, want.train_indices)
+        _assert_same(got.test_indices, want.test_indices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(class_layouts(), RATIOS, SEEDS)
+    def test_per_class_split(self, labels, ratio, seed):
+        if labels.shape[0] < 2:
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                split(labels, ratio, seed)
+            return
+        got, want = split(labels, ratio, seed), oracles.stratified_split(labels, ratio, seed)
+        _assert_same(got.train_indices, want.train_indices)
+        _assert_same(got.test_indices, want.test_indices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(class_layouts(min_size=svm.FOLDS), SEEDS)
+    def test_folds(self, labels, seed):
+        got = stratified_folds(labels, svm.FOLDS, seed)
+        want = oracles.stratified_folds(labels, seed)
+        assert len(got) == len(want) == svm.FOLDS
+        for fold, expected in zip(got, want):
+            _assert_same(fold, expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(class_layouts(min_size=1), SEEDS)
+    def test_folds_refuse_the_same_thin_classes(self, labels, seed):
+        try:
+            want = oracles.stratified_folds(labels, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                stratified_folds(labels, svm.FOLDS, seed)
+            assert str(refused.value) == str(exc)
+        else:
+            for fold, expected in zip(stratified_folds(labels, svm.FOLDS, seed), want):
+                _assert_same(fold, expected)
+
+    def test_no_rows_have_no_folds(self):
+        with pytest.raises(ValueError, match="no samples"):
+            stratified_folds(np.array([], dtype=np.intp), svm.FOLDS, 0)
 
 
 class TestFmx:

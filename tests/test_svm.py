@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwr import svm
+from hwr.dataset import stratified_folds
 from hwr.svm import (
     BinarySvm,
     ConvergenceError,
@@ -22,7 +23,6 @@ from hwr.svm import (
     kernel_matrix,
     ovo_train,
     smo_train,
-    stratified_folds,
 )
 
 
@@ -271,7 +271,7 @@ class TestGridSearch:
 
     def test_stratified_folds_partition(self):
         labels = np.repeat([1, 2, 3, 4], 7)
-        folds = stratified_folds(labels, seed=4)
+        folds = stratified_folds(labels, svm.FOLDS, seed=4)
         assert len(folds) == 3
         merged = np.sort(np.concatenate(folds))
         assert np.array_equal(merged, np.arange(28))
@@ -324,7 +324,7 @@ def _assert_same_layout(model, ref):
 
 def _sequential_grid(X, labels, seed, train):
     """grid_search's table, one cell and one fold at a time with ``train``."""
-    folds = stratified_folds(labels, seed)
+    folds = stratified_folds(labels, svm.FOLDS, seed)
     table = []
     for c in sorted(svm.DEFAULT_C_VALUES):
         for gamma in sorted(svm.DEFAULT_GAMMA_VALUES):
