@@ -141,6 +141,8 @@ def _check_training_data(model: MlpModel, X, labels) -> tuple[np.ndarray, np.nda
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
+    if not y.size:
+        raise ValueError("need at least one training sample")
     y = y.astype(np.intp)
     if y.min() < 1 or y.max() > model.o:
         raise ValueError(f"labels must lie in [1, {model.o}]")

@@ -90,9 +90,11 @@ def map_rows(fn, n: int, width: int) -> tuple[np.ndarray, list]:
 
     ``fn`` runs through `map_jobs` once per block of `blocks(n)` and writes
     ``rows``, the matrix rows ``start:stop``; only what it returns travels
-    pickled.  The matrix lives in anonymous shared memory, mapped before any
-    fork, so rows that workers write need no copy.  ``n`` and ``width`` must
-    be at least 1.
+    pickled.  Past one block the matrix lives in anonymous shared memory,
+    mapped before any fork, so rows that workers write need no copy; one
+    block runs inline, into plain memory.  ``n`` and ``width`` must be at
+    least 1.
     """
-    out = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width)
+    out = (np.empty((n, width)) if n <= BLOCK else
+           np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width))
     return out, map_jobs(lambda job: fn(*job, out[job[0]:job[1]]), blocks(n))

@@ -344,6 +344,22 @@ class TestTrainEvalPredict:
         supports = [line.split()[-1] for line in out.splitlines()[1:15]]
         assert supports == ["1"] * 14
 
+    @pytest.mark.parametrize("options, message", [
+        (("mlp",), "need at least one training sample"),
+        (("svm", "--grid", "default"), "stratification infeasible: no samples"),
+        (("svm", "--c", "1", "--gamma", "0.5"), "need at least 2 classes, got []"),
+        (("rf", "--trees", "5"), "need at least 2 samples"),
+    ])
+    def test_empty_train_side_is_refused(self, capsys, tmp_path, pipeline_dir, options,
+                                         message):
+        # 0.01 of 4 rows per class trains on none of the 56
+        code, out, err = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
+                             "--labels", str(pipeline_dir / "feat.fmx.labels"),
+                             "--classifier", *options, "--out", str(tmp_path / "m.json"),
+                             "--ratio", "0.01", "--split-seed", "5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_mlp_train_eval(self, capsys, tmp_path, pipeline_dir):
         code, out, _ = run(capsys, "train", "--in", str(pipeline_dir / "reduced.fmx"),
                            "--labels", str(pipeline_dir / "feat.fmx.labels"),
