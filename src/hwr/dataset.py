@@ -119,7 +119,7 @@ def _class_shuffles(strata: np.ndarray, seed: int) -> list[np.ndarray]:
     return [gen.permutation(np.flatnonzero(strata == cls)) for cls in np.unique(strata)]
 
 
-def split(strata, ratio: float, seed: int) -> SplitResult:
+def split(strata: np.ndarray, ratio: float, seed: int) -> SplitResult:
     """Seeded per-stratum shuffle (one stratum id per row); the first floor(ratio*size)
     rows of each stratum train, the rest test.  One stratum is the uniform split."""
     strata = np.asarray(strata, dtype=np.intp)
@@ -135,7 +135,7 @@ def split(strata, ratio: float, seed: int) -> SplitResult:
     )
 
 
-def stratified_folds(labels, count: int, seed: int) -> list[np.ndarray]:
+def stratified_folds(labels: np.ndarray, count: int, seed: int) -> list[np.ndarray]:
     """``count`` cross-validation folds: fold f holds rows f, f + count, ... of
     each class's shuffle, so every class spreads evenly over the folds."""
     labels = np.asarray(labels, dtype=np.intp)

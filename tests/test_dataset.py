@@ -202,10 +202,6 @@ class TestHeldOutOracles:
             for fold, expected in zip(stratified_folds(labels, svm.FOLDS, seed), want):
                 _assert_same(fold, expected)
 
-    def test_no_rows_have_no_folds(self):
-        with pytest.raises(ValueError, match="no samples"):
-            stratified_folds(np.array([], dtype=np.intp), svm.FOLDS, 0)
-
 
 class TestFmx:
     def test_scalar_round_trip(self, tmp_path):
