@@ -146,7 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = load_classifier(args.model)
     predictions = model.predict_batch(X[sp.test_indices])
     cm = metrics.confusion(y[sp.test_indices], predictions)
-    rep = metrics.report(cm, average=args.average)
+    rep = metrics.report(cm)
     text = metrics.render_report(rep)
     print(text, end="")
     if args.out:
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--model", required=True)
     _add_split_options(p)
-    p.add_argument("--average", choices=("weighted", "macro"), default="weighted")
     p.add_argument("--out", default=None, help="also write the text report here")
     p.add_argument("--json", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_eval)
@@ -260,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (svm.TrainingError, mlp.TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (svm.TrainingError, mlp.TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

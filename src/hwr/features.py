@@ -140,10 +140,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def hog(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
     """HOG descriptor of a grayscale image compatible with `params`."""
-    arr = np.asarray(img)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
-    hist = cell_histograms(arr, params)
+    hist = cell_histograms(img, params)
     bh_c = params.block[0] // params.cell[0]
     bw_c = params.block[1] // params.cell[1]
     sh_c = params.stride[0] // params.cell[0]

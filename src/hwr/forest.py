@@ -55,8 +55,6 @@ import numpy as np
 from . import dataset, workers
 from .labels import N_CLASSES
 
-DEFAULT_TREE_COUNTS = (50, 100, 2000)
-
 _GAIN_EPS = 1e-12
 
 

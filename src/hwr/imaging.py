@@ -49,11 +49,7 @@ def _as_gray(img: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D grayscale array, got shape {arr.shape}")
     if arr.dtype != np.uint8:
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"grayscale pixels must be integers, got dtype {arr.dtype}")
-        if arr.min() < 0 or arr.max() > 255:
-            raise ValueError("grayscale intensities must lie in [0, 255]")
-        arr = arr.astype(np.uint8)
+        raise ValueError(f"grayscale pixels must be uint8, got dtype {arr.dtype}")
     return arr
 
 

@@ -2,7 +2,9 @@
 
 Reports mirror the classic per-class layout: one row per label with metrics
 to 2 decimals (half-up), a support-weighted "avg / total" row, and an
-accuracy line.  Zero denominators yield metric 0 rather than NaN so reports
+accuracy line.  The support-weighted average is the only one: it is the
+"avg / total" row of scikit-learn's classification report, the one the
+paper prints.  Zero denominators yield metric 0 rather than NaN so reports
 on degenerate folds stay renderable.
 """
 
@@ -43,7 +45,6 @@ class ClassReport:
     avg_precision: float
     avg_recall: float
     avg_f1: float
-    average: str            # "weighted" | "macro"
 
     def to_dict(self) -> dict:
         return {
@@ -56,7 +57,7 @@ class ClassReport:
             "avg_precision": self.avg_precision,
             "avg_recall": self.avg_recall,
             "avg_f1": self.avg_f1,
-            "average": self.average,
+            "average": "weighted",
         }
 
     def to_json(self) -> str:
@@ -67,25 +68,20 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num, dtype=np.float64), where=den > 0)
 
 
-def report(cm: np.ndarray, average: str = "weighted") -> ClassReport:
+def report(cm: np.ndarray) -> ClassReport:
     cm = np.asarray(cm, dtype=np.int64)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
         raise ValueError(f"confusion matrix must be square, got shape {cm.shape}")
     total = int(cm.sum())
     if total < 1:
         raise ValueError("confusion matrix is empty")
-    if average not in ("weighted", "macro"):
-        raise ValueError(f"average must be 'weighted' or 'macro', got {average!r}")
     diag = np.diag(cm).astype(np.float64)
     precision = _safe_div(diag, cm.sum(axis=0).astype(np.float64))
     recall = _safe_div(diag, cm.sum(axis=1).astype(np.float64))
     f1 = _safe_div(2.0 * precision * recall, precision + recall)
     support = cm.sum(axis=1)
-    if average == "weighted":
-        weights = support / total
-        avg_p, avg_r, avg_f = (float(weights @ m) for m in (precision, recall, f1))
-    else:
-        avg_p, avg_r, avg_f = (float(m.mean()) for m in (precision, recall, f1))
+    weights = support / total
+    avg_p, avg_r, avg_f = (float(weights @ m) for m in (precision, recall, f1))
     return ClassReport(
         precision=precision,
         recall=recall,
@@ -95,7 +91,6 @@ def report(cm: np.ndarray, average: str = "weighted") -> ClassReport:
         avg_precision=avg_p,
         avg_recall=avg_r,
         avg_f1=avg_f,
-        average=average,
     )
 
 

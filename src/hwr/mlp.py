@@ -18,8 +18,6 @@ import numpy as np
 from . import dataset
 from .labels import N_CLASSES
 
-HIDDEN_LAYER_SWEEP = (50, 100, 150, 350)
-
 _PROB_FLOOR = 1e-15
 
 

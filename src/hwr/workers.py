@@ -12,7 +12,6 @@ import ctypes
 import functools
 import mmap
 import os
-from operator import length_hint
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +47,9 @@ def _run(job):
 def map_jobs(fn, jobs) -> list:
     """``[fn(job) for job in jobs]``, computed by forked worker processes.
 
-    There is one worker per CPU in ``os.sched_getaffinity(0)``, but no more
-    than there are jobs (jobs without a length, such as a generator, count as
-    many as the CPUs); one worker means the plain loop in this process.
+    ``jobs`` is a sized sequence, such as a list or a range.  There is one
+    worker per CPU in ``os.sched_getaffinity(0)``, but no more than there are
+    jobs; one worker means the plain loop in this process.
     Workers are forked, whatever the platform's default start method: they
     inherit ``fn`` and everything it reads, such as the training matrix or a
     module attribute patched before the call, where a spawned worker would
@@ -61,9 +60,8 @@ def map_jobs(fn, jobs) -> list:
     workers, once the other jobs have run).  The pool is torn down on every
     exit path.
     """
-    cpus = len(os.sched_getaffinity(0))
-    count = length_hint(jobs, cpus)
-    workers = min(cpus, count)
+    count = len(jobs)
+    workers = min(len(os.sched_getaffinity(0)), count)
     if workers <= 1:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, so that `hwr predict` does not pay for its import

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from hwr import forest
 from hwr.forest import (
-    DEFAULT_TREE_COUNTS,
     ForestModel,
     TreeNode,
     bootstrap_indices,
@@ -273,9 +272,6 @@ class TestRfTrain:
         assert _preorder(a) == _preorder(b)
         assert _preorder(a) != _preorder(c)
 
-    def test_default_tree_counts_exposed(self):
-        assert DEFAULT_TREE_COUNTS == (50, 100, 2000)
-
     def test_bootstrap_reproducible(self):
         assert np.array_equal(bootstrap_indices(3, 2, 17), bootstrap_indices(3, 2, 17))
         assert not np.array_equal(bootstrap_indices(3, 2, 17), bootstrap_indices(3, 3, 17))
@@ -350,7 +346,7 @@ class TestFlatWalk:
         X = gen.normal(size=(5, 6))[y - 1] + gen.normal(size=(40, 6))
         return X, y, gen.normal(scale=1.5, size=(25, 6))
 
-    @pytest.mark.parametrize("m", DEFAULT_TREE_COUNTS)
+    @pytest.mark.parametrize("m", (50, 100, 2000))
     def test_seeded_forests(self, data, m):
         X, y, probe = data
         # 20 training rows keep the 2000-tree forest quick to grow

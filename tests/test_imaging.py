@@ -230,6 +230,14 @@ class TestPreprocess:
         with pytest.raises(NoInkError):
             preprocess(np.full((10, 10), 99, dtype=np.uint8))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+    @pytest.mark.parametrize("stage", [preprocess, otsu_threshold])
+    def test_refuses_rasters_that_are_not_uint8(self, stage, dtype):
+        img = np.zeros((10, 10), dtype=dtype)
+        img[3:6, 2:8] = 1
+        with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype).name}$"):
+            stage(img)
+
 
 def _word(mask: np.ndarray, ink: int = 20, paper: int = 235) -> np.ndarray:
     return np.where(mask, ink, paper).astype(np.uint8)

@@ -115,13 +115,6 @@ class TestReport:
             assert f == pytest.approx(_f1(p, r), abs=1e-12)
             assert (f == 0.0) == (p == 0.0 or r == 0.0)
 
-    def test_macro_average_option(self):
-        cm = confusion([1, 1, 1, 2], [1, 1, 2, 2])
-        rep = report(cm, average="macro")
-        assert rep.avg_recall == pytest.approx(
-            (rep.recall.sum()) / cm.shape[0], abs=1e-12
-        )
-
     def test_weighted_average_reproduces_nn_table_avg_row(self):
         # support-weighted averages of the printed rows land on 0.92/0.91/0.91
         p = np.array([row[0] for row in NEURAL_NET_TABLE])

@@ -27,8 +27,7 @@ def _blobs_2class(n_per=20, seed=0):
     return X, y
 
 
-def test_hidden_layer_sweep_constant():
-    assert mlp.HIDDEN_LAYER_SWEEP == (50, 100, 150, 350)
+def test_n_classes_constant():
     assert mlp.N_CLASSES == 14
 
 

@@ -29,7 +29,6 @@ def cpus(request, monkeypatch) -> int:
 class TestMapJobs:
     def test_results_in_job_order(self, cpus):
         assert workers.map_jobs(lambda j: j * j, range(20)) == [j * j for j in range(20)]
-        assert workers.map_jobs(len, (np.ones(j) for j in range(5))) == [0, 1, 2, 3, 4]
         assert workers.map_jobs(len, []) == []
 
     def test_one_cpu_runs_inline_and_two_fork(self, cpus):
@@ -221,7 +220,7 @@ def _forest_data():
 
 class TestForest:
     @pytest.mark.parametrize("seed", [42, 7])
-    @pytest.mark.parametrize("m", forest.DEFAULT_TREE_COUNTS)
+    @pytest.mark.parametrize("m", (50, 100, 2000))
     def test_rf_json_equal_for_any_cpu_count(self, monkeypatch, tmp_path, m, seed):
         X, y = _forest_data()
         rows = 20 if m == 2000 else 40  # 20 rows keep the 2000-tree forests quick to grow
