@@ -184,8 +184,8 @@ def train(model: MlpModel, X, labels, cfg: TrainConfig) -> MlpModel:
                 raise TrainingDivergedError(
                     f"non-finite loss {batch} at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            out.w1 -= cfg.learning_rate * grads["w1"]
-            out.b1 -= cfg.learning_rate * grads["b1"]
-            out.w2 -= cfg.learning_rate * grads["w2"]
-            out.b2 -= cfg.learning_rate * grads["b2"]
+            for name, grad in grads.items():  # fresh arrays, so scaled in place
+                grad *= cfg.learning_rate
+                param = getattr(out, name)
+                param -= grad
     return out
