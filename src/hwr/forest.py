@@ -98,8 +98,9 @@ def _best_split(
     parent = gini(counts)
     if n < 2:
         return None
+    rows = np.arange(X.shape[0])[:, None]
     order = np.argsort(X, axis=1)  # not stable: ties never straddle a cut
-    sv = np.take_along_axis(X, order, axis=1)
+    sv = X[rows, order]
     ys = y0[order]
     # rank[i, j]: how many samples before position j of row i share its class.
     # A stable sort of the classes lists each class's positions in order, and
@@ -109,7 +110,7 @@ def _best_split(
     sorted_classes = np.repeat(np.arange(N_CLASSES), counts)
     within = np.arange(n) - (np.cumsum(counts) - counts)[sorted_classes]
     rank = np.empty_like(by_class)
-    np.put_along_axis(rank, by_class, np.broadcast_to(within, by_class.shape), axis=1)
+    rank[rows, by_class] = within
     # Over the prefix ending at j, with L the left counts and T the node's:
     # sum L_c^2 grows by 2*rank+1 per sample, sum T_c*L_c by T of its class.
     sum_l2 = np.cumsum(2 * rank + 1, axis=1)[:, :-1]
@@ -162,7 +163,7 @@ def _grow(XT: np.ndarray, y0: np.ndarray, idx: np.ndarray, gen, k: int, tree: tu
     counts = np.bincount(y0[idx], minlength=N_CLASSES)
     if idx.shape[0] >= 2 and (counts > 0).sum() > 1:
         features = np.sort(gen.choice(XT.shape[0], size=k, replace=False))
-        best = _best_split(XT[features][:, idx], y0[idx], features)
+        best = _best_split(XT[features[:, None], idx], y0[idx], features)
         if best is not None:
             _, f, t = best
             feature.append(f)
