@@ -11,6 +11,7 @@ on degenerate folds stay renderable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -81,7 +82,8 @@ def report(cm: np.ndarray) -> ClassReport:
     f1 = _safe_div(2.0 * precision * recall, precision + recall)
     support = cm.sum(axis=1)
     weights = support / total
-    avg_p, avg_r, avg_f = (float(weights @ m) for m in (precision, recall, f1))
+    # exactly rounded, so the bits depend on no BLAS kernel and no class order
+    avg_p, avg_r, avg_f = (math.fsum(weights * m) for m in (precision, recall, f1))
     return ClassReport(
         precision=precision,
         recall=recall,

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hwr.metrics import REPORT_HEADER, confusion, render_report, report, round_half_up
 
@@ -114,6 +115,16 @@ class TestReport:
         for p, r, f in zip(rep.precision, rep.recall, rep.f1):
             assert f == pytest.approx(_f1(p, r), abs=1e-12)
             assert (f == 0.0) == (p == 0.0 or r == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.int64, (14, 14), elements=st.integers(0, 40)), st.permutations(range(14)))
+    def test_averages_keep_their_bits_when_classes_are_relabelled(self, cm, perm):
+        # a relabelling permutes the confusion matrix's rows and columns alike; the
+        # support-weighted averages are exactly rounded sums, so their bits stay
+        assume(cm.sum() > 0)
+        before, after = report(cm), report(cm[np.ix_(perm, perm)])
+        for name in ("avg_precision", "avg_recall", "avg_f1", "accuracy"):
+            assert getattr(after, name).hex() == getattr(before, name).hex(), name
 
     def test_weighted_average_reproduces_nn_table_avg_row(self):
         # support-weighted averages of the printed rows land on 0.92/0.91/0.91
