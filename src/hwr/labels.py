@@ -33,9 +33,10 @@ def label_to_unicode(label: int) -> str:
 
 def unicode_to_label(s: str) -> int:
     """Class id of an exact district-name string."""
-    if s in _names():
-        return _names().index(s) + 1
-    near = difflib.get_close_matches(s, _names(), n=3, cutoff=0.0)
+    names = _names()
+    if s in names:
+        return names.index(s) + 1
+    near = difflib.get_close_matches(s, names, n=3, cutoff=0.0)
     raise LookupError(f"unknown district string {s!r}; nearest candidates: {near}")
 
 
