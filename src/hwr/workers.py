@@ -1,9 +1,10 @@
 """Independent jobs on the CPUs this process may run on.
 
-`map_jobs` forks one worker process per allowed CPU and maps jobs over them;
-`map_rows` fills the rows of one float64 matrix, BLOCK rows per job, for the
-per-image stages (synthesis, features) and the reducers.  Work that fits in
-one job runs inline, in this process, without a pool.
+`map_jobs` forks one worker process per allowed CPU and maps a sized
+sequence of jobs (a list or a range) over them; `map_rows` fills the rows of
+one float64 matrix, BLOCK rows per job, for the per-image stages (synthesis,
+features) and the reducers.  Work that fits in one job runs inline, in this
+process, without a pool.
 """
 
 from __future__ import annotations
