@@ -20,6 +20,11 @@ against the per-block reference kept in tests/oracles.py:
   negative angle and mapping exactly 180 to 0.  This is numpy's float
   remainder `angle % 180` bit for bit: -0.0 and -180 give +0.0, and a
   negative angle whose sum with 180 rounds to 180.0 stays 180.0.
+- Only pixels with a nonzero gradient vote, in pixel order.  A pixel whose
+  gx and gy are both zero (of either sign) would vote magnitude +0.0 into
+  both bins; every weight is >= +0.0 and every bin starts at +0.0, so no
+  partial sum is ever -0.0 and adding +0.0 to it changes no bit.  Each
+  bin's `bincount` sum then takes the remaining votes in the same order.
 - L2-Hys normalizes the (blocks, cells * bins) matrix in one pass.  Each
   row's squared norm comes from a stacked (1, k) @ (k, 1) matmul, which
   calls the same dot product as a single block's `block @ block`; an
@@ -28,6 +33,7 @@ against the per-block reference kept in tests/oracles.py:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,6 +98,28 @@ def hog_length(height: int, width: int, params: HogParams = DEFAULT_HOG) -> int:
     return n_by * n_bx * cells_per_block * params.bins
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(height: int, width: int, params: HogParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather indices into the flat histogram of one image geometry.
+
+    The first holds each pixel's cell * bins, in pixel order; the second
+    holds one row per block, in emission order, of the block's entries.
+    """
+    _, _, n_cy, n_cx = _grid_shape(height, width, params)
+    ch, cw = params.cell
+    cell = (np.arange(height)[:, None] // ch) * n_cx + (np.arange(width)[None, :] // cw)
+    pixel = (cell * params.bins).ravel()
+    entries = np.arange(n_cy * n_cx * params.bins).reshape(n_cy, n_cx, params.bins)
+    bh_c, bw_c = params.block[0] // ch, params.block[1] // cw
+    # windows[by, bx, bin, cy, cx] -> rows (by, bx) of (cy, cx, bin) entries
+    windows = sliding_window_view(entries, (bh_c, bw_c), axis=(0, 1))
+    windows = windows[::params.stride[0] // ch, ::params.stride[1] // cw]
+    block = windows.transpose(0, 1, 3, 4, 2).reshape(-1, bh_c * bw_c * params.bins)
+    for index in (pixel, block):
+        index.flags.writeable = False
+    return pixel, block
+
+
 def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
     """Per-cell orientation histograms, shape (cells_y, cells_x, bins).
 
@@ -104,6 +132,7 @@ def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndar
         raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
     h, w = arr.shape
     _, _, n_cy, n_cx = _grid_shape(h, w, params)
+    pixel_entry, _ = _layout(h, w, params)
 
     gx = np.empty_like(arr)
     gx[:, 1:-1] = arr[:, 2:] - arr[:, :-2]
@@ -114,6 +143,9 @@ def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndar
     gy[0, :] = arr[1, :] - arr[0, :]
     gy[-1, :] = arr[-1, :] - arr[-2, :]
 
+    voting = ((gx != 0.0) | (gy != 0.0)).ravel()  # the others vote +0.0
+    gx = gx.ravel()[voting]
+    gy = gy.ravel()[voting]
     magnitude = np.hypot(gx, gy)
     angle = np.degrees(np.arctan2(gy, gx))
     angle += np.where(angle < 0.0, 180.0, np.where(angle == 180.0, -180.0, 0.0))
@@ -123,13 +155,11 @@ def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndar
     lo_bin = lower.astype(np.intp) % params.bins
     hi_bin = (lo_bin + 1) % params.bins
 
-    ch, cw = params.cell
-    cell_idx = (np.arange(h)[:, None] // ch) * n_cx + (np.arange(w)[None, :] // cw)
+    entry = pixel_entry[voting]
     size = n_cy * n_cx * params.bins
-    hist = np.bincount((cell_idx * params.bins + lo_bin).ravel(),
-                       weights=(magnitude * (1.0 - frac)).ravel(), minlength=size)
-    hist += np.bincount((cell_idx * params.bins + hi_bin).ravel(),
-                        weights=(magnitude * frac).ravel(), minlength=size)
+    hist = np.zeros(size)  # not the first bincount: with no votes, that is integer
+    hist += np.bincount(entry + lo_bin, weights=magnitude * (1.0 - frac), minlength=size)
+    hist += np.bincount(entry + hi_bin, weights=magnitude * frac, minlength=size)
     return hist.reshape(n_cy, n_cx, params.bins)
 
 
@@ -141,13 +171,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 def hog(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndarray:
     """HOG descriptor of a grayscale image compatible with `params`."""
     hist = cell_histograms(img, params)
-    bh_c = params.block[0] // params.cell[0]
-    bw_c = params.block[1] // params.cell[1]
-    sh_c = params.stride[0] // params.cell[0]
-    sw_c = params.stride[1] // params.cell[1]
-    # windows[by, bx, bin, cy, cx] -> rows (by, bx) of (cy, cx, bin) values
-    windows = sliding_window_view(hist, (bh_c, bw_c), axis=(0, 1))[::sh_c, ::sw_c]
-    blocks = windows.transpose(0, 1, 3, 4, 2).reshape(-1, bh_c * bw_c * params.bins)
+    _, block_entries = _layout(*np.shape(img), params)
+    blocks = hist.ravel()[block_entries]
     v = np.minimum(blocks / _row_norms(blocks), L2HYS_CLIP)
     return (v / _row_norms(v)).ravel()
 

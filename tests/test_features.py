@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import scalar_cell_histograms, scalar_hog
 
-from hwr import imaging
+from hwr import features, imaging
 from hwr.features import (
     DEFAULT_HOG,
     HogParams,
@@ -184,6 +184,43 @@ def _interior_angles(img: np.ndarray) -> np.ndarray:
     return np.degrees(np.arctan2(gy, gx))
 
 
+def _voting(img: np.ndarray) -> np.ndarray:
+    """Where the gradient is nonzero; np.gradient has the same zeros for normal values."""
+    gy, gx = np.gradient(np.asarray(img, dtype=np.float64))
+    return (gx != 0.0) | (gy != 0.0)
+
+
+def _sparse_votes(n: int, values: np.ndarray) -> np.ndarray:
+    """A 64x128 zero raster in which exactly n pixels vote, n = 0 or n >= 3.
+
+    Bumps cast the votes: two at a corner (5 pixels), one at a corner (3),
+    one inside (4), and two diagonal neighbours inside (6, two of them at
+    angles off the axes); their heights are taken from `values` in turn.
+    No raster has exactly 1 or 2 voting pixels: a row whose centered
+    differences with replicated edges vanish except at one or two pixels
+    is constant, and so would be the columns across it.
+    """
+    if n in (1, 2):
+        raise ValueError(f"no raster has {n} voting pixels")
+    img = np.zeros((64, 128))
+    heights = iter(values)
+    sizes = [6] * (n // 6) + [[], [3, 4], [4, 4], [3], [4], [5]][n % 6]
+    if n % 6 in (1, 2):
+        sizes.remove(6)
+    inside = ((4 + 6 * (k // 18), 4 + 6 * (k % 18)) for k in range(len(sizes)))
+    for size in sizes:
+        if size == 5:
+            img[0, 0] = img[0, 1] = next(heights)
+        elif size == 3:
+            img[63, 127] = next(heights)
+        else:
+            r, c = next(inside)
+            img[r, c] = next(heights)
+            if size == 6:
+                img[r + 1, c + 1] = next(heights)
+    return img
+
+
 class TestHogMatchesScalarReference:
     """hog and cell_histograms give the per-block reference's bytes."""
 
@@ -236,3 +273,55 @@ class TestHogMatchesScalarReference:
     def test_hypothesis_float(self, img):
         assert _same_bytes(cell_histograms(img), scalar_cell_histograms(img))
         assert _same_bytes(hog(img), scalar_hog(img))
+
+    # The votes of the pixels with a nonzero gradient are computed as short
+    # arrays; lengths 0 and 3 to 34 take every remainder modulo 32.
+    @pytest.mark.parametrize("n", [0] + list(range(3, 35)))
+    def test_rasters_with_few_votes(self, n):
+        for seed in range(3):
+            img = _sparse_votes(n, np.random.default_rng(seed).normal(scale=40.0, size=n))
+            assert _voting(img).sum() == n
+            assert _same_bytes(cell_histograms(img), scalar_cell_histograms(img))
+            assert _same_bytes(hog(img), scalar_hog(img))
+
+    def test_only_denormal_gradients(self):
+        gen = np.random.default_rng(7)
+        img = _sparse_votes(34, gen.choice([5e-324, -5e-324, 3e-320, -2e-310], size=34))
+        assert 0 < np.abs(img).max() < np.finfo(np.float64).tiny
+        assert _same_bytes(cell_histograms(img), scalar_cell_histograms(img))
+        assert _same_bytes(hog(img), scalar_hog(img))
+
+    def test_signed_zero_beside_a_nonzero_component(self):
+        gen = np.random.default_rng(8)
+        img = np.where(gen.random((64, 128)) < 0.5, -0.0, 0.0)
+        img[4:60:6, 4:124:6] = gen.choice([-3.0, 2.5, 1e-300], size=(10, 20))
+        gy, gx = np.gradient(img)
+        votes = _voting(img)
+        for zero, other in ((gx, gy), (gy, gx)):
+            assert (votes & (zero == 0.0) & np.signbit(zero) & (other != 0.0)).any()
+            assert (votes & (zero == 0.0) & ~np.signbit(zero) & (other != 0.0)).any()
+        assert _same_bytes(cell_histograms(img), scalar_cell_histograms(img))
+        assert _same_bytes(hog(img), scalar_hog(img))
+
+    def test_every_pixel_votes(self):
+        img = np.random.default_rng(9).normal(scale=40.0, size=(64, 128))
+        assert _voting(img).all()
+        assert _same_bytes(cell_histograms(img), scalar_cell_histograms(img))
+        assert _same_bytes(hog(img), scalar_hog(img))
+
+
+class TestLayoutCache:
+    def test_indices_are_read_only_and_the_cache_bounded(self):
+        assert features._layout.cache_info().maxsize is not None
+        for index in features._layout(64, 128, DEFAULT_HOG):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
+
+    @pytest.mark.parametrize("h, w, params", [(64, 128, DEFAULT_HOG)] + OTHER_GEOMETRIES)
+    def test_cached_layout_gives_the_same_bytes(self, h, w, params):
+        features._layout.cache_clear()
+        img = _image("normal", h, w, 0)
+        for _ in range(2):
+            assert _same_bytes(hog(img, params), scalar_hog(img, params))
+        assert features._layout.cache_info().hits >= 1
