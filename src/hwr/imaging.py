@@ -13,6 +13,7 @@ are 2-D bool with True = ink.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import NamedTuple
 
@@ -184,6 +185,18 @@ def _cubic_kernel(x: np.ndarray) -> np.ndarray:
     return np.where(x <= 1.0, near, np.where(x < 2.0, far, 0.0))
 
 
+@functools.lru_cache(maxsize=256)
+def _resample_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (tap, output) cells of the n_out x n_in matrix and their weights, flat."""
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    idx = np.floor(src).astype(int) + np.arange(-1, 3)[:, None]  # (tap, output)
+    cells = (np.arange(n_out) * n_in + np.clip(idx, 0, n_in - 1)).ravel()
+    weights = _cubic_kernel(src - idx).ravel()
+    for taps in (cells, weights):
+        taps.flags.writeable = False
+    return cells, weights
+
+
 def _resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic weights mapping n_in samples to n_out along one axis.
 
@@ -191,14 +204,11 @@ def _resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     the four nearest taps get kernel weights, with out-of-range taps clamped
     to the border sample (weights accumulate there).  One bincount over the
     tap-major (tap, output) cells sums each cell from 0.0 in tap order -1,
-    0, 1, 2, the order of one scatter per tap.
+    0, 1, 2, the order of one scatter per tap.  Only the taps are cached:
+    they take 8 * n_out values, the matrix n_out * n_in.
     """
-    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    idx = np.floor(src).astype(int) + np.arange(-1, 3)[:, None]  # (tap, output)
-    cells = np.arange(n_out) * n_in + np.clip(idx, 0, n_in - 1)
-    weights = np.bincount(cells.ravel(), weights=_cubic_kernel(src - idx).ravel(),
-                          minlength=n_out * n_in)
-    return weights.reshape(n_out, n_in)
+    cells, weights = _resample_taps(n_in, n_out)
+    return np.bincount(cells, weights=weights, minlength=n_out * n_in).reshape(n_out, n_in)
 
 
 def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -209,6 +209,21 @@ class TestResampleMatrix:
             want = add_at_resample_matrix(n_in, n_out)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n_in, n_out)
 
+    @pytest.mark.parametrize("n_out", [64, 128])
+    def test_cached_taps_give_the_reference(self, n_out):
+        imaging._resample_taps.cache_clear()
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            for n_in in range(1, 201):
+                got = imaging._resample_matrix(n_in, n_out)
+                assert got.tobytes() == add_at_resample_matrix(n_in, n_out).tobytes(), n_in
+
+    def test_taps_are_read_only_and_the_cache_bounded(self):
+        assert imaging._resample_taps.cache_info().maxsize is not None
+        for taps in imaging._resample_taps(37, 128):
+            assert not taps.flags.writeable
+            with pytest.raises(ValueError):
+                taps[0] = 0
+
 
 class TestPreprocess:
     def test_chain_yields_canonical_raster(self):
