@@ -178,9 +178,15 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
     else:
         draws = rng.splitmix64(seed, count)
         scale = math.sqrt(3.0 / k)
-        matrix = np.zeros(count)
-        matrix[draws < _THIRD] = -scale
-        matrix[draws < _SIXTH] = scale
+        # an entry is entries[c], c the number of the bounds _THIRD and _SIXTH its draw is below
+        entries = np.array([0.0, -scale, scale])
+        code = np.empty(min(rng.CHUNK, count), dtype=np.uint8)
+        matrix = np.empty(count)
+        for start in range(0, count, rng.CHUNK):
+            chunk = draws[start:start + rng.CHUNK]
+            n = len(chunk)
+            np.add(chunk < _THIRD, chunk < _SIXTH, out=code[:n], dtype=np.uint8)
+            np.take(entries, code[:n], out=matrix[start:start + n])
         matrix = matrix.reshape(k, d)
     return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)
 
