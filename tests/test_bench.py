@@ -14,8 +14,14 @@ import pytest
 from hwr import cli, dataset, dimred, features, forest, imaging, svm, synth
 
 
-def test_bench_hog(benchmark):
-    """One canonical 64x128 raster, as every classify request computes."""
+def test_bench_hog(benchmark, small_synth):
+    """One canonical 64x128 word raster, as every classify request computes."""
+    img = imaging.preprocess(imaging.read_pgm(small_synth.paths()[0])).image
+    assert benchmark(features.hog, img).shape == (3780,)
+
+
+def test_bench_hog_noise(benchmark):
+    """The worst case: a uniform-noise 64x128 raster, where every pixel votes."""
     img = np.random.default_rng(42).integers(0, 256, size=(64, 128), dtype=np.uint8)
     assert benchmark(features.hog, img).shape == (3780,)
 

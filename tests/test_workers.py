@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hwr import cli, dimred, forest, imaging, svm, synth, workers
+from hwr import cli, dimred, features, forest, imaging, svm, synth, workers
 
 
 def _cpus(monkeypatch, count: int) -> None:
@@ -190,6 +190,24 @@ class TestImageStages:
             runs.append((printed, files))
         assert len(runs[0][1]) == 14 * per_class + 1 + 2 + 2 + 2
         assert runs[0] == runs[1]
+
+    def test_features_equal_when_each_worker_fills_its_own_caches(self, monkeypatch, tmp_path):
+        """`hwr features` from empty caches: inline, and in two workers that leave this
+        process's caches empty."""
+        synth.synth_generate(synth.SynthSpec(per_class=workers.BLOCK // 14 + 1, seed=3), tmp_path)
+        caches = (features._layout, imaging._resample_taps)
+        written = []
+        for count in (1, 2):
+            _cpus(monkeypatch, count)
+            for cache in caches:
+                cache.cache_clear()
+            out = tmp_path / f"f{count}.fmx"
+            assert cli.main(["features", "--manifest", str(tmp_path / "manifest.csv"),
+                             "--out", str(out)]) == 0
+            filled = [cache.cache_info().currsize > 0 for cache in caches]
+            assert filled == [count == 1] * 2
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("rows", [1, workers.BLOCK - 1, workers.BLOCK, workers.BLOCK + 1,
                                       2 * workers.BLOCK + 2])
