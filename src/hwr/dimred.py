@@ -180,13 +180,11 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
         scale = math.sqrt(3.0 / k)
         # an entry is entries[c], c the number of the bounds _THIRD and _SIXTH its draw is below
         entries = np.array([0.0, -scale, scale])
-        code = np.empty(min(rng.CHUNK, count), dtype=np.uint8)
         matrix = np.empty(count)
         for start in range(0, count, rng.CHUNK):
             chunk = draws[start:start + rng.CHUNK]
-            n = len(chunk)
-            np.add(chunk < _THIRD, chunk < _SIXTH, out=code[:n], dtype=np.uint8)
-            np.take(entries, code[:n], out=matrix[start:start + n])
+            code = np.add(chunk < _THIRD, chunk < _SIXTH, dtype=np.uint8)
+            np.take(entries, code, out=matrix[start:start + rng.CHUNK])
         matrix = matrix.reshape(k, d)
     return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)
 
