@@ -157,7 +157,7 @@ def cell_histograms(img: np.ndarray, params: HogParams = DEFAULT_HOG) -> np.ndar
 
     entry = pixel_entry[voting]
     size = n_cy * n_cx * params.bins
-    hist = np.zeros(size)  # not the first bincount: with no votes, that is integer
+    hist = np.zeros(size)  # a bincount of no votes is integer
     hist += np.bincount(entry + lo_bin, weights=magnitude * (1.0 - frac), minlength=size)
     hist += np.bincount(entry + hi_bin, weights=magnitude * frac, minlength=size)
     return hist.reshape(n_cy, n_cx, params.bins)

@@ -317,11 +317,3 @@ class TestLayoutCache:
             assert not index.flags.writeable
             with pytest.raises(ValueError):
                 index[0] = 1
-
-    @pytest.mark.parametrize("h, w, params", [(64, 128, DEFAULT_HOG)] + OTHER_GEOMETRIES)
-    def test_cached_layout_gives_the_same_bytes(self, h, w, params):
-        features._layout.cache_clear()
-        img = _image("normal", h, w, 0)
-        for _ in range(2):
-            assert _same_bytes(hog(img, params), scalar_hog(img, params))
-        assert features._layout.cache_info().hits >= 1
