@@ -104,9 +104,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def _load_split(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray, dataset.SplitResult]:
     X = dataset.read_fmx(args.infile)
-    y = dataset.read_label_file(args.labels)
-    if y.shape[0] != X.shape[0]:
-        raise ValueError(f"{y.shape[0]} labels for {X.shape[0]} feature rows")
+    y = labels.class_ids(dataset.read_label_file(args.labels), X.shape[0])
     strata = y if args.stratify else np.zeros_like(y)
     return X, y, dataset.split(strata, args.ratio, _stage_seed(args.split_seed, "split"))
 

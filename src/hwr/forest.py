@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset, workers
-from .labels import N_CLASSES
+from .labels import N_CLASSES, class_ids
 
 _GAIN_EPS = 1e-12
 
@@ -140,13 +140,9 @@ def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> tuple[list, list,
     """CART tree over 1-based labels, floor(sqrt(d)) candidate features per node, in
     preorder: features and thresholds (-1 and 0.0 at a leaf), and a row of counts per leaf."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.intp)
-    if y.shape[0] != X.shape[0]:
-        raise ValueError(f"{y.shape[0]} labels for {X.shape[0]} samples")
-    if y.shape[0] < 1:
+    y = class_ids(labels, X.shape[0])
+    if not y.size:
         raise ValueError("need at least one sample")
-    if y.min() < 1 or y.max() > N_CLASSES:
-        raise ValueError(f"labels must lie in [1, {N_CLASSES}]")
     feature, threshold, counts = [], [], []
     _grow(np.ascontiguousarray(X.T), y - 1, np.arange(X.shape[0]),
           np.random.default_rng(tree_seed), math.isqrt(X.shape[1]), (feature, threshold, counts))
@@ -339,9 +335,7 @@ def rf_train(X: np.ndarray, labels: np.ndarray, m: int, seed: int) -> ForestMode
     grown by ``workers.map_jobs`` and their preorders concatenated in tree order.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape[0] != X.shape[0]:
-        raise ValueError(f"{labels.shape[0]} labels for {X.shape[0]} samples")
+    labels = class_ids(labels, X.shape[0])
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     if m < 1:

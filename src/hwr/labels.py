@@ -14,6 +14,8 @@ import difflib
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 N_CLASSES = 14
 
 
@@ -22,6 +24,16 @@ def _names() -> tuple[str, ...]:
     """The rendered district names, the table's third column, in class-id order."""
     text = resources.files("hwr.data").joinpath("districts.tsv").read_text("utf-8")
     return tuple(line.split("\t")[2] for line in text.splitlines())
+
+
+def class_ids(values, rows: int) -> np.ndarray:
+    """One class id in [1, N_CLASSES] per row, as 1-D intp: the only check of labels."""
+    ids = np.asarray(values, dtype=np.intp)
+    if ids.shape != (rows,):
+        raise ValueError(f"labels have shape {ids.shape}, expected ({rows},)")
+    if rows and (ids.min() < 1 or ids.max() > N_CLASSES):
+        raise ValueError(f"labels must lie in [1, {N_CLASSES}]")
+    return ids
 
 
 def label_to_unicode(label: int) -> str:

@@ -17,20 +17,15 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .labels import N_CLASSES
+from .labels import N_CLASSES, class_ids
 
 REPORT_HEADER = "Label  Precision  Recall  f1-score  Support"
 
 
 def confusion(y_true, y_pred) -> np.ndarray:
     """Counts[t-1][p-1] over 1-based class ids; rows true, columns predicted."""
-    t = np.asarray(y_true, dtype=np.intp)
-    p = np.asarray(y_pred, dtype=np.intp)
-    if t.shape != p.shape or t.ndim != 1 or t.shape[0] < 1:
-        raise ValueError(f"label lists must be equal-length 1-D, got {t.shape} and {p.shape}")
-    for name, arr in (("y_true", t), ("y_pred", p)):
-        if arr.min() < 1 or arr.max() > N_CLASSES:
-            raise ValueError(f"{name} contains ids outside [1, {N_CLASSES}]")
+    t = class_ids(y_true, np.size(y_true))
+    p = class_ids(y_pred, t.size)
     cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (t - 1, p - 1), 1)
     return cm

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset
-from .labels import N_CLASSES
+from .labels import N_CLASSES, class_ids
 
 _PROB_FLOOR = 1e-15
 
@@ -33,6 +33,10 @@ class MlpModel:
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (o, h)
     b2: np.ndarray  # (o,)
+
+    def __post_init__(self) -> None:
+        if self.o != N_CLASSES:
+            raise ValueError(f"o is {self.o}, not the {N_CLASSES} classes")
 
     @property
     def m(self) -> int:
@@ -64,8 +68,6 @@ class MlpModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "MlpModel":
         m, h, o = (dataset.number(doc[key]) for key in ("m", "h", "o"))
-        if o != N_CLASSES:
-            raise ValueError(f"o is {o}, not the {N_CLASSES} classes")
         return cls(
             w1=dataset.unpack(doc["w1"], h, m),
             b1=dataset.unpack(doc["b1"], h),
@@ -102,17 +104,15 @@ class TrainConfig:
 
 def mlp_init(m: int, h: int, o: int, seed: int) -> MlpModel:
     """Uniform Glorot weights, zero biases; deterministic per seed."""
-    if min(m, h, o) < 1:
-        raise ValueError(f"layer sizes must be >= 1, got m={m}, h={h}, o={o}")
+    if min(m, h) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got m={m}, h={h}")
+    # built before it is drawn, so an o other than N_CLASSES fails at once
+    model = MlpModel(w1=np.empty((h, m)), b1=np.zeros(h), w2=np.empty((o, h)), b2=np.zeros(o))
     gen = np.random.default_rng(seed)
-    lim1 = math.sqrt(6.0 / (m + h))
-    lim2 = math.sqrt(6.0 / (h + o))
-    return MlpModel(
-        w1=gen.uniform(-lim1, lim1, size=(h, m)),
-        b1=np.zeros(h),
-        w2=gen.uniform(-lim2, lim2, size=(o, h)),
-        b2=np.zeros(o),
-    )
+    for w in (model.w1, model.w2):
+        limit = math.sqrt(6.0 / sum(w.shape))
+        w[...] = gen.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def _check_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -135,15 +135,10 @@ def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_training_data(model: MlpModel, X, labels) -> tuple[np.ndarray, np.ndarray]:
-    X = _check_batch(model, np.asarray(X, dtype=np.float64))
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
+    X = _check_batch(model, X)
+    y = class_ids(labels, X.shape[0])
     if not y.size:
         raise ValueError("need at least one training sample")
-    y = y.astype(np.intp)
-    if y.min() < 1 or y.max() > model.o:
-        raise ValueError(f"labels must lie in [1, {model.o}]")
     return X, y
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataset, workers
-from .labels import N_CLASSES
+from .labels import class_ids
 
 # Grid from the practical-guide convention: coarse powers of two.
 DEFAULT_C_VALUES = (2.0**-1, 2.0**1, 2.0**3, 2.0**5, 2.0**7)
@@ -441,10 +441,10 @@ class SvmModel:
     def from_doc(cls, doc: dict) -> "SvmModel":
         if doc["kernel"] != "rbf":
             raise ValueError(f"kernel {doc['kernel']!r} is not supported (only 'rbf')")
-        classes = [dataset.number(c) for c in doc["classes"]]
-        if len(classes) < 2 or len(set(classes)) != len(classes) or not all(
-                1 <= c <= N_CLASSES for c in classes):
-            raise ValueError(f"classes {classes} are not 2 or more distinct ids in 1..{N_CLASSES}")
+        classes = class_ids([dataset.number(c) for c in doc["classes"]], len(doc["classes"]))
+        classes = classes.tolist()
+        if len(classes) < 2 or len(set(classes)) != len(classes):
+            raise ValueError(f"classes {classes} are not 2 or more distinct ids")
         c, gamma = dataset.number(doc["c"], float), dataset.number(doc["gamma"], float)
         pairs = [(dataset.number(a), dataset.number(b)) for a, b in doc["pairs"]]
         for a, b in pairs:
@@ -471,9 +471,7 @@ def _ovo_problems(
 ) -> tuple[list[int], list[tuple[int, int]], list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Sorted classes, their pairs (a, b), a < b, each pair's rows of X and labels y, and
     the id of each row of X among its distinct rows of bytes."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape[0] != X.shape[0]:
-        raise ValueError(f"{labels.shape[0]} labels for {X.shape[0]} samples")
+    labels = class_ids(labels, X.shape[0])
     present, counts = np.unique(labels, return_counts=True)
     if (counts < 2).any():
         thin = present[counts < 2].tolist()
@@ -555,7 +553,7 @@ def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchR
     models of every C as one lockstep batch and scores the held-out rows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = class_ids(labels, X.shape[0])
     n = labels.shape[0]
     c_values, gamma_values = sorted(DEFAULT_C_VALUES), sorted(DEFAULT_GAMMA_VALUES)
 

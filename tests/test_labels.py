@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from hwr import labels
+from hwr import forest, labels, mlp, svm
 from hwr.labels import (
     N_CLASSES,
+    class_ids,
     district_codepoints,
     label_to_unicode,
     unicode_to_label,
@@ -97,3 +99,44 @@ class TestTable:
 
     def test_module_constant(self):
         assert labels.N_CLASSES == 14
+
+
+class TestClassIds:
+    def test_one_intp_id_per_row(self):
+        ids = class_ids([1, 14, 7], 3)
+        assert ids.dtype == np.intp and ids.tolist() == [1, 14, 7]
+        assert class_ids(np.array([], dtype=np.int64), 0).shape == (0,)
+
+    @pytest.mark.parametrize("values, rows", [([1, 2], 3), ([[1, 2]], 2), ([[1], [2]], 2),
+                                              (3, 1)])
+    def test_not_one_per_row(self, values, rows):
+        with pytest.raises(ValueError, match="labels have shape"):
+            class_ids(values, rows)
+
+    @pytest.mark.parametrize("bad", [0, 15, -1])
+    def test_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=r"^labels must lie in \[1, 14\]$"):
+            class_ids([1, bad, 14], 3)
+
+
+def _two_blobs():
+    gen = np.random.default_rng(5)
+    return np.vstack([gen.normal(c, 0.3, (6, 3)) for c in (0.0, 3.0)]), np.repeat([1, 2], 6)
+
+
+# every trainer, given a class its model files cannot hold
+TRAINERS = {
+    "mlp": lambda X, y: mlp.train(mlp.mlp_init(3, 4, N_CLASSES, seed=0), X, y,
+                                  mlp.TrainConfig(epochs=1, seed=0)),
+    "svm-ovo": lambda X, y: svm.ovo_train(X, y, c=1.0, gamma=0.5),
+    "svm-grid": lambda X, y: svm.grid_search(X, y, seed=0),
+    "rf": lambda X, y: forest.rf_train(X, y, m=2, seed=0),
+}
+
+
+@pytest.mark.parametrize("bad", [0, 15])
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_trainers_refuse_ids_outside_the_classes(trainer, bad):
+    X, y = _two_blobs()
+    with pytest.raises(ValueError, match=r"^labels must lie in \[1, 14\]$"):
+        TRAINERS[trainer](X, np.where(y == 2, bad, y))

@@ -38,14 +38,21 @@ class TestInit:
         assert count == 100 * 100 + 100 + 100 * 14 + 14 == 11514
 
     def test_biases_zero(self):
-        model = mlp_init(7, 5, 3, seed=1)
+        model = mlp_init(7, 5, 14, seed=1)
         assert (model.b1 == 0).all() and (model.b2 == 0).all()
 
     def test_seed_determinism(self):
-        a, b = mlp_init(6, 4, 3, seed=9), mlp_init(6, 4, 3, seed=9)
-        c = mlp_init(6, 4, 3, seed=10)
+        a, b = mlp_init(6, 4, 14, seed=9), mlp_init(6, 4, 14, seed=9)
+        c = mlp_init(6, 4, 14, seed=10)
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
         assert not np.array_equal(a.w1, c.w1)
+
+    @pytest.mark.parametrize("o", [2, 13, 15])
+    def test_output_width_is_the_class_count(self, o):
+        with pytest.raises(ValueError, match=f"o is {o}, not the 14 classes"):
+            mlp_init(4, 3, o, seed=0)
+        with pytest.raises(ValueError, match=f"o is {o}, not the 14 classes"):
+            MlpModel(np.zeros((3, 4)), np.zeros(3), np.zeros((o, 3)), np.zeros(o))
 
     def test_glorot_bounds(self):
         model = mlp_init(50, 30, 14, seed=2)
@@ -61,18 +68,18 @@ class TestForward:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_hidden_nonnegative(self):
-        model = mlp_init(8, 6, 4, seed=3)
+        model = mlp_init(8, 6, 14, seed=3)
         hidden, _ = forward(model, np.random.default_rng(4).normal(size=(1, 8)))
         assert (hidden >= 0).all()
 
     def test_single_unit_toy(self):
         model = MlpModel(np.array([[2.0]]), np.array([-1.0]),
-                         np.zeros((2, 1)), np.zeros(2))
+                         np.zeros((14, 1)), np.zeros(14))
         hidden, _ = forward(model, np.array([[2.0]]))
         assert hidden.tolist() == [[3.0]]
 
     def test_length_mismatch(self):
-        model = mlp_init(4, 3, 2, seed=0)
+        model = mlp_init(4, 3, 14, seed=0)
         with pytest.raises(ValueError, match="columns"):
             forward(model, np.zeros((1, 5)))
 
@@ -123,7 +130,7 @@ from oracles import relative_gradient_errors
 class TestTraining:
     def test_gradient_check_at_random_parameters(self):
         gen = np.random.default_rng(7)
-        model = mlp_init(6, 5, 4, seed=8)
+        model = mlp_init(6, 5, 14, seed=8)
         X = gen.normal(size=(5, 6))
         y = gen.integers(1, 5, size=5)
         errors = relative_gradient_errors(model, X, y)
@@ -133,26 +140,26 @@ class TestTraining:
         gen = np.random.default_rng(17)
         X = gen.normal(size=(5, 6))
         y = gen.integers(1, 5, size=5)
-        model = train(mlp_init(6, 5, 4, seed=8), X, y,
+        model = train(mlp_init(6, 5, 14, seed=8), X, y,
                       TrainConfig(epochs=30, batch_size=5, seed=9))
         errors = relative_gradient_errors(model, X, y)
         assert errors.max() < 1e-6
 
     def test_separable_blobs_reach_full_accuracy(self):
         X, y = _blobs_2class()
-        model = mlp_init(2, 8, 2, seed=0)
+        model = mlp_init(2, 8, 14, seed=0)
         model = train(model, X, y, TrainConfig(learning_rate=0.05, epochs=100, seed=1))
         assert np.array_equal(model.predict_batch(X), y)
 
     def test_zero_epochs_unchanged(self):
         X, y = _blobs_2class(5)
-        model = mlp_init(2, 4, 2, seed=3)
+        model = mlp_init(2, 4, 14, seed=3)
         out = train(model, X, y, TrainConfig(epochs=0, seed=0))
         assert np.array_equal(out.w1, model.w1) and np.array_equal(out.w2, model.w2)
 
     def test_input_model_not_mutated(self):
         X, y = _blobs_2class(5)
-        model = mlp_init(2, 4, 2, seed=3)
+        model = mlp_init(2, 4, 14, seed=3)
         w1_before = model.w1.copy()
         train(model, X, y, TrainConfig(epochs=3, seed=0))
         assert np.array_equal(model.w1, w1_before)
@@ -160,8 +167,8 @@ class TestTraining:
     def test_training_determinism_bitwise(self):
         X, y = _blobs_2class(10, seed=5)
         cfg = TrainConfig(epochs=20, seed=11)
-        a = train(mlp_init(2, 6, 2, seed=4), X, y, cfg)
-        b = train(mlp_init(2, 6, 2, seed=4), X, y, cfg)
+        a = train(mlp_init(2, 6, 14, seed=4), X, y, cfg)
+        b = train(mlp_init(2, 6, 14, seed=4), X, y, cfg)
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.b1, b.b1)
         assert np.array_equal(a.w2, b.w2) and np.array_equal(a.b2, b.b2)
 
@@ -176,17 +183,17 @@ class TestTraining:
 
     def test_nonfinite_loss_aborts(self):
         X, y = _blobs_2class(5)
-        model = mlp_init(2, 4, 2, seed=3)
+        model = mlp_init(2, 4, 14, seed=3)
         model.w1[:] = 1e308  # force overflow to inf/nan in the forward pass
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(model, X * 1e308, y, TrainConfig(epochs=1, seed=0))
 
     def test_shape_validation(self):
-        model = mlp_init(3, 4, 2, seed=0)
+        model = mlp_init(3, 4, 14, seed=0)
         with pytest.raises(ValueError):
             train(model, np.zeros((4, 3)), np.array([1, 2, 1]), TrainConfig())
         with pytest.raises(ValueError):
-            train(model, np.zeros((2, 3)), np.array([1, 3]), TrainConfig())
+            train(model, np.zeros((2, 3)), np.array([1, 15]), TrainConfig())
 
 
 class TestPredict:

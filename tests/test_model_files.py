@@ -77,6 +77,26 @@ def _arrays(model) -> dict[str, np.ndarray]:
     return {name: value for name, value in vars(model).items() if isinstance(value, np.ndarray)}
 
 
+@pytest.mark.parametrize("classes", [(1, 14), (2, 9, 14), (1, 13, 14)])
+@pytest.mark.parametrize("layout", ["hwr-mlp/2", "hwr-svm/3", "hwr-rf/2"])
+def test_trained_on_any_classes_loads_back(layout, classes, tmp_path):
+    """A model trained on any classes in 1..14, 1 and 14 included, loads back and
+    predicts what it predicted before it was saved."""
+    X, y = _blobs()
+    keep = y <= len(classes)
+    X, y = X[keep], np.asarray(classes)[y[keep] - 1]
+    model = {
+        "hwr-mlp/2": lambda: mlp.train(mlp.mlp_init(3, 4, 14, seed=0), X, y,
+                                       mlp.TrainConfig(epochs=20, seed=0)),
+        "hwr-svm/3": lambda: svm.ovo_train(X, y, c=1.0, gamma=0.5),
+        "hwr-rf/2": lambda: forest.rf_train(X, y, m=3, seed=0),
+    }[layout]()
+    model.save(tmp_path / "model.json")
+    loaded = cli.load_classifier(tmp_path / "model.json")
+    assert type(loaded) is type(model)
+    assert np.array_equal(loaded.predict_batch(X), model.predict_batch(X))
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUT))
 def test_saved_arrays_load_bit_equal(layout, tmp_path):
     model = _tiny_model(layout)

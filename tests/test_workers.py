@@ -262,11 +262,16 @@ class TestForest:
             for name in ("feature", "threshold", "counts"):
                 assert getattr(built, name).tobytes() == getattr(expected, name).tobytes()
 
-    def test_bad_labels_raise_from_a_worker(self, cpus):
+    @pytest.mark.parametrize("bad", [0, 15])
+    def test_bad_labels_raise_before_any_worker_starts(self, monkeypatch, bad):
         X, y = _forest_data()
-        with pytest.raises(ValueError, match="labels must lie in"):
-            forest.rf_train(X, np.where(y == 3, 15, y), m=6, seed=1)
-        assert multiprocessing.active_children() == []
+
+        def no_workers(*args):
+            raise AssertionError("map_jobs was called")
+
+        monkeypatch.setattr(workers, "map_jobs", no_workers)
+        with pytest.raises(ValueError, match=r"labels must lie in \[1, 14\]"):
+            forest.rf_train(X, np.where(y == 3, bad, y), m=6, seed=1)
 
 
 class TestGridSearch:
