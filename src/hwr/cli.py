@@ -8,6 +8,7 @@ hwr.rng.derive_seed, so repeated invocations with identical flags produce
 byte-identical artifacts.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or parameter error
+(a size such as --dim, --hidden or --trees too large to allocate included)
 or a malformed input file (PGM, FMX1, manifest, label or model file).
 """
 
@@ -254,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, MemoryError) as exc:  # MemoryError: a size too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (svm.TrainingError, mlp.TrainingDivergedError, OSError) as exc:

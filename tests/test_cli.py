@@ -241,6 +241,18 @@ class TestReduce:
         assert code == 2
         assert "error" in err
 
+    # 10 * 10**14 entries: far more than any address space, so the allocation fails at once
+    @pytest.mark.parametrize("method", ["srp", "grp"])
+    def test_dim_too_large_to_allocate_exit_2(self, capsys, tmp_path, method):
+        dataset.write_fmx(np.arange(20.0).reshape(2, 10), tmp_path / "x.fmx")
+        code, out, err = run(capsys, "reduce", "--in", str(tmp_path / "x.fmx"),
+                             "--method", method, "--dim", str(10**14),
+                             "--model", str(tmp_path / "m.json"),
+                             "--out", str(tmp_path / "r.fmx"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fmx"]
+
 
 class TestTrainEvalPredict:
     def test_eval_report_and_json(self, capsys, tmp_path, pipeline_dir):
