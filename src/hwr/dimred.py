@@ -170,22 +170,25 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
         raise ValueError(f"kind must be 'gaussian' or 'sparse', got {kind!r}")
     if d < 1 or k < 1:
         raise ValueError(f"dimensions must be >= 1, got d={d}, k={k}")
-    count = d * k
+    # allocated first, so a shape too large for memory fails at once; filled one
+    # rng.CHUNK of entries at a time, so no draw outlives its step
+    matrix = np.empty((k, d))
+    entries = matrix.reshape(-1)
     if kind == "gaussian":
-        u = rng.uniforms(seed, 2 * count)
-        z = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
-        matrix = (z / math.sqrt(k)).reshape(k, d)
+        # a step of 2 * CHUNK draws starts at an even draw: each pair u[2t], u[2t+1] is in one
+        for start, bits in rng._blocks(seed, 2 * entries.size, 2 * rng.CHUNK):
+            bits >>= np.uint64(11)
+            u = bits * 2.0**-53
+            z = entries[start // 2:(start + len(u)) // 2]
+            np.multiply(np.sqrt(-2.0 * np.log1p(-u[0::2])), np.cos(2.0 * np.pi * u[1::2]), out=z)
+            z /= math.sqrt(k)
     else:
-        draws = rng.splitmix64(seed, count)
         scale = math.sqrt(3.0 / k)
-        # an entry is entries[c], c the number of the bounds _THIRD and _SIXTH its draw is below
-        entries = np.array([0.0, -scale, scale])
-        matrix = np.empty(count)
-        for start in range(0, count, rng.CHUNK):
-            chunk = draws[start:start + rng.CHUNK]
-            code = np.add(chunk < _THIRD, chunk < _SIXTH, dtype=np.uint8)
-            np.take(entries, code, out=matrix[start:start + rng.CHUNK])
-        matrix = matrix.reshape(k, d)
+        # an entry is values[c], c the number of the bounds _THIRD and _SIXTH its draw is below
+        values = np.array([0.0, -scale, scale])
+        for start, draws in rng._blocks(seed, entries.size):
+            code = np.add(draws < _THIRD, draws < _SIXTH, dtype=np.uint8)
+            np.take(values, code, out=entries[start:start + len(draws)])
     return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)
 
 

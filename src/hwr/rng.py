@@ -18,6 +18,7 @@ Serialized models record GENERATOR_NAME so files are self-describing.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,20 +32,17 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 CHUNK = 1 << 14  # outputs mixed at a time, in place: two 128 KiB buffers stay in cache
 
 
-def splitmix64(seed: int, count: int) -> np.ndarray:
-    """The first `count` outputs of the splitmix64 stream, as uint64.
+def _blocks(seed: int, count: int, size: int = CHUNK) -> Iterator[tuple[int, np.ndarray]]:
+    """Outputs 0..count-1 of the splitmix64 stream as (start, block) pairs of ``size``
+    outputs (the last block may be shorter).
 
-    Any integer seed is taken modulo 2**64.  The output array is allocated
-    first, so a count too large for memory fails at once.
+    Each block is mixed in place in one buffer, which the caller may overwrite
+    and the next block reuses.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    out = np.empty(count, dtype=np.uint64)
-    ramp = _GAMMA * np.arange(1, min(CHUNK, count) + 1, dtype=np.uint64)
-    shifted = np.empty_like(ramp)
-    for start in range(0, count, CHUNK):
-        z = out[start:start + CHUNK]
-        t = shifted[:len(z)]
+    ramp = _GAMMA * np.arange(1, min(size, count) + 1, dtype=np.uint64)
+    buffer, shifted = np.empty_like(ramp), np.empty_like(ramp)
+    for start in range(0, count, size):
+        z, t = buffer[:count - start], shifted[:count - start]
         # z[i] = seed + (start + i + 1) * gamma = ramp[i] + (seed + start * gamma)
         np.add(ramp[:len(z)], np.uint64((seed + start * _GAMMA_INT) & _MASK64), out=z)
         np.right_shift(z, np.uint64(30), out=t)
@@ -55,6 +53,20 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
         z *= _MIX2
         np.right_shift(z, np.uint64(31), out=t)
         z ^= t
+        yield start, z
+
+
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first `count` outputs of the splitmix64 stream, as uint64.
+
+    Any integer seed is taken modulo 2**64.  The output array is allocated
+    first, so a count too large for memory fails at once.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    out = np.empty(count, dtype=np.uint64)
+    for start, block in _blocks(seed, count):
+        out[start:start + len(block)] = block
     return out
 
 

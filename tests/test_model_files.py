@@ -355,7 +355,7 @@ def test_inconsistent_model_raises_model_file_error(case, tmp_path):
 
 @pytest.mark.parametrize("case", ["rp-too-large", "rp-too-large-sparse"])
 def test_projection_too_large_to_draw_predict_exit_2_at_once(case, tmp_path):
-    """The draw allocates its whole stream before it computes any of it, so a file
+    """The draw allocates its output matrix before it draws any entry, so a file
     that states 10**14 entries fails on that allocation and not hours into the draw."""
     layout, edit = INCONSISTENT[case]
     path = tmp_path / "rp.json"
