@@ -157,25 +157,31 @@ def write_fmx(matrix: np.ndarray, path: str | os.PathLike) -> None:
     if not np.all(np.isfinite(arr)):
         raise FmxError("matrix contains non-finite values")
     with open(path, "wb") as fh:
-        fh.write(FMX_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(FMX_MAGIC + struct.pack("<II", arr.shape[0], arr.shape[1]))
+        np.ascontiguousarray(arr, dtype="<f8").tofile(fh)
 
 
 def read_fmx(path: str | os.PathLike) -> np.ndarray:
+    """The matrix of an FMX1 file, read into its array without an intermediate copy.
+
+    The header's byte count is checked against the file's size before any
+    payload is read, so a header that claims more rows than the file holds
+    allocates nothing.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != FMX_MAGIC:
-        raise FmxError(f"{path}: bad magic {data[:4]!r}")
-    if len(data) < 12:
-        raise FmxError(f"{path}: truncated header")
-    rows, cols = struct.unpack("<II", data[4:12])
-    expected = 12 + rows * cols * 8
-    if len(data) != expected:
-        raise FmxError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(data)}")
-    if rows < 1 or cols < 1:
-        raise FmxError(f"{path}: empty shape {rows}x{cols}")
-    matrix = np.frombuffer(data[12:], dtype="<f8").reshape(rows, cols).astype(np.float64)
+        header = fh.read(12)
+        if header[:4] != FMX_MAGIC:
+            raise FmxError(f"{path}: bad magic {header[:4]!r}")
+        if len(header) < 12:
+            raise FmxError(f"{path}: truncated header")
+        rows, cols = struct.unpack("<II", header[4:])
+        expected, size = 12 + rows * cols * 8, os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FmxError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")
+        if rows < 1 or cols < 1:
+            raise FmxError(f"{path}: empty shape {rows}x{cols}")
+        matrix = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    matrix = matrix.reshape(rows, cols).astype(np.float64, copy=False)
     if not np.all(np.isfinite(matrix)):
         raise FmxError(f"{path}: payload contains non-finite values")
     return matrix

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,8 +245,22 @@ class TestFmx:
         with pytest.raises(FmxError, match="expected"):
             read_fmx(path)
 
+    def test_header_claiming_more_rows_refused_without_allocating(self, tmp_path):
+        path = tmp_path / "bad.fmx"
+        write_fmx(np.ones((2, 3)), path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FmxError, match=f"expected {12 + (2**32 - 1) * 24} bytes .* got 60"):
+                read_fmx(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_nonfinite_payload_rejected_on_read(self, tmp_path):
-        import struct
         path = tmp_path / "bad.fmx"
         payload = struct.pack("<d", float("nan"))
         path.write_bytes(b"FMX1" + struct.pack("<II", 1, 1) + payload)
