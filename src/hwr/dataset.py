@@ -162,12 +162,8 @@ def write_fmx(matrix: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def read_fmx(path: str | os.PathLike) -> np.ndarray:
-    """The matrix of an FMX1 file, read into its array without an intermediate copy.
-
-    The header's byte count is checked against the file's size before any
-    payload is read, so a header that claims more rows than the file holds
-    allocates nothing.
-    """
+    """The matrix of an FMX1 file.  The header is checked against the file's size before the
+    payload is read straight into the array, so a header that claims more allocates nothing."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if header[:4] != FMX_MAGIC:

@@ -441,8 +441,8 @@ class SvmModel:
     def from_doc(cls, doc: dict) -> "SvmModel":
         if doc["kernel"] != "rbf":
             raise ValueError(f"kernel {doc['kernel']!r} is not supported (only 'rbf')")
-        classes = class_ids([dataset.number(c) for c in doc["classes"]], len(doc["classes"]))
-        classes = classes.tolist()
+        classes = class_ids([dataset.number(c) for c in doc["classes"]],
+                            len(doc["classes"])).tolist()
         if len(classes) < 2 or len(set(classes)) != len(classes):
             raise ValueError(f"classes {classes} are not 2 or more distinct ids")
         c, gamma = dataset.number(doc["c"], float), dataset.number(doc["gamma"], float)
