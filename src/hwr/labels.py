@@ -1,4 +1,5 @@
-"""Class-id interpretation: ids 1-14 map to Malayalam district names.
+"""Class-id interpretation: ids 1-14 map to Malayalam district names, and
+`class_ids` is the one check that labels are such ids, one per row.
 
 The table ships as data/districts.tsv (one row per class, in id order: id,
 hex codepoints, rendered string) so it can be diffed bit-exactly.  Codepoint

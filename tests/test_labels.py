@@ -124,7 +124,7 @@ def _two_blobs():
     return np.vstack([gen.normal(c, 0.3, (6, 3)) for c in (0.0, 3.0)]), np.repeat([1, 2], 6)
 
 
-# every trainer, given a class its model files cannot hold
+# every trainer; each must refuse a class id that its model files cannot hold
 TRAINERS = {
     "mlp": lambda X, y: mlp.train(mlp.mlp_init(3, 4, N_CLASSES, seed=0), X, y,
                                   mlp.TrainConfig(epochs=1, seed=0)),
