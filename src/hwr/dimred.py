@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dataset, rng, workers
 
-# u = (out >> 11) * 2**-53, u from splitmix64 output `out` (hwr.rng.uniforms), is
+# u = (out >> 11) * 2**-53, the uniform of splitmix64 output `out` (hwr.rng), is
 # exact, so u < p exactly when out >> 11 < ceil(p * 2**53), that is when
 # out < ceil(p * 2**53) << 11; the product p * 2**53 is exact too.
 _SIXTH, _THIRD = (np.uint64(math.ceil(2.0**53 * p) << 11) for p in (1.0 / 6.0, 1.0 / 3.0))
@@ -176,7 +176,7 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
     entries = matrix.reshape(-1)
     if kind == "gaussian":
         # a step of 2 * CHUNK draws starts at an even draw: each pair u[2t], u[2t+1] is in one
-        for start, bits in rng._blocks(seed, 2 * entries.size, 2 * rng.CHUNK):
+        for start, bits in rng.blocks(seed, 2 * entries.size, 2 * rng.CHUNK):
             bits >>= np.uint64(11)
             u = bits * 2.0**-53
             z = entries[start // 2:(start + len(u)) // 2]
@@ -186,7 +186,7 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
         scale = math.sqrt(3.0 / k)
         # an entry is values[c], c the number of the bounds _THIRD and _SIXTH its draw is below
         values = np.array([0.0, -scale, scale])
-        for start, draws in rng._blocks(seed, entries.size):
+        for start, draws in rng.blocks(seed, entries.size):
             code = np.add(draws < _THIRD, draws < _SIXTH, dtype=np.uint8)
             np.take(values, code, out=entries[start:start + len(draws)])
     return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)

@@ -28,13 +28,21 @@ def _names() -> tuple[str, ...]:
 
 
 def class_ids(values, rows: int) -> np.ndarray:
-    """One class id in [1, N_CLASSES] per row, as 1-D intp: the only check of labels."""
-    ids = np.asarray(values, dtype=np.intp)
+    """One class id in [1, N_CLASSES] per row, as 1-D intp: the only check of labels.
+
+    Integer labels pass as they are.  Float labels must be finite whole
+    numbers, such as 3.0, and are refused, not rounded, otherwise; labels of
+    any other type are refused.
+    """
+    ids = np.asarray(values)
     if ids.shape != (rows,):
         raise ValueError(f"labels have shape {ids.shape}, expected ({rows},)")
+    if ids.dtype.kind not in "iu" and (
+            ids.dtype.kind != "f" or not np.all(np.isfinite(ids) & (ids == np.floor(ids)))):
+        raise ValueError("labels must be whole numbers")
     if rows and (ids.min() < 1 or ids.max() > N_CLASSES):
         raise ValueError(f"labels must lie in [1, {N_CLASSES}]")
-    return ids
+    return ids.astype(np.intp, copy=False)
 
 
 def label_to_unicode(label: int) -> str:

@@ -11,7 +11,7 @@ splitmix64: output i (0-based) of stream `seed` is
     out = z ^ (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits: (out >> 11) * 2**-53.
-A stream is always read from its start: outputs 0..count-1.
+A stream is always read from its start, by `blocks`: outputs 0..count-1.
 Serialized models record GENERATOR_NAME so files are self-describing.
 """
 
@@ -32,12 +32,12 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 CHUNK = 1 << 14  # outputs mixed at a time, in place: two 128 KiB buffers stay in cache
 
 
-def _blocks(seed: int, count: int, size: int = CHUNK) -> Iterator[tuple[int, np.ndarray]]:
+def blocks(seed: int, count: int, size: int = CHUNK) -> Iterator[tuple[int, np.ndarray]]:
     """Outputs 0..count-1 of the splitmix64 stream as (start, block) pairs of ``size``
     outputs (the last block may be shorter).
 
-    Each block is mixed in place in one buffer, which the caller may overwrite
-    and the next block reuses.
+    Any integer seed is taken modulo 2**64.  Each block is mixed in place in one
+    buffer, which the caller may overwrite and the next block reuses.
     """
     ramp = _GAMMA * np.arange(1, min(size, count) + 1, dtype=np.uint64)
     buffer, shifted = np.empty_like(ramp), np.empty_like(ramp)
@@ -54,27 +54,6 @@ def _blocks(seed: int, count: int, size: int = CHUNK) -> Iterator[tuple[int, np.
         np.right_shift(z, np.uint64(31), out=t)
         z ^= t
         yield start, z
-
-
-def splitmix64(seed: int, count: int) -> np.ndarray:
-    """The first `count` outputs of the splitmix64 stream, as uint64.
-
-    Any integer seed is taken modulo 2**64.  The output array is allocated
-    first, so a count too large for memory fails at once.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    out = np.empty(count, dtype=np.uint64)
-    for start, block in _blocks(seed, count):
-        out[start:start + len(block)] = block
-    return out
-
-
-def uniforms(seed: int, count: int) -> np.ndarray:
-    """float64 uniforms in [0, 1), one per splitmix64 output."""
-    bits = splitmix64(seed, count)
-    bits >>= np.uint64(11)
-    return bits * 2.0**-53
 
 
 def derive_seed(master: int, stage: str) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,20 @@ def _stroke_points(prim: tuple, unit_to_px: np.ndarray, offset: np.ndarray) -> n
     return np.column_stack([xs, ys])
 
 
+@cache
+def _class_points(class_id: int) -> np.ndarray:
+    """The archetype's stroke samples before any jitter, as (n, 2) (x, y) pixel
+    offsets from the canvas centre: computed once per class, and read-only."""
+    h, w = CANVAS
+    margin_x, margin_y = 0.07 * w, 0.14 * h
+    unit_to_px = np.array([w - 2 * margin_x, h - 2 * margin_y])
+    offset = np.array([margin_x, margin_y])
+    pts = np.vstack([_stroke_points(p, unit_to_px, offset) for p in ARCHETYPES[class_id]])
+    pts -= (w / 2.0, h / 2.0)
+    pts.flags.writeable = False
+    return pts
+
+
 def _render_mask(
     class_id: int,
     thickness: float,
@@ -158,33 +173,65 @@ def _render_mask(
     scale: float,
     shift: tuple[float, float],
 ) -> np.ndarray:
-    """Boolean ink mask for one archetype under the given affine jitter."""
+    """Boolean ink mask for one archetype under the given affine jitter.
+
+    Each stroke sample is rounded to a pixel and dilated by the pen disc, the
+    offsets (dx, dy) with dx*dx + dy*dy <= r*r for r = thickness / 2.  Ink past
+    the canvas is folded onto its border row or column.  The dilation runs on a
+    canvas padded by twice the reach, with each centre first clamped to one
+    reach past the canvas, where all of its disc already folds onto the border.
+    """
     if class_id not in ARCHETYPES:
         raise ValueError(f"class id {class_id} out of range [1, {N_CLASSES}]")
     h, w = CANVAS
-    margin_x, margin_y = 0.07 * w, 0.14 * h
-    unit_to_px = np.array([w - 2 * margin_x, h - 2 * margin_y])
-    offset = np.array([margin_x, margin_y])
-    pts = np.vstack([_stroke_points(p, unit_to_px, offset) for p in ARCHETYPES[class_id]])
-
-    center = np.array([w / 2.0, h / 2.0])
     theta = math.radians(rotation_deg)
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
-    pts = (pts - center) @ (scale * rot).T + center + np.asarray(shift)
+    pts = _class_points(class_id) @ (scale * rot).T
+    xs, ys = pts.T
+    xs += w / 2.0
+    xs += shift[0]
+    ys += h / 2.0
+    ys += shift[1]
 
-    mask = np.zeros((h, w), dtype=bool)
     r = thickness / 2.0
     reach = int(math.floor(r))
-    px = np.rint(pts[:, 0]).astype(int)
-    py = np.rint(pts[:, 1]).astype(int)
+    pad = 2 * reach
+    height, width = h + 2 * pad, w + 2 * pad
+    # each centre's pixel on the padded canvas, at most one reach past the canvas,
+    # as an index into the flattened canvas
+    np.rint(pts, out=pts)
+    pts += pad
+    np.clip(xs, reach, width - 1 - reach, out=xs)
+    np.clip(ys, reach, height - 1 - reach, out=ys)
+    ink = np.zeros(height * width, dtype=bool)
+    ink[(ys * width + xs).astype(np.intp)] = True
+
+    # runs[a]: the centres dilated along their row by up to a pixels either way; a
+    # flat shift stays within the row, as no centre is within a reach of its ends
+    runs = [ink]
+    for a in range(1, reach + 1):
+        run = runs[-1].copy()
+        run[a:] |= ink[:-a]
+        run[:-a] |= ink[a:]
+        runs.append(run)
+    # the disc's row at offset dy spans |dx| <= half; an integer is <= r*r iff it
+    # is <= floor(r*r)
+    limit, n = math.floor(r * r), ink.size
+    disc = np.zeros_like(ink)
     for dy in range(-reach, reach + 1):
-        for dx in range(-reach, reach + 1):
-            if dx * dx + dy * dy > r * r:
-                continue
-            ys = np.clip(py + dy, 0, h - 1)
-            xs = np.clip(px + dx, 0, w - 1)
-            mask[ys, xs] = True
+        half = min(reach, math.isqrt(limit - dy * dy))
+        step = dy * width
+        disc[max(step, 0):n + min(step, 0)] |= runs[half][max(-step, 0):n - max(step, 0)]
+
+    # fold the padding onto the border rows, then onto the border columns
+    disc = disc.reshape(height, width)
+    rows = disc[pad:pad + h]
+    rows[0] |= disc[:pad].any(axis=0)
+    rows[-1] |= disc[pad + h:].any(axis=0)
+    mask = rows[:, pad:pad + w].copy()
+    mask[:, 0] |= rows[:, :pad].any(axis=1)
+    mask[:, -1] |= rows[:, pad + w:].any(axis=1)
     return mask
 
 

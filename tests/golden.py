@@ -8,8 +8,9 @@ file.  `run` executes them in one directory at one
 ``HWR_SEED`` and hashes every file written there, plus each command's
 stdout, stderr and exit code.  ``golden.json`` beside this script holds the
 hashes at each seed of `SEEDS`, with the `environment` they were made in:
-the bits of BLAS products depend on numpy, OpenBLAS and the kernel
-OpenBLAS picks for the CPU, so the hashes hold only where all three match.
+the bits of the features depend on numpy, the CPU targets its loops dispatch
+to (``np.arctan2`` gives other bits below AVX512), OpenBLAS and the kernel
+OpenBLAS picks for the CPU, so the hashes hold only where all four match.
 
 Regenerate the file after a change that alters bytes on purpose (its diff
 then names the files that changed)::
@@ -103,8 +104,11 @@ def _sha(data: bytes) -> str:
 
 
 def environment() -> dict[str, str | None]:
-    """numpy's version, and the version and kernel of the OpenBLAS it bundles."""
-    env = {"numpy": np.__version__, "openblas": None, "core": None}
+    """numpy's version and the targets its own loops dispatch to, and the version
+    and kernel of the OpenBLAS it bundles."""
+    umath = np._core._multiarray_umath
+    dispatch = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    env = {"numpy": np.__version__, "dispatch": dispatch, "openblas": None, "core": None}
     lib = workers.openblas()
     if lib is not None:
         for key, name in (("openblas", "scipy_openblas_get_config64_"),

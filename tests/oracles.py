@@ -15,9 +15,11 @@ byte for byte.  The word-feature references fold angles with
 numpy's float remainder, normalize HOG blocks one at a time, build
 resize weights with one `np.add.at` per tap, and find the word box by
 dilating the ink; the vectorized feature chain must match them byte for
-byte.  The random streams come from the formula itself in Python integers,
-and the sparse projection is a scipy CSR matrix drawn from float uniforms,
-whose entries the dense matrix must match byte for byte.  The held-out rows
+byte.  A word is drawn by stamping the pen disc once per offset with
+clamped pixel indices, the mask the one dilation must match byte for byte.
+The random streams come from the formula itself in Python integers, and the
+sparse projection is a scipy CSR matrix drawn from float uniforms, whose
+entries the dense matrix must match byte for byte.  The held-out rows
 come from the three functions that drew them before one per-class shuffle
 served them all, a uniform split, a per-class split and the grid's folds,
 whose indices the one shuffle must reproduce exactly.
@@ -47,6 +49,7 @@ from hwr.svm import (
     dual_objective,
     kernel_matrix,
 )
+from hwr.synth import ARCHETYPES, CANVAS, _stroke_points
 
 _STEP_EPS = 1e-8       # curvature/objective margin below which a direction is flat
 _SV_EPS = 1e-12        # alpha > this counts as a support vector
@@ -595,6 +598,43 @@ def scalar_word_features(img: np.ndarray) -> np.ndarray:
     return scalar_hog(reference_preprocess(img)[0])
 
 
+def scalar_render_mask(
+    class_id: int,
+    thickness: float,
+    rotation_deg: float,
+    scale: float,
+    shift: tuple[float, float],
+) -> np.ndarray:
+    """Boolean ink mask for one archetype under the given affine jitter."""
+    if class_id not in ARCHETYPES:
+        raise ValueError(f"class id {class_id} out of range [1, {N_CLASSES}]")
+    h, w = CANVAS
+    margin_x, margin_y = 0.07 * w, 0.14 * h
+    unit_to_px = np.array([w - 2 * margin_x, h - 2 * margin_y])
+    offset = np.array([margin_x, margin_y])
+    pts = np.vstack([_stroke_points(p, unit_to_px, offset) for p in ARCHETYPES[class_id]])
+
+    center = np.array([w / 2.0, h / 2.0])
+    theta = math.radians(rotation_deg)
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    pts = (pts - center) @ (scale * rot).T + center + np.asarray(shift)
+
+    mask = np.zeros((h, w), dtype=bool)
+    r = thickness / 2.0
+    reach = int(math.floor(r))
+    px = np.rint(pts[:, 0]).astype(int)
+    py = np.rint(pts[:, 1]).astype(int)
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            if dx * dx + dy * dy > r * r:
+                continue
+            ys = np.clip(py + dy, 0, h - 1)
+            xs = np.clip(px + dx, 0, w - 1)
+            mask[ys, xs] = True
+    return mask
+
+
 def scalar_splitmix64(seed: int, count: int) -> list[int]:
     """The first `count` splitmix64 outputs by the formula of the hwr.rng docstring."""
     mask = (1 << 64) - 1
@@ -607,13 +647,29 @@ def scalar_splitmix64(seed: int, count: int) -> list[int]:
     return out
 
 
+def splitmix64(seed: int, count: int, size: int = rng.CHUNK) -> np.ndarray:
+    """The first `count` splitmix64 outputs as uint64, joined from `rng.blocks` of
+    ``size`` outputs."""
+    out = np.empty(count, dtype=np.uint64)
+    for start, block in rng.blocks(seed, count, size):
+        out[start:start + len(block)] = block
+    return out
+
+
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """float64 uniforms in [0, 1), the top 53 bits of each splitmix64 output."""
+    bits = splitmix64(seed, count)
+    bits >>= np.uint64(11)
+    return bits * 2.0**-53
+
+
 def sparse_projection(d: int, k: int, seed: int) -> sparse.csr_array:
     """The k x d sparse projection as scipy CSR, drawn from float uniforms.
 
     Entry t (row-major) is +sqrt(3/k) where u[t] < 1/6 and -sqrt(3/k) where
     1/6 <= u[t] < 1/3.
     """
-    u = rng.uniforms(seed, d * k)
+    u = uniforms(seed, d * k)
     scale = math.sqrt(3.0 / k)
     nz = np.nonzero(u < 1.0 / 3.0)[0]
     data = np.where(u[nz] < 1.0 / 6.0, scale, -scale)

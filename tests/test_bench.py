@@ -14,6 +14,12 @@ import pytest
 from hwr import cli, dataset, dimred, features, forest, imaging, svm, synth
 
 
+def test_bench_render_word(benchmark):
+    """One synthetic word, as `hwr synth` draws each of its 784 images at --per-class 56."""
+    spec = synth.SynthSpec(per_class=56, seed=42)
+    assert benchmark(synth.render_word, 5, spec, 3).shape == synth.CANVAS
+
+
 def test_bench_hog(benchmark, small_synth):
     """One canonical 64x128 word raster, as every classify request computes."""
     img = imaging.preprocess(imaging.read_pgm(small_synth.paths()[0])).image

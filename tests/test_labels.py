@@ -118,6 +118,29 @@ class TestClassIds:
         with pytest.raises(ValueError, match=r"^labels must lie in \[1, 14\]$"):
             class_ids([1, bad, 14], 3)
 
+    @pytest.mark.parametrize("values", [[2.9, 1.2], [1.0, 2.5], [1.0, np.nan], [np.inf, 2.0],
+                                        [1.0, -np.inf], np.array([3.0, 14.000001], np.float32),
+                                        ["3", "14"], [True, True], [1 + 0j, 2], [None, 1]])
+    def test_not_whole_numbers_refused_not_floored(self, values):
+        with pytest.raises(ValueError, match=r"^labels must be whole numbers$"):
+            class_ids(values, 2)
+
+    @pytest.mark.parametrize("values", [[3.0, 14.0], np.array([3.0, 14.0], np.float32),
+                                        np.array([3, 14], np.uint8), np.array([3, 14], np.int32)])
+    def test_integers_and_whole_floats_pass(self, values):
+        ids = class_ids(values, 2)
+        assert ids.dtype == np.intp and ids.tolist() == [3, 14]
+
+    def test_integer_labels_are_not_copied(self):
+        labels = np.array([1, 14, 7], dtype=np.intp)
+        assert class_ids(labels, 3) is labels
+
+
+def test_ovo_train_refuses_labels_that_are_not_whole_numbers():
+    X = np.random.default_rng(3).normal(size=(6, 2))
+    with pytest.raises(ValueError, match=r"^labels must be whole numbers$"):
+        svm.ovo_train(X, [1.9, 1.5, 1.1, 2.9, 2.2, 2.7], c=1.0, gamma=0.5)
+
 
 def _two_blobs():
     gen = np.random.default_rng(5)

@@ -2,15 +2,32 @@ from __future__ import annotations
 
 import itertools
 
+import math
+
 import numpy as np
 import pytest
-from oracles import per_tree_predict_proba
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import per_tree_predict_proba, scalar_render_mask
 
 from hwr import forest, imaging, synth
 from hwr.synth import SynthSpec, render_word, synth_generate
 
 # the un-jittered archetype
 UPRIGHT = {"thickness": 3.0, "rotation_deg": 0.0, "scale": 1.0, "shift": (0.0, 0.0)}
+CLASSES = range(1, 15)
+# the jitter's extremes, with shifts of up to 20 px that run strokes off every edge and corner
+EXTREMES = [(rotation, scale, shift) for rotation in (-5.0, 5.0) for scale in (0.9, 1.1)
+            for shift in itertools.product((-20.0, -4.0, 4.0, 20.0), repeat=2)]
+
+
+def _ulps(x: float) -> list[float]:
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# the pen disc's shape changes at r = 1, sqrt(2), 2 and sqrt(5) (below r = 1 it is one pixel)
+DISC_EDGES = [t for edge in (2.0, 2 * math.sqrt(2), 4.0, 2 * math.sqrt(5)) for t in _ulps(edge)]
+THICKNESSES = [1.5, *DISC_EDGES, np.nextafter(5.0, -math.inf)]
 
 
 class TestSpec:
@@ -72,6 +89,64 @@ class TestArchetypes:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
             synth._render_mask(15, **UPRIGHT)
+
+
+class TestRenderMatchesScalarReference:
+    """The one dilation and fold draw, byte for byte, what stamping the pen disc
+    once per offset with clamped indices draws."""
+
+    @staticmethod
+    def assert_same(class_id, thickness, rotation_deg, scale, shift):
+        args = (class_id, thickness, rotation_deg, scale, shift)
+        got, want = synth._render_mask(*args), scalar_render_mask(*args)
+        assert got.dtype == want.dtype and got.shape == want.shape, args
+        assert got.tobytes() == want.tobytes(), args
+
+    @pytest.mark.parametrize("class_id", CLASSES)
+    def test_every_class_at_the_extremes_of_the_jitter(self, class_id):
+        for thickness in (DISC_EDGES[0], DISC_EDGES[-1]):
+            for rotation, scale, shift in EXTREMES:
+                self.assert_same(class_id, thickness, rotation, scale, shift)
+
+    @pytest.mark.parametrize("thickness", THICKNESSES)
+    def test_every_class_on_each_edge_of_the_disc(self, thickness):
+        for class_id in CLASSES:
+            self.assert_same(class_id, thickness, 0.0, 1.0, (0.0, 0.0))
+            for shift in itertools.product((-20.0, 20.0), repeat=2):
+                self.assert_same(class_id, thickness, 5.0, 1.1, shift)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CLASSES), st.floats(1.0, 5.0), st.floats(-5.0, 5.0),
+           st.floats(0.9, 1.1), st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
+    def test_any_jitter(self, class_id, thickness, rotation_deg, scale, shift):
+        self.assert_same(class_id, thickness, rotation_deg, scale, shift)
+
+    def test_seeded_draws(self):
+        spec = SynthSpec(per_class=3, seed=42)
+        for class_id in CLASSES:
+            for index in range(spec.per_class):
+                gen = np.random.default_rng([spec.seed, class_id, index])
+                rotation = gen.uniform(-synth.ROTATION_DEG, synth.ROTATION_DEG)
+                scale = gen.uniform(*synth.SCALE_RANGE)
+                shift = tuple(gen.uniform(-synth.TRANSLATE_PX, synth.TRANSLATE_PX, size=2))
+                thickness = gen.uniform(*synth.THICKNESS_RANGE)
+                self.assert_same(class_id, thickness, rotation, scale, shift)
+
+
+class TestClassPoints:
+    @pytest.mark.parametrize("class_id", CLASSES)
+    def test_cached_and_read_only(self, class_id):
+        points = synth._class_points(class_id)
+        assert synth._class_points(class_id) is points
+        assert points.ndim == 2 and points.shape[1] == 2 and not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 0.0
+        assert synth._class_points.cache_info().currsize <= len(CLASSES)
+
+    def test_a_render_leaves_them_unchanged(self):
+        before = synth._class_points(3).copy()
+        synth._render_mask(3, 4.0, 5.0, 1.1, (20.0, -20.0))
+        assert synth._class_points(3).tobytes() == before.tobytes()
 
 
 class TestLearnability:
