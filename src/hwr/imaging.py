@@ -1,11 +1,13 @@
 """Word-image preprocessing.
 
 Decode scanned grayscale word images (binary PGM), binarize (Otsu), cut the
-word box from the original grayscale, and resize it to the canonical 64-row
-x 128-column raster with bicubic interpolation.  The word box is the
-bounding box of the ink dilated with a 3x3 square.  Dilation by a square is
-a Minkowski sum, so that box is the ink's own box grown by one pixel on each
-side and clipped to the image, and it is computed so, with no dilation pass.
+word box from the grayscale on a one-pixel white (255) border, and resize it
+to the canonical 64-row x 128-column raster with bicubic interpolation.  The
+word box is the bounding box of the ink dilated with a 3x3 square.  Dilation
+by a square is a Minkowski sum, so that box is the ink's own box grown by one
+pixel on each side, and it is computed so, with no dilation pass.  The
+border holds that growth where ink touches the image's edge, so the cut is
+the same wherever the word sits and however much white paper surrounds it.
 
 Images are plain numpy arrays: grayscale rasters are 2-D uint8, binary masks
 are 2-D bool with True = ink.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -64,48 +67,32 @@ def _as_mask(img: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PGM codec (binary P5, maxval 255)
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
-def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":  # comment runs to end of line
-            while pos < n and data[pos:pos + 1] not in b"\r\n":
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmError(f"truncated header: missing {field}")
-    start = pos
-    while pos < n and data[pos:pos + 1] not in _WHITESPACE and data[pos:pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
-
-
-def _header_int(data: bytes, pos: int, field: str) -> tuple[int, int]:
-    """A header field: ASCII decimal digits only (no sign, no underscores)."""
-    token, pos = _next_token(data, pos, field)
-    if not token.isdigit():  # bytes.isdigit accepts only b"0".."9"
-        raise PgmError(f"invalid {field}: {token!r}")
-    return int(token), pos
+# a header field: whitespace and comments (to the end of the line), then a token
+_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
-    """Decode a binary PGM (magic P5, maxval 255) into a grayscale raster."""
+    """Decode a binary PGM (magic P5, maxval 255) into a grayscale raster.
+
+    Header fields are ASCII decimal digits only (no sign, no underscores).
+    """
     if not data.startswith(b"P5"):
         raise PgmError(f"bad magic {data[:2]!r}: expected b'P5'")
-    width, pos = _header_int(data, 2, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval")
+    fields, pos = [], 2
+    for field in ("width", "height", "maxval"):
+        match = _FIELD.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise PgmError(f"truncated header: missing {field}")
+        if not token.isdigit():  # bytes.isdigit accepts only b"0".."9"
+            raise PgmError(f"invalid {field}: {token!r}")
+        fields.append(int(token))
+    width, height, maxval = fields
     if width < 1 or height < 1:
         raise PgmError(f"invalid dimensions {width}x{height}")
     if maxval != 255:
         raise PgmError(f"unsupported maxval {maxval}: must be 255")
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():  # the six ASCII whitespace bytes
         raise PgmError("missing whitespace after maxval")
     raster = data[pos + 1:]
     expected = width * height
@@ -155,12 +142,6 @@ def otsu_threshold(img: np.ndarray) -> int:
     mu1 = np.divide(msum[-1] - m0, w1, out=np.zeros(256), where=w1 > 0)
     between = w0 * w1 * (mu0 - mu1) ** 2
     return int(np.argmax(between))
-
-
-def binarize_otsu(img: np.ndarray) -> np.ndarray:
-    """Binary mask with True (ink) where intensity < the Otsu threshold."""
-    arr = _as_gray(img)
-    return arr < otsu_threshold(arr)
 
 
 def bounding_box(mask: np.ndarray) -> Rect:
@@ -228,15 +209,19 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def preprocess(img: np.ndarray) -> Preprocessed:
     """Grayscale -> binarize -> word box -> cut -> resize.
 
-    The word box is the box of the 3x3-dilated ink, computed as the ink box
-    grown by one pixel (slicing clips the far edge).  One pair of slices cuts
-    it from the original grayscale and from the undilated ink mask returned
-    for scalar features.
+    The image is put on a page with a one-pixel border of 255, which is never
+    ink, and binarized at the image's own Otsu threshold.  The word box is
+    the box of the 3x3-dilated ink, computed as the ink box grown by one
+    pixel; on that page it needs no clipping.  One pair of slices cuts it
+    from the page and from the undilated ink mask returned for scalar
+    features.
     """
     gray = _as_gray(img)
-    ink = binarize_otsu(gray)
+    page = np.full((gray.shape[0] + 2, gray.shape[1] + 2), 255, dtype=np.uint8)
+    page[1:-1, 1:-1] = gray
+    ink = page < otsu_threshold(gray)
     box = bounding_box(ink)
-    rows = slice(max(box.top - 1, 0), box.top + box.height + 1)
-    cols = slice(max(box.left - 1, 0), box.left + box.width + 1)
-    image = resize_bicubic(gray[rows, cols], CANONICAL_HEIGHT, CANONICAL_WIDTH)
+    rows = slice(box.top - 1, box.top + box.height + 1)
+    cols = slice(box.left - 1, box.left + box.width + 1)
+    image = resize_bicubic(page[rows, cols], CANONICAL_HEIGHT, CANONICAL_WIDTH)
     return Preprocessed(image, ink[rows, cols])

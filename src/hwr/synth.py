@@ -3,9 +3,10 @@
 Stands in for the unavailable handwritten corpus: 14 fixed archetypes built
 from stroke primitives (line segments and ellipse arcs), rendered dark on a
 white CANVAS-sized image under seeded jitter (rotation, scale, translation,
-stroke thickness) and salt noise at rate SALT.  Archetypes are abstract word
-shapes, not glyph renderings; the recognizer is script-agnostic, so these
-exercise the whole pipeline without dragging in a text-shaping engine.
+stroke thickness) and salt noise at rate SALT.  Ink that the jitter carries
+past the canvas is dropped, as if the paper were cut there.  Archetypes are
+abstract word shapes, not glyph renderings; the recognizer is script-agnostic,
+so these exercise the whole pipeline without dragging in a text-shaping engine.
 
 Every sample is a pure function of (seed, class id, sample index), so a
 generation run is byte-reproducible.
@@ -177,9 +178,8 @@ def _render_mask(
 
     Each stroke sample is rounded to a pixel and dilated by the pen disc, the
     offsets (dx, dy) with dx*dx + dy*dy <= r*r for r = thickness / 2.  Ink past
-    the canvas is folded onto its border row or column.  The dilation runs on a
-    canvas padded by twice the reach, with each centre first clamped to one
-    reach past the canvas, where all of its disc already folds onto the border.
+    the canvas is dropped.  The dilation runs on a canvas padded by one reach,
+    without the centres off that padded canvas, whose discs miss the canvas.
     """
     if class_id not in ARCHETYPES:
         raise ValueError(f"class id {class_id} out of range [1, {N_CLASSES}]")
@@ -196,19 +196,16 @@ def _render_mask(
 
     r = thickness / 2.0
     reach = int(math.floor(r))
-    pad = 2 * reach
-    height, width = h + 2 * pad, w + 2 * pad
-    # each centre's pixel on the padded canvas, at most one reach past the canvas,
-    # as an index into the flattened canvas
+    height, width = h + 2 * reach, w + 2 * reach
+    # each centre's pixel on the padded canvas, as an index into the flattened canvas
     np.rint(pts, out=pts)
-    pts += pad
-    np.clip(xs, reach, width - 1 - reach, out=xs)
-    np.clip(ys, reach, height - 1 - reach, out=ys)
+    pts += reach
+    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
     ink = np.zeros(height * width, dtype=bool)
-    ink[(ys * width + xs).astype(np.intp)] = True
+    ink[(ys[inside] * width + xs[inside]).astype(np.intp)] = True
 
     # runs[a]: the centres dilated along their row by up to a pixels either way; a
-    # flat shift stays within the row, as no centre is within a reach of its ends
+    # flat shift past a row's end lands in the padding columns, which the crop drops
     runs = [ink]
     for a in range(1, reach + 1):
         run = runs[-1].copy()
@@ -223,16 +220,7 @@ def _render_mask(
         half = min(reach, math.isqrt(limit - dy * dy))
         step = dy * width
         disc[max(step, 0):n + min(step, 0)] |= runs[half][max(-step, 0):n - max(step, 0)]
-
-    # fold the padding onto the border rows, then onto the border columns
-    disc = disc.reshape(height, width)
-    rows = disc[pad:pad + h]
-    rows[0] |= disc[:pad].any(axis=0)
-    rows[-1] |= disc[pad + h:].any(axis=0)
-    mask = rows[:, pad:pad + w].copy()
-    mask[:, 0] |= rows[:, :pad].any(axis=1)
-    mask[:, -1] |= rows[:, pad + w:].any(axis=1)
-    return mask
+    return disc.reshape(height, width)[reach:reach + h, reach:reach + w]
 
 
 def render_word(class_id: int, spec: SynthSpec, index: int) -> np.ndarray:

@@ -14,9 +14,12 @@ for one row at a time, the probabilities the flat-array walk must match
 byte for byte.  The word-feature references fold angles with
 numpy's float remainder, normalize HOG blocks one at a time, build
 resize weights with one `np.add.at` per tap, and find the word box by
-dilating the ink; the vectorized feature chain must match them byte for
-byte.  A word is drawn by stamping the pen disc once per offset with
-clamped pixel indices, the mask the one dilation must match byte for byte.
+dilating the ink on a page padded by `np.pad`; the vectorized feature
+chain must match them byte for byte.  A word is drawn by stamping the pen
+disc once per offset and dropping the pixels off the canvas, the mask the
+one dilation must match byte for byte.  A PGM header is read by the
+byte-at-a-time tokenizer that the one regular expression replaced, whose
+arrays and error messages the decoder must reproduce exactly.
 The random streams come from the formula itself in Python integers, and the
 sparse projection is a scipy CSR matrix drawn from float uniforms, whose
 entries the dense matrix must match byte for byte.  The held-out rows
@@ -37,7 +40,7 @@ from hwr import imaging, rng
 from hwr.dataset import SplitResult
 from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_shape
 from hwr.forest import _GAIN_EPS, ForestModel, TreeNode, gini
-from hwr.imaging import _as_mask, _cubic_kernel
+from hwr.imaging import PgmError, _as_mask, _cubic_kernel
 from hwr.labels import N_CLASSES
 from hwr.mlp import batch_gradients
 from hwr.svm import (
@@ -577,15 +580,17 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
 def reference_preprocess(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical raster and the cut ink mask through the reference chain.
 
-    Binarize, dilate with a 3x3 square, box the dilated ink with
-    `np.nonzero`, cut that box from the grayscale and the undilated ink, and
-    resize the grayscale with the `np.add.at` weights.
+    Pad the image with one pixel of 255 by `np.pad`, binarize it at the
+    image's own Otsu threshold, dilate with a 3x3 square, box the dilated ink
+    with `np.nonzero`, cut that box from the padded grayscale and the
+    undilated ink, and resize the grayscale with the `np.add.at` weights.
     """
     gray = np.asarray(img, dtype=np.uint8)
-    ink = imaging.binarize_otsu(gray)
+    page = np.pad(gray, 1, constant_values=255)
+    ink = page < imaging.otsu_threshold(gray)
     ys, xs = np.nonzero(dilate(ink, 1))
     rows, cols = slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1)
-    word = gray[rows, cols]
+    word = page[rows, cols]
     wy = add_at_resample_matrix(word.shape[0], imaging.CANONICAL_HEIGHT)
     wx = add_at_resample_matrix(word.shape[1], imaging.CANONICAL_WIDTH)
     values = wy @ word.astype(np.float64) @ wx.T
@@ -598,6 +603,58 @@ def scalar_word_features(img: np.ndarray) -> np.ndarray:
     return scalar_hog(reference_preprocess(img)[0])
 
 
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c == b"#":  # comment runs to end of line
+            while pos < n and data[pos:pos + 1] not in b"\r\n":
+                pos += 1
+        elif c in _WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise PgmError(f"truncated header: missing {field}")
+    start = pos
+    while pos < n and data[pos:pos + 1] not in _WHITESPACE and data[pos:pos + 1] != b"#":
+        pos += 1
+    return data[start:pos], pos
+
+
+def _header_int(data: bytes, pos: int, field: str) -> tuple[int, int]:
+    """A header field: ASCII decimal digits only (no sign, no underscores)."""
+    token, pos = _next_token(data, pos, field)
+    if not token.isdigit():  # bytes.isdigit accepts only b"0".."9"
+        raise PgmError(f"invalid {field}: {token!r}")
+    return int(token), pos
+
+
+def tokenizer_decode_pgm(data: bytes) -> np.ndarray:
+    """Decode a binary PGM (magic P5, maxval 255) into a grayscale raster."""
+    if not data.startswith(b"P5"):
+        raise PgmError(f"bad magic {data[:2]!r}: expected b'P5'")
+    width, pos = _header_int(data, 2, "width")
+    height, pos = _header_int(data, pos, "height")
+    maxval, pos = _header_int(data, pos, "maxval")
+    if width < 1 or height < 1:
+        raise PgmError(f"invalid dimensions {width}x{height}")
+    if maxval != 255:
+        raise PgmError(f"unsupported maxval {maxval}: must be 255")
+    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+        raise PgmError("missing whitespace after maxval")
+    raster = data[pos + 1:]
+    expected = width * height
+    if len(raster) < expected:
+        raise PgmError(f"truncated pixel data: expected {expected} bytes, got {len(raster)}")
+    if len(raster) > expected:
+        raise PgmError(f"trailing data: expected {expected} pixel bytes, got {len(raster)}")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+
+
 def scalar_render_mask(
     class_id: int,
     thickness: float,
@@ -605,7 +662,11 @@ def scalar_render_mask(
     scale: float,
     shift: tuple[float, float],
 ) -> np.ndarray:
-    """Boolean ink mask for one archetype under the given affine jitter."""
+    """Boolean ink mask for one archetype under the given affine jitter.
+
+    The pen disc is stamped once per offset, and the pixels that land off the
+    canvas are dropped.
+    """
     if class_id not in ARCHETYPES:
         raise ValueError(f"class id {class_id} out of range [1, {N_CLASSES}]")
     h, w = CANVAS
@@ -629,9 +690,9 @@ def scalar_render_mask(
         for dx in range(-reach, reach + 1):
             if dx * dx + dy * dy > r * r:
                 continue
-            ys = np.clip(py + dy, 0, h - 1)
-            xs = np.clip(px + dx, 0, w - 1)
-            mask[ys, xs] = True
+            ys, xs = py + dy, px + dx
+            on = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+            mask[ys[on], xs[on]] = True
     return mask
 
 

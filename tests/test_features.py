@@ -18,6 +18,8 @@ from hwr.features import (
     scalar_features,
     word_feature_length,
 )
+from hwr.labels import N_CLASSES
+from hwr.synth import SynthSpec, render_word
 
 
 def _random_canonical(seed=0):
@@ -136,6 +138,61 @@ class TestExtractWordFeatures:
         img[10:30, 10:70] = 20
         pre = imaging.preprocess(img)
         assert np.array_equal(extract_word_features(img), hog(pre.image, DEFAULT_HOG))
+
+
+def _on_paper(img: np.ndarray, margins: tuple[int, int, int, int],
+              shift: tuple[int, int]) -> np.ndarray:
+    """A synthetic word on white paper grown by (top, bottom, left, right) margins,
+    its ink box moved by shift (dy, dx); outside that box the word is all 255."""
+    ys, xs = np.nonzero(img < 255)
+    top, left = ys.min(), xs.min()
+    word = img[top:ys.max() + 1, left:xs.max() + 1]
+    page = np.full((img.shape[0] + margins[0] + margins[1],
+                    img.shape[1] + margins[2] + margins[3]), 255, dtype=np.uint8)
+    top += margins[0] + shift[0]
+    left += margins[2] + shift[1]
+    page[top:top + word.shape[0], left:left + word.shape[1]] = word
+    return page
+
+
+def _shift_keeping_ink(img: np.ndarray, dy: float, dx: float) -> tuple[int, int]:
+    """The shift that moves the ink box the fractions dy, dx in [0, 1] of the way
+    from the canvas's top left corner to its bottom right one."""
+    ys, xs = np.nonzero(img < 255)
+    h, w = img.shape
+    return (round(-ys.min() + dy * (h - 1 - ys.max() + ys.min())),
+            round(-xs.min() + dx * (w - 1 - xs.max() + xs.min())))
+
+
+def _assert_margin_and_shift_free(img, margins, shift):
+    moved = _on_paper(img, margins, shift)
+    for include_scalars in (False, True):
+        got = extract_word_features(moved, include_scalars)
+        want = extract_word_features(img, include_scalars)
+        assert got.tobytes() == want.tobytes(), (margins, shift, include_scalars)
+
+
+class TestWordFeaturesIgnoreThePaper:
+    """Features of a synthetic word do not depend on the white paper around it:
+    neither on a margin of 0-20 px per side nor on a shift that keeps all ink."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.integers(0, 999),
+           st.tuples(*[st.integers(0, 20)] * 4), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_any_word_margin_and_shift(self, class_id, seed, index, margins, dy, dx):
+        img = render_word(class_id, SynthSpec(per_class=1, seed=seed), index)
+        _assert_margin_and_shift_free(img, margins, _shift_keeping_ink(img, dy, dx))
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_corpus(self, seed):
+        spec = SynthSpec(per_class=56, seed=seed)
+        draws = np.random.default_rng(seed)
+        for class_id in range(1, N_CLASSES + 1):
+            for index in range(spec.per_class):
+                img = render_word(class_id, spec, index)
+                margins = tuple(draws.integers(0, 21, size=4))
+                shift = _shift_keeping_ink(img, *draws.random(2))
+                _assert_margin_and_shift_free(img, margins, shift)
 
 
 # Geometries other than the default, with bin counts that do and do not divide 180.

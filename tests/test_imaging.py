@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import add_at_resample_matrix, reference_preprocess
+from oracles import add_at_resample_matrix, reference_preprocess, tokenizer_decode_pgm
 
 from hwr import imaging
 from hwr.imaging import (
     NoInkError,
     PgmError,
     Rect,
-    binarize_otsu,
     bounding_box,
     decode_pgm,
     encode_pgm,
@@ -80,19 +79,81 @@ class TestPgm:
         assert np.array_equal(decode_pgm(encode_pgm(img)), img)
 
 
+# PGM header pieces: the six whitespace bytes, comments ended by a newline, a
+# carriage return or the data, and tokens decimal or not
+_SPACES = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"])
+_COMMENTS = st.builds(lambda text, end: b"#" + text + end,
+                      st.binary(max_size=6), st.sampled_from([b"", b"\n", b"\r", b"\r\n"]))
+_ODD_TOKENS = st.sampled_from([b"1_0", b"+4", b"-4", b"2_55", b"00", b"0", b"4#",
+                               "\u0662".encode(), "\uff13".encode(), b"\xb2", b"\x00"])
+_TOKENS = st.one_of(st.integers(0, 300).map(b"%d".__mod__), _ODD_TOKENS, st.binary(max_size=4))
+_GAPS = st.lists(st.one_of(_SPACES, _COMMENTS), max_size=3).map(b"".join)
+
+
+@st.composite
+def pgm_files(draw) -> bytes:
+    """Nearly well-formed PGM files: each part is right three times in four."""
+    def right(value, wrong):
+        return value if draw(st.sampled_from([True, True, True, False])) else draw(wrong)
+
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fields = [right(b"%d" % width, _TOKENS), right(b"%d" % height, _TOKENS),
+              right(b"255", _TOKENS)]
+    header = b"".join(draw(_GAPS) + right(b" ", _SPACES) + field for field in fields)
+    # a wrong byte after maxval: none, a comment, a digit, or Latin-1 whitespace
+    after = right(b"\n", st.one_of(_SPACES, st.sampled_from([b"", b"#", b"7", b"\x85", b"\xa0"])))
+    raster = draw(st.binary(min_size=width * height, max_size=width * height))
+    raster = right(raster, st.binary(max_size=width * height + 1))
+    return right(b"P5", st.sampled_from([b"P6", b"P", b"", b"p5"])) + header + after + raster
+
+
+headers = st.lists(st.one_of(_SPACES, _COMMENTS, _TOKENS), max_size=12).map(b"".join)
+
+
+def _decoded(decode, data: bytes):
+    try:
+        arr = decode(data)
+    except PgmError as exc:
+        return "error", str(exc)
+    return "image", arr.shape, arr.dtype, arr.tobytes()
+
+
+class TestPgmMatchesTokenizer:
+    """The one-expression header reader against the byte-at-a-time tokenizer."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(pgm_files())
+    def test_nearly_well_formed_files(self, data):
+        assert _decoded(decode_pgm, data) == _decoded(tokenizer_decode_pgm, data)
+
+    @settings(max_examples=600, deadline=None)
+    @given(headers, st.binary(max_size=12))
+    def test_any_header(self, header, tail):
+        data = b"P5" + header + tail
+        assert _decoded(decode_pgm, data) == _decoded(tokenizer_decode_pgm, data)
+
+    @pytest.mark.parametrize("data", [b"P5", b"P5 ", b"P5 1", b"P5 1 1", b"P5 1 1 255",
+                                      b"P5 1 1 255#\n\x00", b"P5 1 1 255\x00\x00",
+                                      b"P5#1 1 255\n\x00", b"P51 1 255\n\x00",
+                                      b"P5 0 1 255\n", b"P5 1 1 254\n\x00",
+                                      b"P5\x0b1\x0c1\r255\t\x07"])
+    def test_edge_headers(self, data):
+        assert _decoded(decode_pgm, data) == _decoded(tokenizer_decode_pgm, data)
+
+
 class TestOtsu:
     def test_bimodal_perfectly_separated(self):
         img = np.array([[10] * 8, [240] * 8], dtype=np.uint8)
-        ink = binarize_otsu(img)
+        ink = img < otsu_threshold(img)
         assert ink[0].all() and not ink[1].any()
 
     def test_constant_image_all_background(self):
         img = np.full((4, 5), 200, dtype=np.uint8)
-        assert not binarize_otsu(img).any()
+        assert not (img < otsu_threshold(img)).any()
 
     def test_six_pixel_example(self):
         img = np.array([[0, 0, 0, 255, 255, 255]], dtype=np.uint8)
-        assert binarize_otsu(img).sum() == 3
+        assert (img < otsu_threshold(img)).sum() == 3
 
     @staticmethod
     def _exhaustive_otsu(img: np.ndarray) -> int:
@@ -237,7 +298,7 @@ class TestPreprocess:
     @given(arrays(np.uint8, st.tuples(st.integers(8, 20), st.integers(8, 20)),
                   elements=st.integers(0, 255)))
     def test_chain_total_on_inked_images(self, img):
-        if not binarize_otsu(img).any():
+        if not (img < otsu_threshold(img)).any():
             return
         assert preprocess(img).image.shape == (64, 128)
 
@@ -302,13 +363,13 @@ class TestPreprocessMatchesReference:
                   elements=st.booleans()))
     def test_two_tone_words(self, mask):
         img = _word(mask)
-        assume(binarize_otsu(img).any())
+        assume((img < otsu_threshold(img)).any())
         self._check(img)
 
     @settings(max_examples=100, deadline=None)
     @given(gray_images)
     def test_gray_images(self, img):
-        assume(binarize_otsu(img).any())
+        assume((img < otsu_threshold(img)).any())
         self._check(img)
 
     def test_ink_is_a_view(self):

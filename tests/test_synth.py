@@ -92,8 +92,8 @@ class TestArchetypes:
 
 
 class TestRenderMatchesScalarReference:
-    """The one dilation and fold draw, byte for byte, what stamping the pen disc
-    once per offset with clamped indices draws."""
+    """The one dilation draws, byte for byte, what stamping the pen disc once per
+    offset and dropping the pixels off the canvas draws."""
 
     @staticmethod
     def assert_same(class_id, thickness, rotation_deg, scale, shift):
@@ -117,7 +117,7 @@ class TestRenderMatchesScalarReference:
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(CLASSES), st.floats(1.0, 5.0), st.floats(-5.0, 5.0),
-           st.floats(0.9, 1.1), st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
+           st.floats(0.9, 1.1), st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)))
     def test_any_jitter(self, class_id, thickness, rotation_deg, scale, shift):
         self.assert_same(class_id, thickness, rotation_deg, scale, shift)
 
@@ -131,6 +131,22 @@ class TestRenderMatchesScalarReference:
                 shift = tuple(gen.uniform(-synth.TRANSLATE_PX, synth.TRANSLATE_PX, size=2))
                 thickness = gen.uniform(*synth.THICKNESS_RANGE)
                 self.assert_same(class_id, thickness, rotation, scale, shift)
+
+
+class TestNoInkPastTheCanvas:
+    @pytest.mark.parametrize("class_id", CLASSES)
+    def test_no_border_ink_that_the_stamp_leaves_blank(self, class_id):
+        border = np.ones(synth.CANVAS, dtype=bool)
+        border[1:-1, 1:-1] = False
+        for thickness in (DISC_EDGES[0], THICKNESSES[-1]):
+            for rotation, scale, shift in EXTREMES:
+                args = (class_id, thickness, rotation, scale, shift)
+                extra = synth._render_mask(*args) & ~scalar_render_mask(*args) & border
+                assert not extra.any(), (args, np.argwhere(extra)[:5].tolist())
+
+    def test_a_word_carried_off_the_canvas_leaves_no_ink(self):
+        for dx, dy in [(-200.0, 0.0), (200.0, 0.0), (0.0, -80.0), (0.0, 80.0)]:
+            assert not synth._render_mask(5, 4.0, 0.0, 1.0, (dx, dy)).any()
 
 
 class TestClassPoints:
