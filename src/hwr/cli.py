@@ -91,11 +91,11 @@ def cmd_features(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     X = dataset.read_fmx(args.infile)
     if args.method == "pca":
-        model = dimred.pca_fit(X, args.dim)
+        model, reduced = dimred.pca_reduce(X, args.dim)  # centers X in place
     else:
         kind = {"grp": "gaussian", "srp": "sparse"}[args.method]
         model = dimred.rp_fit(kind, X.shape[1], args.dim, _stage_seed(args.seed, "reduce"))
-    reduced = model.transform(X)
+        reduced = model.transform(X)
     model.save(args.model)
     dataset.write_fmx(reduced, args.out)
     print(f"{reduced.shape[0]} x {reduced.shape[1]} reduced matrix written to {args.out}")

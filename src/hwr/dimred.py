@@ -99,12 +99,29 @@ class PcaModel:
 
 
 def pca_fit(X: np.ndarray, k: int) -> PcaModel:
-    """Top-k principal axes of X by SVD of the centered matrix.
+    """Top-k principal axes of X by SVD of the centered matrix; X is left as it was.
 
     Requires 1 <= k <= min(n-1, d).  On rank-deficient data the trailing
     components are still orthonormal basis vectors (from the SVD) with
     near-zero explained variance.
     """
+    return _fit_centering(np.array(X, dtype=np.float64), k)[0]
+
+
+def pca_reduce(X: np.ndarray, k: int) -> tuple[PcaModel, np.ndarray]:
+    """``pca_fit(X, k)`` and X's rows reduced by it, bit for bit, holding no second matrix.
+
+    The fit consumes X: a float64 X is centered in place, so the SVD and the
+    projection both read its rows.  Each reduced row is the subtraction and
+    the one-row product of `pca_transform`.
+    """
+    model, centered = _fit_centering(X, k)
+    return model, _rows_times(centered, model.components)
+
+
+def _fit_centering(X: np.ndarray, k: int) -> tuple[PcaModel, np.ndarray]:
+    """The PCA model of X's rows, and those rows centered: in place once n, k and the
+    values are checked, so a refused float64 X is left as it was."""
     X = _as_matrix(X)
     n, d = X.shape
     if n < 2:
@@ -112,13 +129,15 @@ def pca_fit(X: np.ndarray, k: int) -> PcaModel:
     if not 1 <= k <= min(n - 1, d):
         raise ValueError(f"k={k} out of range [1, {min(n - 1, d)}] for {n}x{d} data")
     mean = X.mean(axis=0)
-    _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
+    X -= mean
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
     components = vt[:k].copy()
+    del u, vt  # before the sign fix's temporaries and the caller's projection
     lead = np.argmax(np.abs(components), axis=1)
     flip = components[np.arange(k), lead] < 0
     components[flip] *= -1.0
     explained = s[:k] ** 2 / (n - 1)
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return PcaModel(mean=mean, components=components, explained_variance=explained), X
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:

@@ -86,7 +86,10 @@ def decode_pgm(data: bytes) -> np.ndarray:
             raise PgmError(f"truncated header: missing {field}")
         if not token.isdigit():  # bytes.isdigit accepts only b"0".."9"
             raise PgmError(f"invalid {field}: {token!r}")
-        fields.append(int(token))
+        try:
+            fields.append(int(token))
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise PgmError(f"invalid {field}: {token[:16]!r}... ({len(token)} digits)") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PgmError(f"invalid dimensions {width}x{height}")
@@ -111,8 +114,13 @@ def encode_pgm(img: np.ndarray) -> bytes:
 
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
+    """The raster of a PGM file; a malformed one raises PgmError naming the path."""
     with open(path, "rb") as fh:
-        return decode_pgm(fh.read())
+        data = fh.read()
+    try:
+        return decode_pgm(data)
+    except PgmError as exc:
+        raise PgmError(f"{path}: {exc}") from None
 
 
 def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:

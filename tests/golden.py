@@ -12,13 +12,19 @@ the bits of the features depend on numpy, the CPU targets its loops dispatch
 to (``np.arctan2`` gives other bits below AVX512), OpenBLAS and the kernel
 OpenBLAS picks for the CPU, so the hashes hold only where all four match.
 
+The file also holds, under ``pinned``, the hashes of the same script run in
+a subprocess pinned to the oldest targets (`pinned_environ`): OpenBLAS's
+Prescott kernel and numpy's loops at its baseline (``X86_V2``), every
+dispatch target enabled here turned off.  Those hold on any x86-64-v2
+machine with the same numpy and OpenBLAS, whatever its own targets.
+
 Regenerate the file after a change that alters bytes on purpose (its diff
 then names the files that changed)::
 
     python tests/golden.py
 
 ``--out PATH`` writes the hashes elsewhere, for example to compare a run
-under another ``OPENBLAS_CORETYPE``.
+under another ``OPENBLAS_CORETYPE``; ``--here`` leaves out the pinned run.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -103,12 +110,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _dispatch_targets() -> list[str]:
+    """The targets above its baseline that numpy's own loops dispatch to in this process."""
+    umath = np._core._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 def environment() -> dict[str, str | None]:
     """numpy's version and the targets its own loops dispatch to, and the version
     and kernel of the OpenBLAS it bundles."""
-    umath = np._core._multiarray_umath
-    dispatch = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
-    env = {"numpy": np.__version__, "dispatch": dispatch, "openblas": None, "core": None}
+    env = {"numpy": np.__version__, "dispatch": " ".join(_dispatch_targets()), "openblas": None,
+           "core": None}
     lib = workers.openblas()
     if lib is not None:
         for key, name in (("openblas", "scipy_openblas_get_config64_"),
@@ -150,14 +162,39 @@ def run(seed: str, workdir: Path) -> dict[str, str]:
     return hashes
 
 
+def pinned_environ() -> dict[str, str]:
+    """This process's environment variables, with OpenBLAS's kernel set to Prescott and
+    every numpy dispatch target enabled here turned off, besides those already off.  Both
+    are read when numpy loads, so they apply to a new process only."""
+    disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *_dispatch_targets()]
+    return {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+            "NPY_DISABLE_CPU_FEATURES": " ".join(disabled).strip()}
+
+
+def run_pinned(out: Path) -> subprocess.CompletedProcess:
+    """This script with ``--here --out out``, in a subprocess under `pinned_environ`."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--here", "--out", str(out)]
+    return subprocess.run(command, env=pinned_environ(), capture_output=True, text=True,
+                          timeout=600)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=GOLDEN, help=f"default: {GOLDEN.name}")
+    parser.add_argument("--here", action="store_true",
+                        help="hash this process's run only, without the pinned subprocess")
     args = parser.parse_args()
     golden = {"environment": environment(), "hashes": {}}
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             golden["hashes"][seed] = run(seed, Path(tmp))
+    if not args.here:
+        with tempfile.TemporaryDirectory() as tmp:
+            pinned = Path(tmp) / "pinned.json"
+            done = run_pinned(pinned)
+            if done.returncode:
+                sys.exit(f"the pinned run failed:\n{done.stderr}")
+            golden["pinned"] = json.loads(pinned.read_text(encoding="utf-8"))
     args.out.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -20,6 +20,9 @@ disc once per offset and dropping the pixels off the canvas, the mask the
 one dilation must match byte for byte.  A PGM header is read by the
 byte-at-a-time tokenizer that the one regular expression replaced, whose
 arrays and error messages the decoder must reproduce exactly.
+PCA is fit by the SVD of a centered copy, ``X - mean``, and each row is
+reduced by its own product, the model and rows that centering in place must
+reproduce bit for bit.
 The random streams come from the formula itself in Python integers, and the
 sparse projection is a scipy CSR matrix drawn from float uniforms, whose
 entries the dense matrix must match byte for byte.  The held-out rows
@@ -38,6 +41,7 @@ from scipy import sparse
 
 from hwr import imaging, rng
 from hwr.dataset import SplitResult
+from hwr.dimred import PcaModel
 from hwr.features import DEFAULT_HOG, L2HYS_CLIP, L2HYS_EPS, HogParams, _grid_shape
 from hwr.forest import _GAIN_EPS, ForestModel, TreeNode, gini
 from hwr.imaging import PgmError, _as_mask, _cubic_kernel
@@ -694,6 +698,20 @@ def scalar_render_mask(
             on = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
             mask[ys[on], xs[on]] = True
     return mask
+
+
+def centered_copy_pca(X: np.ndarray, k: int) -> tuple[PcaModel, np.ndarray]:
+    """The top-k PCA model of X from the SVD of ``X - mean``, with each component's
+    largest-magnitude entry positive, and X's rows reduced one ``matmul`` at a time."""
+    mean = X.mean(axis=0)
+    centered = X - mean
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    components = vt[:k].copy()
+    lead = np.argmax(np.abs(components), axis=1)
+    components[components[np.arange(k), lead] < 0] *= -1.0
+    model = PcaModel(mean=mean, components=components,
+                     explained_variance=s[:k] ** 2 / (X.shape[0] - 1))
+    return model, np.array([np.matmul(row, components.T) for row in centered])
 
 
 def scalar_splitmix64(seed: int, count: int) -> list[int]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import scalar_word_features
 
-from hwr import cli, dataset, features, imaging, workers
+from hwr import cli, dataset, dimred, features, imaging, workers
 
 
 def run(capsys, *args):
@@ -176,7 +176,8 @@ class TestFeatures:
         missing = tmp_path / "missing.pgm"
         expected_err = (
             f"failed: missing.pgm: [Errno 2] No such file or directory: '{missing}'\n"
-            "failed: broken.pgm: truncated pixel data: expected 81 bytes, got 3\n"
+            f"failed: broken.pgm: {tmp_path / 'broken.pgm'}: truncated pixel data: "
+            "expected 81 bytes, got 3\n"
             "failed: blank.pgm: image contains no ink pixels\n"
             f"3 of {n} images failed\n")
         for count in (1, 2):  # inline, then two workers
@@ -233,6 +234,27 @@ class TestReduce:
         assert code == 0
         assert dataset.read_fmx(tmp_path / "r.fmx").shape == (56, 64)
 
+    @pytest.mark.parametrize("rows", [None, 2 * workers.BLOCK + 2], ids=["inline", "forked"])
+    def test_pca_writes_the_bytes_of_fit_then_transform(self, capsys, monkeypatch, tmp_path,
+                                                        pipeline_dir, rows):
+        """`reduce --method pca` writes what `pca_fit` and then `pca_transform` give, byte
+        for byte: the pipeline's 56 rows in one inline block, or 130 rows in forked blocks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        infile = pipeline_dir / "feat.fmx"
+        if rows is not None:
+            infile = tmp_path / "x.fmx"
+            dataset.write_fmx(np.random.default_rng(rows).normal(size=(rows, 300)), infile)
+        code, out, _ = run(capsys, "reduce", "--in", str(infile), "--method", "pca",
+                           "--dim", "8", "--model", str(tmp_path / "pca.json"),
+                           "--out", str(tmp_path / "r.fmx"))
+        assert code == 0 and out.startswith(f"{rows or 56} x 8 reduced matrix written to ")
+        X = dataset.read_fmx(infile)
+        model = dimred.pca_fit(X, 8)
+        model.save(tmp_path / "expected.json")
+        dataset.write_fmx(dimred.pca_transform(model, X), tmp_path / "expected.fmx")
+        for got, want in (("pca.json", "expected.json"), ("r.fmx", "expected.fmx")):
+            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
+
     def test_dim_zero_usage_error(self, capsys, tmp_path, pipeline_dir):
         code, _, err = run(capsys, "reduce", "--in", str(pipeline_dir / "feat.fmx"),
                            "--method", "pca", "--dim", "0",
@@ -287,6 +309,20 @@ class TestTrainEvalPredict:
                            "--model", str(pipeline_dir / "rf.json"))
         assert code == 2
         assert "3780" in err and "8" in err  # both dims printed
+
+    @pytest.mark.parametrize("header", [b"P5 " + b"1" * 5000 + b" 1 255\n",
+                                        b"P5 1 1 " + b"2" * 4301 + b"\n"],
+                             ids=["width-5000", "maxval-4301"])
+    def test_overlong_pgm_header_field_exit_2_naming_the_path(self, capsys, tmp_path,
+                                                              pipeline_dir, header):
+        image = tmp_path / "long.pgm"
+        image.write_bytes(header + b"\x00")
+        code, out, err = run(capsys, "predict", "--image", str(image),
+                             "--model", str(pipeline_dir / "rf.json"),
+                             "--reducer", str(pipeline_dir / "pca.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {image}: invalid ") and err.count("\n") == 1
+        assert len(err) < 200
 
     def test_eval_with_wrong_width_matrix_exit_2(self, capsys, tmp_path, pipeline_dir):
         dataset.write_fmx(np.zeros((56, 5)), tmp_path / "wrong.fmx")

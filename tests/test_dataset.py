@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
+import io
+import os
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hwr import svm
+from hwr import cli, svm
 from hwr.dataset import (
     FmxError,
     Manifest,
@@ -266,6 +271,57 @@ class TestFmx:
         path.write_bytes(b"FMX1" + struct.pack("<II", 1, 1) + payload)
         with pytest.raises(FmxError, match="non-finite"):
             read_fmx(path)
+
+
+def _fmx_files():
+    """Any bytes, or nearly well-formed FMX1 files of up to 4 x 4 entries, finite or not:
+    each of magic, shape and payload is right three times in four."""
+    doubles = st.floats().map(lambda v: struct.pack("<d", v))
+    shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    odd_headers = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)).map(
+        lambda shape: struct.pack("<II", *shape))
+
+    @st.composite
+    def files(draw) -> bytes:
+        def right(value, wrong):
+            return value if draw(st.sampled_from([True, True, True, False])) else draw(wrong)
+
+        rows, cols = draw(shapes)
+        header = right(struct.pack("<II", rows, cols),
+                       st.one_of(st.binary(max_size=9), odd_headers))
+        payload = b"".join(draw(st.lists(doubles, min_size=rows * cols, max_size=rows * cols)))
+        payload = right(payload, st.binary(max_size=8 * rows * cols + 9))
+        return right(b"FMX1", st.binary(max_size=5)) + header + payload
+
+    return st.one_of(st.binary(max_size=40), files())
+
+
+class TestFmxFuzz:
+    """Whatever its bytes, an FMX file reads as the matrix it holds or raises FmxError naming
+    its path, and `hwr reduce` then exits 2 with that one line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_fmx_files())
+    def test_matrix_or_error_naming_the_path(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.fmx"
+            path.write_bytes(data)
+            try:
+                matrix = read_fmx(path)
+            except FmxError as exc:
+                message = str(exc)
+                assert message.startswith(f"{path}: ")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["reduce", "--in", str(path), "--method", "pca", "--dim", "1",
+                                     "--model", f"{tmp}/m.json", "--out", f"{tmp}/r.fmx"])
+                assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+                assert os.listdir(tmp) == ["x.fmx"]
+                return
+        rows, cols = struct.unpack("<II", data[4:12])
+        assert data[:4] == b"FMX1" and matrix.shape == (rows, cols)
+        assert matrix.dtype == np.float64 and np.isfinite(matrix).all()
+        assert matrix.tobytes() == np.frombuffer(data[12:], "<f8").tobytes()
 
 
 class TestLabelFile:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import sparse_projection
+from oracles import centered_copy_pca, sparse_projection
 
 from hwr import dimred, workers
 from hwr.dimred import (
@@ -17,6 +17,7 @@ from hwr.dimred import (
     ProjectionMatrix,
     jl_min_dim,
     pca_fit,
+    pca_reduce,
     pca_transform,
     project,
     rp_fit,
@@ -132,6 +133,62 @@ class TestPcaInvariants:
         model = pca_fit(X, 5)
         lead = np.argmax(np.abs(model.components), axis=1)
         assert (model.components[np.arange(5), lead] > 0).all()
+
+
+def _model_and_rows_bytes(model: PcaModel, rows: np.ndarray) -> tuple[bytes, ...]:
+    return (model.mean.tobytes(), model.components.tobytes(),
+            model.explained_variance.tobytes(), rows.tobytes())
+
+
+class TestPcaReduce:
+    """`pca_reduce` consumes X and gives `pca_fit` and `pca_transform`'s bytes, which are
+    those of the SVD of a centered copy (the oracle)."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Two CPUs, so that more than one block of rows forks workers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @staticmethod
+    def _assert_fit_then_transform(X: np.ndarray, k: int) -> None:
+        expected_model = pca_fit(X.copy(), k)
+        expected = _model_and_rows_bytes(expected_model, pca_transform(expected_model, X))
+        centered = (X - X.mean(axis=0)).tobytes()
+        consumed = X.copy()
+        assert _model_and_rows_bytes(*pca_reduce(consumed, k)) == expected
+        assert consumed.tobytes() == centered
+        assert _model_and_rows_bytes(*centered_copy_pca(X, k)) == expected
+
+    # one inline block, one full block, and forked blocks with a short last one
+    @pytest.mark.parametrize("n, d, k", [(2, 1, 1), (12, 40, 11), (workers.BLOCK, 300, 30),
+                                         (workers.BLOCK + 1, 30, 30),
+                                         (2 * workers.BLOCK + 2, 500, 50)])
+    def test_seeded_matrices(self, n, d, k):
+        self._assert_fit_then_transform(np.random.default_rng(n * d).normal(size=(n, d)), k)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.sampled_from([2, 3, 17, workers.BLOCK, workers.BLOCK + 3]),
+           d=st.integers(1, 12))
+    def test_any_matrix(self, data, n, d):
+        X = data.draw(arrays(np.float64, (n, d), elements=st.floats(-1e6, 1e6)))
+        self._assert_fit_then_transform(X, data.draw(st.integers(1, min(n - 1, d))))
+
+    @pytest.mark.parametrize("shape, k, bad", [((1, 5), 1, None), ((6, 4), 0, None),
+                                               ((6, 4), 5, None), ((4, 9), 4, None),
+                                               ((6, 4), 2, np.nan), ((6, 4), 2, np.inf),
+                                               ((6, 4), 2, -np.inf)])
+    def test_refusal_leaves_the_matrix_as_it_was(self, shape, k, bad):
+        X = np.random.default_rng(3).normal(size=shape)
+        if bad is not None:
+            X[-1, -1] = bad
+        before = X.tobytes()
+        with pytest.raises(ValueError) as refused:
+            pca_reduce(X, k)
+        with pytest.raises(ValueError) as refused_by_fit:
+            pca_fit(X, k)
+        assert str(refused.value) == str(refused_by_fit.value)
+        assert X.tobytes() == before
 
 
 class TestRandomProjection:

@@ -73,6 +73,22 @@ class TestPgm:
         with pytest.raises(PgmError, match="trailing"):
             decode_pgm(b"P5\n1 1\n255\n\x00\x00")
 
+    # 4,300 digits is the most that int() converts by default (sys.get_int_max_str_digits)
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    @pytest.mark.parametrize("field", ["width", "height", "maxval"])
+    def test_overlong_header_field_rejected(self, field, digits):
+        fields = {"width": b"1", "height": b"1", "maxval": b"255", field: b"1" * digits}
+        data = b"P5 %s %s %s\n\x00" % (fields["width"], fields["height"], fields["maxval"])
+        with pytest.raises(PgmError) as refused:
+            decode_pgm(data)
+        assert str(refused.value) == f"invalid {field}: {b'1' * 16!r}... ({digits} digits)"
+
+    def test_read_pgm_names_the_path(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n\x00")
+        with pytest.raises(PgmError, match=f"^{path}: truncated pixel data"):
+            imaging.read_pgm(path)
+
     @settings(max_examples=50, deadline=None)
     @given(gray_images)
     def test_round_trip(self, img):

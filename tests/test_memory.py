@@ -1,8 +1,11 @@
-"""Memory regression: a reader or a draw holds little beyond the array it returns.
+"""Memory regression: a reader, a draw or the PCA reduce holds about one matrix.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call bounds
-what it held at once.  Each call below may peak at 1.5 times the bytes of the
-array it returns: the array itself plus working buffers of a fixed size.
+what it held at once.  A reader or a draw may peak at 1.5 times the bytes of
+the array it returns: the array itself plus working buffers of a fixed size.
+The PCA reduce may allocate 1.5 times the bytes of the feature matrix it is
+given: the SVD's VT, of the matrix's size, and the k components, but no
+centered copy.  LAPACK's own workspace is outside numpy and not traced.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hwr import dataset, dimred
+from hwr import cli, dataset, dimred
 
 BOUND = 1.5
 
@@ -39,3 +42,20 @@ def test_rp_fit_holds_one_matrix(kind):
     peak, model = _peak_and_result(lambda: dimred.rp_fit(kind, 3780, 200, seed=42))
     assert model.matrix.shape == (200, 3780)
     assert peak < BOUND * model.matrix.nbytes, f"peak {peak} for {model.matrix.nbytes} bytes"
+
+
+def test_pca_reduce_holds_one_feature_matrix(capsys, monkeypatch, tmp_path):
+    X = np.random.default_rng(42).normal(size=(400, 3780))
+    monkeypatch.setattr(dataset, "read_fmx", lambda path: X)
+    peak, code = _peak_and_result(lambda: cli.main([
+        "reduce", "--in", "x.fmx", "--method", "pca", "--dim", "50",
+        "--model", str(tmp_path / "pca.json"), "--out", str(tmp_path / "r.fmx")]))
+    assert code == 0, capsys.readouterr().err
+    assert peak < BOUND * X.nbytes, f"peak {peak} for {X.nbytes} bytes"
+
+
+def test_pca_fit_leaves_its_matrix():
+    X = np.random.default_rng(42).normal(size=(100, 300))
+    before = X.tobytes()
+    dimred.pca_fit(X, 50)
+    assert X.tobytes() == before
