@@ -74,27 +74,26 @@ def parse_class_id(text: str) -> int:
 
 
 def load_manifest(path: str | os.PathLike) -> Manifest:
+    """A manifest's records; an error names the physical line its record ends on."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 ({exc})") from None
-    if not rows:
-        raise ManifestError(f"{path}: empty manifest")
-    if rows[0] != ["path", "label"]:
-        raise ManifestError(f"{path}: expected header 'path,label', got {rows[0]}")
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2 or not row[0]:
-            raise ManifestError(f"{path}: line {lineno}: expected 'path,label', got {row}")
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            cid = parse_class_id(row[1])
-        except ValueError as exc:
-            raise ManifestError(f"{path}: line {lineno}: {exc}") from None
-        records.append((row[0], cid))
+            header = next(reader, None)
+            if header == ["path", "label"]:
+                for row in filter(None, reader):
+                    if len(row) != 2 or not row[0]:
+                        raise ValueError(f"expected 'path,label', got {row}")
+                    records.append((row[0], parse_class_id(row[1])))
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: not UTF-8 ({exc})") from None
+        except (ValueError, csv.Error) as exc:
+            raise ManifestError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ManifestError(f"{path}: empty manifest")
+    if header != ["path", "label"]:
+        raise ManifestError(f"{path}: expected header 'path,label', got {header}")
     if not records:
         raise ManifestError(f"{path}: no records")
     return Manifest(records=records, root=path.parent)

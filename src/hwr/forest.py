@@ -1,14 +1,15 @@
 """Random forest: bootstrap-trained CART trees, probability averaging.
 
-Each tree grows on an n-sample bootstrap; every node draws floor(sqrt(d))
-distinct candidate features from the tree's seeded stream (consumed in
-depth-first order) and splits at the midpoint threshold with the largest
-Gini impurity decrease.  Gain ties break toward the lower feature index,
-then the lower threshold.  Nodes stop at purity, at fewer than 2 samples,
-or when no positive-gain split exists; trees are not pruned.  A tree
+Each tree grows on an n-sample bootstrap; every impure node draws
+floor(sqrt(d)) distinct candidate features from the tree's seeded stream and
+splits at the midpoint threshold with the largest Gini impurity decrease.
+Gain ties break toward the lower feature index, then the lower threshold.
+Nodes stop at purity, at fewer than 2 samples, or when no positive-gain
+split exists; trees are not pruned.  A tree grows in one loop over a stack
+of node row sets, so its nodes draw their features in preorder.  A tree
 depends only on the training rows and its (seed, index), so the trees of a
 forest grow in worker processes.  A forest is held, saved (``hwr-rf/2``)
-and loaded as the preorder lists that growth writes; only growth recurses.
+and loaded as the preorder lists that growth writes; nothing recurses.
 
 A node's split search is one vectorized pass over its k candidate
 features.  Each tree keeps X transposed, so a node gathers only its (k, n)
@@ -138,39 +139,34 @@ def _best_split(
 
 def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> tuple[list, list, np.ndarray]:
     """CART tree over 1-based labels, floor(sqrt(d)) candidate features per node, in
-    preorder: features and thresholds (-1 and 0.0 at a leaf), and a row of counts per leaf."""
+    preorder: features and thresholds (-1 and 0.0 at a leaf), and a row of counts per leaf.
+    A split pushes its right rows under its left ones, so nodes come off the stack in preorder."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = class_ids(labels, X.shape[0])
     if not y.size:
         raise ValueError("need at least one sample")
+    XT, y0 = np.ascontiguousarray(X.T), y - 1
+    gen, k = np.random.default_rng(tree_seed), math.isqrt(X.shape[1])
     feature, threshold, counts = [], [], []
-    _grow(np.ascontiguousarray(X.T), y - 1, np.arange(X.shape[0]),
-          np.random.default_rng(tree_seed), math.isqrt(X.shape[1]), (feature, threshold, counts))
+    todo = [np.arange(X.shape[0])]
+    while todo:
+        idx = todo.pop()
+        node_counts = np.bincount(y0[idx], minlength=N_CLASSES)
+        best = None
+        if (node_counts > 0).sum() > 1:
+            features = np.sort(gen.choice(XT.shape[0], size=k, replace=False))
+            best = _best_split(XT[features[:, None], idx], y0[idx], features)
+        if best is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append(node_counts)
+            continue
+        _, f, t = best
+        feature.append(f)
+        threshold.append(t)
+        goes_left = XT[f, idx] <= t
+        todo += [idx[~goes_left], idx[goes_left]]
     return feature, threshold, np.array(counts)
-
-
-def _grow(XT: np.ndarray, y0: np.ndarray, idx: np.ndarray, gen, k: int, tree: tuple) -> None:
-    """Append the subtree of the samples idx to the preorder lists of tree.
-
-    A split appends its feature and threshold, a leaf appends feature -1,
-    threshold 0.0 and its class counts; each split draws k features from gen.
-    """
-    feature, threshold, leaves = tree
-    counts = np.bincount(y0[idx], minlength=N_CLASSES)
-    if idx.shape[0] >= 2 and (counts > 0).sum() > 1:
-        features = np.sort(gen.choice(XT.shape[0], size=k, replace=False))
-        best = _best_split(XT[features[:, None], idx], y0[idx], features)
-        if best is not None:
-            _, f, t = best
-            feature.append(f)
-            threshold.append(t)
-            goes_left = XT[f, idx] <= t
-            _grow(XT, y0, idx[goes_left], gen, k, tree)
-            _grow(XT, y0, idx[~goes_left], gen, k, tree)
-            return
-    feature.append(-1)
-    threshold.append(0.0)
-    leaves.append(counts)
 
 
 _BAD_LEAF = f"leaf counts must be {N_CLASSES} non-negative integers with a positive sum"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -91,6 +92,23 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line 2"):
             load_manifest(path)
 
+    def test_error_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text('path,label\n"a\nb.pgm",1\nc.pgm,x\n', encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: line 4: label 'x' is not an integer"
+
+    def test_field_over_the_csv_limit_exits_2(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("path,label\n" + "a" * 200_000 + ",1\n", encoding="utf-8")
+        message = f"{path}: line 2: field larger than field limit (131072)"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == message
+        _refused_in_cli(["features", "--manifest", str(path), "--out", f"{tmp_path}/x.fmx"],
+                        message, tmp_path, ["manifest.csv"])
+
     def test_write_round_trip(self, tmp_path):
         m = Manifest(records=[("a.pgm", 1), ("b.pgm", 7)], root=tmp_path)
         write_manifest(m, tmp_path / "out.csv")
@@ -98,6 +116,70 @@ class TestManifest:
         assert again.records == m.records
         raw = (tmp_path / "out.csv").read_bytes()
         assert b"\r" not in raw  # LF endings
+
+
+def _right_or(draw, value, wrong):
+    """value three times in four, else a draw from wrong, and whether value was kept."""
+    if draw(st.sampled_from([True, True, True, False])):
+        return value, True
+    return draw(wrong), False
+
+
+_ids = st.integers(1, 14).map(str)
+_odd_ids = st.one_of(st.sampled_from(["0", "15", "+3", "1_4", "\u0661", "2.0", ""]), st.text())
+
+
+@st.composite
+def _manifest_files(draw) -> tuple[bytes, list | None]:
+    """Any bytes, or a nearly well-formed manifest and, where every part is right, its
+    records: every field is quoted, so paths may hold commas, quotes and line breaks, and
+    blank lines may come between records."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=60)), None
+    rows, records = [], []
+    header, ok = _right_or(draw, ["path", "label"], st.lists(st.text(max_size=6), max_size=3))
+    rows.append(header)
+    paths = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+    for rel in draw(st.lists(paths, max_size=4)):
+        cid, right = _right_or(draw, draw(_ids), _odd_ids)
+        ok &= right
+        rows += [[]] * draw(st.integers(0, 1)) + [[rel, cid]]
+        records.append((rel, int(cid) if right else None))
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    return text.getvalue().encode("utf-8"), records if ok and records else None
+
+
+def _refused_in_cli(argv: list[str], message: str, tmp, files: list[str]) -> None:
+    """`hwr` exits 2 with exactly the refusal's error line and writes nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+    assert sorted(os.listdir(tmp)) == sorted(files)
+
+
+class TestManifestFuzz:
+    """Whatever its bytes, a manifest loads as its records or raises ManifestError naming its
+    path, and `hwr features` then exits 2 with that one line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_manifest_files())
+    def test_records_or_error_naming_the_path(self, case):
+        data, expected = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.csv"
+            path.write_bytes(data)
+            try:
+                records = load_manifest(path).records
+            except ManifestError as exc:
+                assert expected is None
+                assert str(exc).startswith(f"{path}: ")
+                _refused_in_cli(["features", "--manifest", str(path), "--out", f"{tmp}/x.fmx"],
+                                str(exc), tmp, ["manifest.csv"])
+                return
+        assert records and all(rel and 1 <= cid <= 14 for rel, cid in records)
+        assert expected is None or records == expected
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -358,6 +440,48 @@ class TestLabelFile:
         with pytest.raises(ValueError) as info:
             read_label_file(path)
         assert str(info.value) == f"{path}: line 3: class id {cid} out of range [1, 14]"
+
+
+@st.composite
+def _label_files(draw) -> tuple[bytes, list | None]:
+    """Any bytes, or a nearly well-formed label file and, where every line is right, its
+    ids: ids may carry spaces, lines may be blank, and lines end in LF or CRLF."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=60)), None
+    lines, ids, ok = [], [], True
+    for cid in draw(st.lists(_ids, max_size=6)):
+        token, right = _right_or(draw, cid, _odd_ids)
+        ok &= right
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines += [""] * draw(st.integers(0, 1)) + [pad + token + pad]
+        ids.append(int(cid))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines + [""])
+    return text.encode("utf-8"), ids if ok and ids else None
+
+
+class TestLabelFileFuzz:
+    """Whatever its bytes, a label file reads as its ids or raises ValueError naming its path,
+    and `hwr train` then exits 2 with that one line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_label_files())
+    def test_ids_or_error_naming_the_path(self, case):
+        data, expected = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "y.labels"
+            path.write_bytes(data)
+            try:
+                ids = read_label_file(path)
+            except ValueError as exc:
+                assert expected is None
+                assert str(exc).startswith(f"{path}: ")
+                write_fmx(np.zeros((2, 1)), f"{tmp}/x.fmx")
+                _refused_in_cli(["train", "--in", f"{tmp}/x.fmx", "--labels", str(path),
+                                 "--classifier", "rf", "--out", f"{tmp}/m.json"],
+                                str(exc), tmp, ["x.fmx", "y.labels"])
+                return
+        assert ids.dtype == np.intp and ids.size and ((ids >= 1) & (ids <= 14)).all()
+        assert expected is None or ids.tolist() == expected
 
 
 class TestPayload:

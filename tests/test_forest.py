@@ -137,6 +137,14 @@ class TestGrowTree:
 
         check(tree)
 
+    def test_chain_of_2399_splits_grows_without_recursion(self):
+        # alternating labels on one feature: each split peels one row off the left end
+        X = np.arange(2400, dtype=np.float64)[:, None]
+        y = np.resize([1, 2], 2400)
+        model = ForestModel.from_preorder(*grow_tree(X, y, tree_seed=0), d=1, seed=0)
+        assert len(model.feature) == 4799 and model.depth == 2399
+        assert np.array_equal(model.predict_batch(X), y)
+
 
 def _vector_split(X, y0, features):
     """The vectorized search on the (k, n) block that grow_tree gathers."""
