@@ -156,13 +156,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    img = imaging.read_pgm(args.image)
-    vec = features.extract_word_features(img, include_scalars=args.scalars)
-    row = vec[None, :]
-    if args.reducer:
-        row = dimred.load_reducer(args.reducer).transform(row)
+    reducer = dimred.load_reducer(args.reducer) if args.reducer else None
     model = load_classifier(args.model)
-    class_id = int(model.predict_batch(row)[0])
+    # the first model to see the features says by its input width whether they hold the scalars
+    scalars = (reducer or model).d == features.word_feature_length(include_scalars=True)
+    row = features.extract_word_features(imaging.read_pgm(args.image), scalars)[None, :]
+    class_id = int(model.predict_batch(reducer.transform(row) if reducer else row)[0])
     print(class_id)
     if args.interpret:
         print(labels.label_to_unicode(class_id))
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="PGM word image")
     p.add_argument("--model", required=True, help="classifier model path")
     p.add_argument("--reducer", default=None, help="reduction model path")
-    p.add_argument("--scalars", action="store_true")
     p.add_argument("--interpret", action="store_true",
                    help="print the district name for the predicted class")
     p.set_defaults(func=cmd_predict)

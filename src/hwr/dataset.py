@@ -102,8 +102,10 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
 def write_manifest(manifest: Manifest, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["path", "label"])
-        writer.writerows(manifest.records)
+        for record in manifest.records:  # minimal quoting would leave a lone CR bare
+            (quote_all if "\r" in record[0] else writer).writerow(record)
 
 
 @dataclass

@@ -80,8 +80,6 @@ def _grid_shape(height: int, width: int, params: HogParams) -> tuple[int, int, i
     sh, sw = params.stride
     if height < bh or width < bw:
         raise ValueError(f"image {height}x{width} smaller than block {bh}x{bw}")
-    if height % params.cell[0] or width % params.cell[1]:
-        raise ValueError(f"image {height}x{width} not divisible into {params.cell} cells")
     if (height - bh) % sh or (width - bw) % sw:
         raise ValueError(
             f"block stride {params.stride} does not tile a {height}x{width} image"

@@ -29,7 +29,7 @@ class TrainingDivergedError(RuntimeError):
 class MlpModel:
     FORMAT = "hwr-mlp/2"
 
-    w1: np.ndarray  # (h, m)
+    w1: np.ndarray  # (h, d)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (o, h)
     b2: np.ndarray  # (o,)
@@ -39,7 +39,7 @@ class MlpModel:
             raise ValueError(f"o is {self.o}, not the {N_CLASSES} classes")
 
     @property
-    def m(self) -> int:
+    def d(self) -> int:
         return self.w1.shape[1]
 
     @property
@@ -56,7 +56,7 @@ class MlpModel:
     def save(self, path: str | os.PathLike) -> None:
         dataset.write_model(path, {
             "format": self.FORMAT,
-            "m": self.m,
+            "m": self.d,
             "h": self.h,
             "o": self.o,
             "w1": dataset.pack(self.w1),
@@ -67,9 +67,9 @@ class MlpModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MlpModel":
-        m, h, o = (dataset.number(doc[key]) for key in ("m", "h", "o"))
+        d, h, o = (dataset.number(doc[key]) for key in ("m", "h", "o"))
         return cls(
-            w1=dataset.unpack(doc["w1"], h, m),
+            w1=dataset.unpack(doc["w1"], h, d),
             b1=dataset.unpack(doc["b1"], h),
             w2=dataset.unpack(doc["w2"], o, h),
             b2=dataset.unpack(doc["b2"], o),
@@ -102,12 +102,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def mlp_init(m: int, h: int, o: int, seed: int) -> MlpModel:
+def mlp_init(d: int, h: int, o: int, seed: int) -> MlpModel:
     """Uniform Glorot weights, zero biases; deterministic per seed."""
-    if min(m, h) < 1:
-        raise ValueError(f"layer sizes must be >= 1, got m={m}, h={h}")
+    if min(d, h) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got d={d}, h={h}")
     # built before it is drawn, so an o other than N_CLASSES fails at once
-    model = MlpModel(w1=np.empty((h, m)), b1=np.zeros(h), w2=np.empty((o, h)), b2=np.zeros(o))
+    model = MlpModel(w1=np.empty((h, d)), b1=np.zeros(h), w2=np.empty((o, h)), b2=np.zeros(o))
     gen = np.random.default_rng(seed)
     for w in (model.w1, model.w2):
         limit = math.sqrt(6.0 / sum(w.shape))
@@ -117,8 +117,8 @@ def mlp_init(m: int, h: int, o: int, seed: int) -> MlpModel:
 
 def _check_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.m:
-        raise ValueError(f"X has shape {arr.shape}, model expects {model.m} columns")
+    if arr.ndim != 2 or arr.shape[1] != model.d:
+        raise ValueError(f"X has shape {arr.shape}, model expects {model.d} columns")
     return arr
 
 

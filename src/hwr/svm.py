@@ -375,7 +375,7 @@ class SvmModel:
 
     classes: list[int]
     pairs: list[tuple[int, int]]
-    sv: np.ndarray      # (u, m)
+    sv: np.ndarray      # (u, d)
     coef: np.ndarray    # (len(pairs), u)
     bias: np.ndarray    # (len(pairs),)
     c: float
@@ -389,6 +389,10 @@ class SvmModel:
         self.sides = np.array([[index[a] for a, _ in self.pairs],
                                [index[b] for _, b in self.pairs]], dtype=np.intp)
         self.sv_sq = (self.sv * self.sv).sum(axis=1)
+
+    @property
+    def d(self) -> int:
+        return self.sv.shape[1]
 
     @property
     def machines(self) -> dict[tuple[int, int], BinarySvm]:
@@ -431,7 +435,7 @@ class SvmModel:
             "kernel": "rbf",
             "pairs": [[a, b] for a, b in self.pairs],
             "n_support": int(self.sv.shape[0]),
-            "dim": int(self.sv.shape[1]),
+            "dim": self.d,
             "support_vectors": dataset.pack(self.sv),
             "coef": dataset.pack(self.coef),
             "bias": dataset.pack(self.bias),

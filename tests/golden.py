@@ -99,7 +99,7 @@ COMMANDS = [
     _predict("c14_s001.pgm", "srp.json", "mlp_srp.json", "--interpret"),
     _predict("c02_s005.pgm", "srp.json", "svm_srp.json"),
     _predict("c12_s002.pgm", "srp.json", "rf_srp.json"),
-    _predict("c07_s006.pgm", "grp.json", "svm_grp.json", "--scalars"),
+    _predict("c07_s006.pgm", "grp.json", "svm_grp.json"),  # grp.json takes s.fmx's 3783 columns
     _predict("c03_s004.pgm", "pca.json", "pca.json"),  # a reducer is no classifier: exit 2
     _train("pca.fmx", "f.fmx.labels", "rf", "rf_strat.json", "--trees", "30", "--stratify"),
     _eval("pca.fmx", "f.fmx.labels", "rf_strat.json", "--stratify"),

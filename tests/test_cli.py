@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,16 @@ class TestReduce:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("method", ["grp", "srp"])
+    def test_projection_dim_zero_exit_2_writing_nothing(self, capsys, tmp_path, pipeline_dir,
+                                                        method):
+        code, out, err = run(capsys, "reduce", "--in", str(pipeline_dir / "feat.fmx"),
+                             "--method", method, "--dim", "0",
+                             "--model", str(tmp_path / "m.json"),
+                             "--out", str(tmp_path / "r.fmx"))
+        assert (code, out, err) == (2, "", "error: dimensions must be >= 1, got d=3780, k=0\n")
+        assert list(tmp_path.iterdir()) == []
+
     # 10 * 10**14 entries: far more than any address space, so the allocation fails at once
     @pytest.mark.parametrize("method", ["srp", "grp"])
     def test_dim_too_large_to_allocate_exit_2(self, capsys, tmp_path, method):
@@ -516,6 +527,58 @@ class TestTrainEvalPredict:
         assert code == 2
         assert err.startswith(f"error: {bad}: not UTF-8")
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def scalars_dir(tmp_path_factory, pipeline_dir):
+    """pipeline_dir's words with the scalar features: a grp reducer and an svm on its
+    reduced rows, and an mlp on its 3783 raw columns."""
+    root = tmp_path_factory.mktemp("cli-scalars")
+    labels = str(root / "s.fmx.labels")
+    for argv in (["features", "--manifest", str(pipeline_dir / "imgs" / "manifest.csv"),
+                  "--out", str(root / "s.fmx"), "--scalars"],
+                 ["reduce", "--in", str(root / "s.fmx"), "--method", "grp", "--dim", "24",
+                  "--model", str(root / "grp.json"), "--out", str(root / "grp.fmx")],
+                 ["train", "--in", str(root / "grp.fmx"), "--labels", labels,
+                  "--classifier", "svm", "--c", "4", "--gamma", "0.01",
+                  "--out", str(root / "svm.json")],
+                 ["train", "--in", str(root / "s.fmx"), "--labels", labels,
+                  "--classifier", "mlp", "--hidden", "16", "--epochs", "20",
+                  "--out", str(root / "mlp.json")]):
+        assert cli.main(argv) == 0
+    return root
+
+
+class TestPredictReadsTheFeatureSet:
+    """`predict` takes the scalar features exactly when the first model it feeds takes
+    their width, so a model trained on `features --scalars` output is served without a flag."""
+
+    @pytest.mark.parametrize("reducer, model", [("grp.json", "svm.json"), (None, "mlp.json")],
+                             ids=["grp-svm", "raw-mlp"])
+    def test_scalars_model_served_without_a_flag(self, capsys, pipeline_dir, scalars_dir,
+                                                 reducer, model):
+        classifier = cli.load_classifier(scalars_dir / model)
+        first = dimred.load_reducer(scalars_dir / reducer) if reducer else classifier
+        assert first.d == features.word_feature_length(include_scalars=True) == 3783
+        served = ["--model", str(scalars_dir / model)]
+        if reducer:
+            served += ["--reducer", str(scalars_dir / reducer)]
+        for image in sorted((pipeline_dir / "imgs").glob("c*_s000.pgm")):
+            row = features.extract_word_features(imaging.read_pgm(image), include_scalars=True)
+            want = classifier.predict_batch(first.transform(row[None, :]) if reducer
+                                            else row[None, :])[0]
+            assert run(capsys, "predict", "--image", str(image), *served) == (0, f"{want}\n", "")
+
+    def test_only_image_model_reducer_and_interpret(self, capsys, pipeline_dir, scalars_dir):
+        code, out, _ = run(capsys, "predict", "--help")
+        assert code == 0
+        assert set(re.findall(r"--[a-z]+", out)) == {"--help", "--image", "--model", "--reducer",
+                                                     "--interpret"}
+        code, out, err = run(capsys, "predict",
+                             "--image", str(pipeline_dir / "imgs" / "c01_s000.pgm"),
+                             "--model", str(scalars_dir / "mlp.json"), "--scalars")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --scalars\n")
 
 
 class TestTopLevel:

@@ -70,7 +70,7 @@ class TestManifest:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("file,class\na.pgm,1\n", encoding="utf-8")
-        with pytest.raises(ManifestError, match="header"):
+        with pytest.raises(ManifestError, match="expected header 'path,label'"):
             load_manifest(path)
 
     @pytest.mark.parametrize("cid", ["1_4", "\u0661\u0664", "+3", "-3", "2.0", ""])
@@ -115,7 +115,22 @@ class TestManifest:
         again = load_manifest(tmp_path / "out.csv")
         assert again.records == m.records
         raw = (tmp_path / "out.csv").read_bytes()
-        assert b"\r" not in raw  # LF endings
+        assert raw == b"path,label\na.pgm,1\nb.pgm,7\n"  # LF endings, nothing quoted
+
+    @pytest.mark.parametrize("rel", ["a\rb.pgm", "\r", "a\rb\r", "a\nb.pgm", "a\r\nb.pgm",
+                                     "a,b.pgm", 'a"b.pgm'])
+    def test_write_round_trip_of_a_path_csv_must_quote(self, tmp_path, rel):
+        m = Manifest(records=[("a.pgm", 1), (rel, 14), ("b.pgm", 7)], root=tmp_path)
+        write_manifest(m, tmp_path / "out.csv")
+        assert load_manifest(tmp_path / "out.csv").records == m.records
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                                      max_size=8), st.integers(1, 14)), min_size=1, max_size=4))
+    def test_write_then_load_gives_the_records(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_manifest(Manifest(records=records, root=Path(tmp)), Path(tmp) / "m.csv")
+            assert load_manifest(Path(tmp) / "m.csv").records == records
 
 
 def _right_or(draw, value, wrong):
@@ -322,7 +337,7 @@ class TestFmx:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fmx"
         path.write_bytes(b"XXXX" + bytes(16))
-        with pytest.raises(FmxError, match="magic"):
+        with pytest.raises(FmxError, match="bad magic"):
             read_fmx(path)
 
     def test_length_mismatch(self, tmp_path):

@@ -47,6 +47,31 @@ class TestHogGeometry:
         img = np.random.default_rng(1).integers(0, 256, size=(h, w), dtype=np.uint8)
         assert hog(img, params).shape == (expected,)
 
+    @pytest.mark.parametrize("h, w, params", [
+        (64, 128, DEFAULT_HOG),
+        (32, 64, HogParams()),
+        (64, 64, HogParams()),
+        (48, 96, HogParams(stride=(16, 16))),
+        (64, 128, HogParams(cell=(4, 4), block=(8, 8), stride=(4, 4))),
+        (40, 72, HogParams(block=(8, 8), stride=(8, 8))),
+    ])
+    def test_size_off_the_cell_grid_does_not_tile(self, h, w, params):
+        """Block and stride are whole cells, so a size the stride tiles is whole cells too:
+        each size off the cell grid, but not below a block, fails the stride check."""
+        (ch, cw), (bh, bw) = params.cell, params.block
+        heights = [y for y in range(bh, h + 2 * ch) if y % ch]
+        widths = [x for x in range(bw, w + 2 * cw) if x % cw]
+        sizes = [(y, w) for y in heights] + [(h, x) for x in widths] + list(zip(heights, widths))
+        assert heights and widths
+        for y, x in sizes:
+            message = f"block stride {params.stride} does not tile a {y}x{x} image"
+            with pytest.raises(ValueError) as info:
+                hog_length(y, x, params)
+            assert str(info.value) == message
+            with pytest.raises(ValueError) as info:
+                hog(np.zeros((y, x), dtype=np.uint8), params)
+            assert str(info.value) == message
+
     def test_incompatible_dimensions_rejected(self):
         with pytest.raises(ValueError):
             hog(np.zeros((60, 100), dtype=np.uint8))

@@ -280,6 +280,17 @@ class TestRfTrain:
         assert _preorder(a) == _preorder(b)
         assert _preorder(a) != _preorder(c)
 
+    def test_two_rows_are_enough_one_is_not(self):
+        X, y = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([3, 9])
+        model = rf_train(X, y, m=8, seed=4)
+        boots = [bootstrap_indices(4, b, 2) for b in range(8)]
+        expected = ForestModel(trees=[scalar_grow_tree(X[boot], y[boot], tree_seed=[4, b, 1])
+                                      for b, boot in enumerate(boots)], d=2, seed=4)
+        assert _preorder(model) == _preorder(expected)
+        assert model.predict_batch(X).tolist() == [3, 9]
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            rf_train(X[:1], y[:1], m=8, seed=4)
+
     def test_bootstrap_reproducible(self):
         assert np.array_equal(bootstrap_indices(3, 2, 17), bootstrap_indices(3, 2, 17))
         assert not np.array_equal(bootstrap_indices(3, 2, 17), bootstrap_indices(3, 3, 17))
@@ -450,7 +461,7 @@ class TestSerialization:
 
     def test_format_tag_checked(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"format": "zzz"}')
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(ValueError, match="format 'zzz' is not"):
             ForestModel.load(tmp_path / "bad.json")
 
 

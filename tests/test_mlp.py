@@ -225,7 +225,7 @@ class TestSerialization:
 
     def test_format_tag_checked(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"format": "nope"}')
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(ValueError, match="format 'nope' is not"):
             MlpModel.load(tmp_path / "bad.json")
 
     def test_config_validation(self):

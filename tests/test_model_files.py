@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import base64
+import contextlib
+import functools
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import sparse_projection
 
 from hwr import cli, dataset, dimred, forest, imaging, mlp, svm, synth
@@ -389,6 +395,111 @@ def test_inconsistent_forest_eval_exit_2(case, tmp_path, capsys):
                      str(tmp_path / "x.labels"), "--model", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: malformed hwr-rf/2 model ")
+
+
+@functools.cache
+def _saved(layout: str) -> bytes:
+    """The bytes of the tiny model of a layout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _tiny_model(layout).save(Path(tmp) / "model.json")
+        return (Path(tmp) / "model.json").read_bytes()
+
+
+# Integers stay in [-2, 42] or above 2**60, and a nudge moves one by at most 2: a
+# projection that loads has a few thousand entries, and one of more entries than an
+# address space holds fails at its allocation.
+_INTEGERS = st.one_of(st.integers(-2, 42), st.sampled_from([2**61, 2**63, 2**64]))
+_WORDS = sorted({layout.split()[0] for layout in LAYOUT}) + ["rbf", "gaussian", "sparse",
+                                                              "splitmix64"]
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTEGERS, st.floats(), st.text(max_size=6),
+              st.sampled_from(_WORDS), st.lists(st.floats(), max_size=6).map(dataset.pack)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _model_files(draw, layout: str) -> bytes:
+    """The tiny model of a layout after up to three edits, each of which drops a field,
+    replaces it, nudges an integer or replaces one list entry; or its bytes with one run
+    cut out or one byte changed."""
+    if draw(st.booleans()):
+        data = _saved(layout)
+        start = draw(st.integers(0, len(data)))
+        if draw(st.booleans()):
+            return data[:start] + data[start + draw(st.integers(1, 8)):]
+        return data[:start] + bytes([draw(st.sampled_from(b'{}[],:" x\xff'))]) + data[start + 1:]
+    doc = json.loads(_saved(layout))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["format"]))
+        value, edit = doc.get(key), draw(st.sampled_from(["drop", "replace", "nudge", "entry"]))
+        if edit == "entry" and isinstance(value, list) and value:
+            value[draw(st.integers(0, len(value) - 1))] = draw(_VALUES)
+        elif edit == "nudge" and type(value) is int:
+            doc[key] = value + draw(st.sampled_from([-2, -1, 1, 2]))
+        elif edit == "drop":
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_VALUES)
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The blobs as an FMX with labels for `eval`, and a forest for `predict` to serve."""
+    root = tmp_path_factory.mktemp("model-fuzz")
+    X, y = _blobs()
+    dataset.write_fmx(X, root / "x.fmx")
+    dataset.write_label_file(y, root / "x.labels")
+    (root / "rf.json").write_bytes(_saved("hwr-rf/2"))
+    return root
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUT))
+class TestReadModelFuzz:
+    """Whatever its bytes, a model file loads as a model that takes rows of exactly its input
+    width d, or raises ModelFileError naming its path.  `hwr predict`, and `hwr eval` for a
+    classifier, then exit 2 with that one line, before they look at the image."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_model_or_error_naming_the_path(self, layout, fuzz_inputs, data):
+        classifier = layout not in ("hwr-pca/2", "hwr-rp/2 gaussian", "hwr-rp/2 sparse")
+        load = cli.load_classifier if classifier else dimred.load_reducer
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_bytes(data.draw(_model_files(layout)))
+            try:
+                model = load(path)
+            except ModelFileError as exc:
+                message = str(exc)
+                assert message.startswith(f"{path}: ")
+                served = ["--model", str(path)] if classifier else [
+                    "--reducer", str(path), "--model", str(fuzz_inputs / "rf.json")]
+                # no such image: the model's refusal must come before any read of it
+                commands = [["predict", "--image", f"{tmp}/absent.pgm", *served]]
+                if classifier:
+                    commands.append(["eval", "--in", str(fuzz_inputs / "x.fmx"), "--labels",
+                                     str(fuzz_inputs / "x.labels"), "--model", str(path)])
+                for argv in commands:
+                    assert _cli(argv) == (2, "", f"error: {message}\n"), argv
+                return
+        apply = model.predict_batch if classifier else model.transform
+        assert type(model.d) is int and model.d >= 0
+        for width in {model.d - 1, model.d, model.d + 1} & set(range(1000)):
+            if width == model.d:
+                assert apply(np.zeros((1, width))).shape[0] == 1
+            else:
+                with pytest.raises(ValueError):
+                    apply(np.zeros((1, width)))
 
 
 def _python_encoder_bytes(doc: dict) -> bytes:
