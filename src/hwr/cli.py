@@ -94,8 +94,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         model, reduced = dimred.pca_reduce(X, args.dim)  # centers X in place
     else:
         kind = {"grp": "gaussian", "srp": "sparse"}[args.method]
-        model = dimred.rp_fit(kind, X.shape[1], args.dim, _stage_seed(args.seed, "reduce"))
-        reduced = model.transform(X)
+        model, reduced = dimred.rp_reduce(kind, X, args.dim, _stage_seed(args.seed, "reduce"))
     model.save(args.model)
     dataset.write_fmx(reduced, args.out)
     print(f"{reduced.shape[0]} x {reduced.shape[1]} reduced matrix written to {args.out}")

@@ -239,6 +239,14 @@ def number(value, kind: type = int):
     raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a positive number'}")
 
 
+def size(doc: dict, key: str) -> int:
+    """A model file's width or count, ``doc[key]``: an integer of at least 1."""
+    value = number(doc[key])
+    if value < 1:
+        raise ValueError(f"{key} is {value}, not at least 1")
+    return value
+
+
 def write_model(path: str | os.PathLike, doc: dict) -> None:
     """Write a model document, its "format" tag first, as one line of JSON."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -18,7 +18,9 @@ again:
 PCA and both projections reduce a batch one row at a time, each row by one
 BLAS product of the shape a lone row makes, so a reduced row has the same
 bits whatever the batch, the block or the worker that holds it: `hwr predict`
-reduces an image to the bits `hwr reduce` wrote for it.
+reduces an image to the bits `hwr reduce` wrote for it.  `rp_reduce`, the
+projection of `hwr reduce`, never holds the k x d matrix: it draws and applies
+it BLOCK rows at a time, to the same bits.
 
 Table-matching target dimensions come from the Johnson-Lindenstrauss bound
 jl_min_dim(n=736, eps=0.5/0.3/0.2) = 316/733/1523.
@@ -86,7 +88,7 @@ class PcaModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PcaModel":
-        d, k = dataset.number(doc["d"]), dataset.number(doc["k"])
+        d, k = dataset.size(doc, "d"), dataset.size(doc, "k")
         return cls(
             mean=dataset.unpack(doc["mean"], d),
             components=dataset.unpack(doc["components"], k, d),
@@ -157,7 +159,8 @@ class ProjectionMatrix:
     seed: int
     d: int
     k: int
-    matrix: np.ndarray        # (k, d) entries, redrawn from (kind, d, k, seed) on load
+    matrix: np.ndarray | None  # (k, d) entries, redrawn from (kind, d, k, seed) on load;
+                               # None in the one `rp_reduce` returns, which is only saved
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return project(self, X)
@@ -185,17 +188,54 @@ class ProjectionMatrix:
 
 def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
     """Draw a k x d random projection, deterministic in (kind, d, k, seed)."""
+    _check_projection(kind, d, k)
+    matrix = np.empty((k, d))  # allocated first, so a shape too large for memory fails at once
+    _draw(kind, k, seed, 0, matrix)
+    return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)
+
+
+def rp_reduce(kind: str, X: np.ndarray, k: int, seed: int) -> tuple[ProjectionMatrix, np.ndarray]:
+    """``rp_fit(kind, d, k, seed)``, d the width of X, without its matrix, and X's rows
+    projected by it, bit for bit, holding no k x d matrix.
+
+    The projection is drawn and applied BLOCK rows at a time, one `workers.map_jobs`
+    job per block: a job draws its rows and writes their columns of every reduced row
+    by the one-row product of `project`.  Such a product has the bits of the whole
+    matrix's, except for a one-row block, which numpy computes by another path; so a
+    last block of one row joins the block before it.
+    """
+    X = _as_matrix(X)
+    n, d = X.shape
+    _check_projection(kind, d, k)
+    starts = range(0, max(k - 1, 1), workers.BLOCK)  # no block starts at row k - 1 of k > 1
+    # allocated before any draw, so a shape too large for memory fails at once
+    out = workers.matrix(n, k, shared=len(starts) > 1)
+
+    def block(r0: int) -> None:
+        r1 = k if k - r0 <= workers.BLOCK + 1 else r0 + workers.BLOCK
+        rows = np.empty((r1 - r0, d))
+        _draw(kind, k, seed, r0, rows)
+        _times_rows(X, rows.T, out[:, r0:r1])
+
+    workers.map_jobs(block, starts)
+    return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=None), out
+
+
+def _check_projection(kind: str, d: int, k: int) -> None:
     if kind not in ("gaussian", "sparse"):
         raise ValueError(f"kind must be 'gaussian' or 'sparse', got {kind!r}")
     if d < 1 or k < 1:
         raise ValueError(f"dimensions must be >= 1, got d={d}, k={k}")
-    # allocated first, so a shape too large for memory fails at once; filled one
-    # rng.CHUNK of entries at a time, so no draw outlives its step
-    matrix = np.empty((k, d))
-    entries = matrix.reshape(-1)
+
+
+def _draw(kind: str, k: int, seed: int, first: int, rows: np.ndarray) -> None:
+    """Fill ``rows``, of shape (r, d), with rows first..first+r-1 of the k x d projection,
+    one rng.CHUNK of entries at a time, so that no draw outlives its step."""
+    entries = rows.reshape(-1)
+    offset = first * rows.shape[1]  # entry t of the matrix is entries[t - offset]
     if kind == "gaussian":
         # a step of 2 * CHUNK draws starts at an even draw: each pair u[2t], u[2t+1] is in one
-        for start, bits in rng.blocks(seed, 2 * entries.size, 2 * rng.CHUNK):
+        for start, bits in rng.blocks(seed, 2 * entries.size, 2 * rng.CHUNK, 2 * offset):
             bits >>= np.uint64(11)
             u = bits * 2.0**-53
             z = entries[start // 2:(start + len(u)) // 2]
@@ -205,10 +245,9 @@ def rp_fit(kind: str, d: int, k: int, seed: int) -> ProjectionMatrix:
         scale = math.sqrt(3.0 / k)
         # an entry is values[c], c the number of the bounds _THIRD and _SIXTH its draw is below
         values = np.array([0.0, -scale, scale])
-        for start, draws in rng.blocks(seed, entries.size):
+        for start, draws in rng.blocks(seed, entries.size, rng.CHUNK, offset):
             code = np.add(draws < _THIRD, draws < _SIXTH, dtype=np.uint8)
             np.take(values, code, out=entries[start:start + len(draws)])
-    return ProjectionMatrix(kind=kind, seed=seed, d=d, k=k, matrix=matrix)
 
 
 def project(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
@@ -226,12 +265,14 @@ def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     not depend on the batch, the block or the row's offset in memory.
     """
     MT = M.T
+    return workers.map_rows(lambda start, stop, out: _times_rows(X[start:stop], MT, out),
+                            X.shape[0], M.shape[0])[0]
 
-    def rows(start: int, stop: int, out: np.ndarray) -> None:
-        for i in range(start, stop):
-            np.matmul(X[i], MT, out=out[i - start])
 
-    return workers.map_rows(rows, X.shape[0], M.shape[0])[0]
+def _times_rows(X: np.ndarray, MT: np.ndarray, out: np.ndarray) -> None:
+    """Row i of ``out`` = ``np.matmul(X[i], MT)``, the product of a lone row."""
+    for i, x in enumerate(X):
+        np.matmul(x, MT, out=out[i])
 
 
 def jl_min_dim(n: int, eps: float) -> int:

@@ -131,7 +131,10 @@ def _best_split(
         gain = float(gains[i, cut])
         if gain <= _GAIN_EPS:
             continue
-        threshold = float(0.5 * (sv[i, cut] + sv[i, cut + 1]))
+        lo, hi = float(sv[i, cut]), float(sv[i, cut + 1])
+        threshold = 0.5 * (lo + hi)
+        if not lo <= threshold < hi:  # rounded onto hi, or overflowed: a cut that parts nothing
+            threshold = lo
         if best is None or gain > best[0] + _GAIN_EPS:
             best = (gain, int(features[i]), threshold)
     return best
@@ -317,7 +320,7 @@ class ForestModel:
         if dataset.number(doc["n_classes"]) != N_CLASSES:
             raise ValueError(f"n_classes is {doc['n_classes']!r}, not {N_CLASSES}")
         return cls.from_preorder(doc["feature"], doc["threshold"], doc["counts"],
-                                 dataset.number(doc["d"]), dataset.number(doc["seed"]))
+                                 dataset.size(doc, "d"), dataset.number(doc["seed"]))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ForestModel":

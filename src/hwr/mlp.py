@@ -67,7 +67,7 @@ class MlpModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MlpModel":
-        d, h, o = (dataset.number(doc[key]) for key in ("m", "h", "o"))
+        d, h, o = (dataset.size(doc, key) for key in ("m", "h", "o"))
         return cls(
             w1=dataset.unpack(doc["w1"], h, d),
             b1=dataset.unpack(doc["b1"], h),

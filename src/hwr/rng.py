@@ -11,7 +11,8 @@ splitmix64: output i (0-based) of stream `seed` is
     out = z ^ (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits: (out >> 11) * 2**-53.
-A stream is always read from its start, by `blocks`: outputs 0..count-1.
+A stream is read by `blocks`, from output `first` on: a part of a
+projection drawn alone is drawn from its own place in the stream.
 Serialized models record GENERATOR_NAME so files are self-describing.
 """
 
@@ -32,9 +33,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 CHUNK = 1 << 14  # outputs mixed at a time, in place: two 128 KiB buffers stay in cache
 
 
-def blocks(seed: int, count: int, size: int = CHUNK) -> Iterator[tuple[int, np.ndarray]]:
-    """Outputs 0..count-1 of the splitmix64 stream as (start, block) pairs of ``size``
-    outputs (the last block may be shorter).
+def blocks(seed: int, count: int, size: int = CHUNK,
+           first: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """Outputs first..first+count-1 of the splitmix64 stream as (offset, block) pairs
+    of ``size`` outputs, ``offset`` counted from ``first`` (the last block may be shorter).
 
     Any integer seed is taken modulo 2**64.  Each block is mixed in place in one
     buffer, which the caller may overwrite and the next block reuses.
@@ -43,8 +45,9 @@ def blocks(seed: int, count: int, size: int = CHUNK) -> Iterator[tuple[int, np.n
     buffer, shifted = np.empty_like(ramp), np.empty_like(ramp)
     for start in range(0, count, size):
         z, t = buffer[:count - start], shifted[:count - start]
-        # z[i] = seed + (start + i + 1) * gamma = ramp[i] + (seed + start * gamma)
-        np.add(ramp[:len(z)], np.uint64((seed + start * _GAMMA_INT) & _MASK64), out=z)
+        # z[i] = seed + (first + start + i + 1) * gamma
+        #      = ramp[i] + (seed + (first + start) * gamma)
+        np.add(ramp[:len(z)], np.uint64((seed + (first + start) * _GAMMA_INT) & _MASK64), out=z)
         np.right_shift(z, np.uint64(30), out=t)
         z ^= t
         z *= _MIX1

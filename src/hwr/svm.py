@@ -459,7 +459,7 @@ class SvmModel:
         missing = set(itertools.combinations(sorted(classes), 2)) - set(pairs)
         if missing:
             raise ValueError(f"pair {list(min(missing))} of classes {classes} is missing")
-        n, dim = dataset.number(doc["n_support"]), dataset.number(doc["dim"])
+        n, dim = dataset.number(doc["n_support"]), dataset.size(doc, "dim")
         return cls(classes, pairs, dataset.unpack(doc["support_vectors"], n, dim),
                    dataset.unpack(doc["coef"], len(pairs), n),
                    dataset.unpack(doc["bias"], len(pairs)), c, gamma,

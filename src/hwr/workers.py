@@ -94,6 +94,18 @@ def map_rows(fn, n: int, width: int) -> tuple[np.ndarray, list]:
     block runs inline, into plain memory.  ``n`` and ``width`` must be at
     least 1.
     """
-    out = (np.empty((n, width)) if n <= BLOCK else
-           np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width))
+    out = matrix(n, width, shared=n > BLOCK)
     return out, map_jobs(lambda job: fn(*job, out[job[0]:job[1]]), blocks(n))
+
+
+def matrix(n: int, width: int, shared: bool) -> np.ndarray:
+    """An (n, width) float64 matrix; if ``shared``, in anonymous shared memory mapped now,
+    so that what workers forked later write to it is the caller's.  A size too large to
+    allocate or map raises MemoryError."""
+    if not shared:
+        return np.empty((n, width))
+    try:
+        buffer = mmap.mmap(-1, n * width * 8)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map a {n} x {width} float64 matrix: {exc}") from None
+    return np.frombuffer(buffer, dtype=np.float64).reshape(n, width)

@@ -3,8 +3,8 @@
 `COMMANDS` runs the whole pipeline on a small synthetic corpus: synth,
 features with and without ``--scalars``, pca, grp and srp reduce, mlp, svm
 (grid and fixed C/gamma) and rf train and eval, an rf train and eval on
-the per-class (``--stratify``) split, cold predicts and one refused model
-file.  `run` executes them in one directory at one
+the per-class (``--stratify``) split, cold predicts, one refused model
+file and an srp reduce to 65 dimensions.  `run` executes them in one directory at one
 ``HWR_SEED`` and hashes every file written there, plus each command's
 stdout, stderr and exit code.  ``golden.json`` beside this script holds the
 hashes at each seed of `SEEDS`, with the `environment` they were made in:
@@ -103,6 +103,9 @@ COMMANDS = [
     _predict("c03_s004.pgm", "pca.json", "pca.json"),  # a reducer is no classifier: exit 2
     _train("pca.fmx", "f.fmx.labels", "rf", "rf_strat.json", "--trees", "30", "--stratify"),
     _eval("pca.fmx", "f.fmx.labels", "rf_strat.json", "--stratify"),
+    # 65 = 64 + 1: the last projection row is drawn and applied with the 64 before it
+    ["reduce", "--in", "s.fmx", "--method", "srp", "--dim", "65", "--model", "srp65.json",
+     "--out", "srp65.fmx"],
 ]
 
 

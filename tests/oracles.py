@@ -402,7 +402,10 @@ def scalar_best_split(
         gain = float(gains[pick])
         if gain <= _GAIN_EPS:
             continue
-        threshold = float(0.5 * (sv[cuts[pick]] + sv[cuts[pick] + 1]))
+        lo, hi = float(sv[cuts[pick]]), float(sv[cuts[pick] + 1])
+        threshold = 0.5 * (lo + hi)
+        if not lo <= threshold < hi:
+            threshold = lo
         if best is None or gain > best[0] + _GAIN_EPS:
             best = (gain, int(f), threshold)
     return best

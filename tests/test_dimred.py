@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import centered_copy_pca, sparse_projection
 
-from hwr import dimred, workers
+from hwr import dataset, dimred, workers
 from hwr.dimred import (
     PcaModel,
     ProjectionMatrix,
@@ -279,6 +279,45 @@ class TestProject:
         P = rp_fit("gaussian", 6, 3, seed=0)
         with pytest.raises(ValueError, match="columns"):
             project(P, np.zeros((2, 7)))
+
+
+class TestRpReduce:
+    """`rp_reduce`, which never holds the k x d matrix, writes the bytes of `rp_fit` and
+    `project`: the same hwr-rp/2 file and the same reduced FMX."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Two CPUs, so that more than one block of projection rows forks workers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    # one block; one of 65 rows, a one-row tail folded in; two blocks, the second of one
+    # row more; and the JL dimension.  Feature rows in one block of `project` and in three.
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 128, 129, 733])
+    @pytest.mark.parametrize("n", [40, 2 * workers.BLOCK + 2])
+    @pytest.mark.parametrize("kind", ["gaussian", "sparse"])
+    def test_files_are_those_of_rp_fit_and_project(self, kind, n, k, tmp_path):
+        gen = np.random.default_rng([n, k])
+        X = np.abs(gen.normal(size=(n, 3780)))
+        X[:, ::5] = 0.0  # exact zeros, as HOG rows have
+        model, reduced = dimred.rp_reduce(kind, X, k, seed=42)
+        assert model.matrix is None
+        expected = rp_fit(kind, 3780, k, seed=42)
+        model.save(tmp_path / "got.json")
+        expected.save(tmp_path / "want.json")
+        dataset.write_fmx(reduced, tmp_path / "got.fmx")
+        dataset.write_fmx(expected.transform(X), tmp_path / "want.fmx")
+        for suffix in (".json", ".fmx"):
+            got, want = (tmp_path / f"{name}{suffix}" for name in ("got", "want"))
+            assert got.read_bytes() == want.read_bytes(), suffix
+
+    def test_refuses_what_rp_fit_refuses(self):
+        X = np.ones((3, 4))
+        for kind, k in (("uniform", 2), ("sparse", 0), ("gaussian", -1)):
+            with pytest.raises(ValueError) as want:
+                rp_fit(kind, 4, k, seed=0)
+            with pytest.raises(ValueError) as got:
+                dimred.rp_reduce(kind, X, k, seed=0)
+            assert str(got.value) == str(want.value)
 
 
 # values whose sums cannot overflow, and the rows of one block, of one more, and of three

@@ -137,6 +137,13 @@ class TestScalarFeatures:
         mask[1, 0] = mask[2, 1] = mask[4, 2] = True
         assert scalar_features(mask) == (1, 2, 9)
 
+    # Empty 2-D masks kill the ``or`` -> ``and`` mutant of the check, nonempty masks
+    # of another rank the ``raise`` -> ``pass`` one, and all of them both.
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (5,), (2, 2, 2), ()])
+    def test_empty_or_not_2d_mask_refused(self, shape):
+        with pytest.raises(ValueError, match=r"^expected a nonempty 2-D mask, got shape "):
+            scalar_features(np.ones(shape, dtype=bool))
+
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.bool_, st.tuples(st.integers(1, 9), st.integers(1, 9)),
                   elements=st.booleans()))

@@ -84,6 +84,31 @@ class TestGrowTree:
         oracle = exhaustive_best_split(X, y - 1, [0])
         assert threshold[0] == oracle[2]
 
+    def test_row_at_a_threshold_goes_left(self):
+        """Kills the ``<=`` -> ``<`` mutant of grow_tree's partition.
+
+        The midpoint of 1 and the next float rounds onto 1, so row 0 lies at the
+        threshold: ``<`` sends it right, leaving the left child empty."""
+        X = np.array([[1.0, 0.0], [np.nextafter(1.0, 2.0), 1.0]])
+        feature, threshold, counts = grow_tree(X, np.array([1, 2]), tree_seed=1)  # draws f0
+        assert (feature, threshold) == ([0, -1, -1], [1.0, 0.0, 0.0])
+        assert counts.tolist() == [[1, 0] + [0] * 12, [0, 1] + [0] * 12]
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # the midpoint rounds onto hi
+        (1e308, np.finfo(np.float64).max),  # the sum overflows to inf
+        (-np.finfo(np.float64).max, -1e308),  # and to -inf
+    ])
+    def test_threshold_parts_the_two_values_it_cuts_between(self, lo, hi):
+        """A cut's threshold t keeps lo <= t < hi, so that its split parts the node: a
+        midpoint that rounds onto hi or overflows is replaced by lo.  (A threshold of hi,
+        or one of +-inf, sends every row to one side, and the tree grows for ever.)"""
+        X, y0 = np.array([[lo], [hi]]), np.array([0, 1])
+        assert _vector_split(X, y0, [0]) == (0.5, 0, lo) == scalar_best_split(X, y0, [0],
+                                                                              N_CLASSES)
+        feature, threshold, _ = grow_tree(X, y0 + 1, tree_seed=0)
+        assert (feature, threshold) == ([0, -1, -1], [lo, 0.0, 0.0])
+
     def test_feature_subset_size_sqrt_100(self, monkeypatch):
         drawn = []
         original = forest._best_split

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import difflib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ class TestUnicodeToLabel:
     def test_unknown_string_lists_candidates(self):
         with pytest.raises(LookupError, match="nearest"):
             unicode_to_label("കൊല്ല")  # truncated name
+
+    @pytest.mark.parametrize("query", ["കൊല്ല", "", "x"])
+    def test_exactly_three_nearest_candidates(self, query):
+        """Kills the mutant that suggests 4 names (``n=3`` -> ``n=4``): the three
+        names difflib ranks nearest, in its order."""
+        names = [label_to_unicode(cid) for cid in range(1, N_CLASSES + 1)]
+        with pytest.raises(LookupError) as info:
+            unicode_to_label(query)
+        near = difflib.get_close_matches(query, names, n=N_CLASSES, cutoff=0.0)[:3]
+        assert len(near) == 3 and str(info.value).endswith(f"; nearest candidates: {near}")
 
 
 class TestTable:

@@ -397,6 +397,62 @@ def test_inconsistent_forest_eval_exit_2(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: malformed hwr-rf/2 model ")
 
 
+def _one_leaf_of_width_0(doc: dict) -> None:
+    """Make a saved forest one tree of one leaf, which splits on none of its 0 features."""
+    doc.update(d=0, feature=[-1], threshold=[0.0], counts=[1] + [0] * 13)
+
+
+# Each edit gives a saved model an input width of 0, or a PCA no components or an
+# MLP no hidden units, with payloads of the shapes it states, so that nothing but
+# the size itself is wrong.
+WIDTH_ZERO = {
+    "pca-d-0": ("hwr-pca/2", lambda doc: doc.update(
+        d=0, mean=dataset.pack(np.zeros(0)), components=dataset.pack(np.zeros((doc["k"], 0))))),
+    "pca-k-0": ("hwr-pca/2", lambda doc: doc.update(
+        k=0, components=dataset.pack(np.zeros((0, doc["d"]))),
+        explained_variance=dataset.pack(np.zeros(0)))),
+    "mlp-m-0": ("hwr-mlp/2", lambda doc: doc.update(
+        m=0, w1=dataset.pack(np.zeros((doc["h"], 0))))),
+    "mlp-h-0": ("hwr-mlp/2", lambda doc: doc.update(
+        h=0, w1=dataset.pack(np.zeros((0, doc["m"]))), b1=dataset.pack(np.zeros(0)),
+        w2=dataset.pack(np.zeros((doc["o"], 0))))),
+    "svm-dim-0": ("hwr-svm/3", lambda doc: doc.update(
+        dim=0, support_vectors=dataset.pack(np.zeros((doc["n_support"], 0))))),
+    "rf-d-0": ("hwr-rf/2", _one_leaf_of_width_0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDTH_ZERO))
+def test_size_zero_refused_and_cli_exit_2(case, tmp_path):
+    """A model of input width 0 (or of no PCA components or hidden units) is refused by its
+    loader, and `hwr predict` and `hwr eval` exit 2 with the one line of that refusal."""
+    layout, edit = WIDTH_ZERO[case]
+    key = case.split("-")[1]
+    path = tmp_path / "model.json"
+    doc = json.loads(_saved(layout))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError) as info:
+        dataset.read_model(path, PcaModel, MlpModel, SvmModel, ForestModel)
+    message = str(info.value)
+    assert message.startswith(f"{path}: malformed {layout} model (")
+    assert f"{key} is 0, not at least 1" in message
+    X, y = _blobs()
+    dataset.write_fmx(X, tmp_path / "x.fmx")
+    dataset.write_label_file(y, tmp_path / "x.labels")
+    absent = str(tmp_path / "absent.pgm")  # the model's refusal comes before any read of it
+    if layout == "hwr-pca/2":
+        (tmp_path / "rf.json").write_bytes(_saved("hwr-rf/2"))
+        commands = [["predict", "--image", absent, "--reducer", str(path),
+                     "--model", str(tmp_path / "rf.json")]]
+    else:
+        commands = [["predict", "--image", absent, "--model", str(path)],
+                    ["eval", "--in", str(tmp_path / "x.fmx"), "--labels",
+                     str(tmp_path / "x.labels"), "--model", str(path)]]
+    for argv in commands:
+        assert _cli(argv) == (2, "", f"error: {message}\n"), argv
+
+
 @functools.cache
 def _saved(layout: str) -> bytes:
     """The bytes of the tiny model of a layout."""

@@ -37,6 +37,16 @@ def test_blocks_are_consecutive_and_full_but_the_last(count, size):
     assert [n for _, n in spans] == [min(size, count - start) for start, _ in spans]
 
 
+@pytest.mark.parametrize("first", [1, rng.CHUNK - 1, rng.CHUNK + 3])
+@pytest.mark.parametrize("size", SIZES)
+def test_blocks_from_an_offset_are_the_stream_from_there(stream, first, size):
+    seed, outputs = stream
+    count = len(outputs) - first
+    spans = [(start, block.tolist()) for start, block in rng.blocks(seed, count, size, first)]
+    assert [start for start, _ in spans] == list(range(0, count, size))
+    assert [z for _, block in spans for z in block] == outputs[first:]
+
+
 @pytest.mark.parametrize("count", COUNTS)
 def test_uniforms_are_the_top_53_bits(stream, count):
     seed, outputs = stream
