@@ -38,6 +38,17 @@ def _master_seed() -> int:
         raise ValueError(f"HWR_SEED must be an integer, got {raw!r}") from None
 
 
+def _seed(text: str) -> int:
+    """A --seed or --split-seed value: a non-negative integer, as numpy's seeds are."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _stage_seed(explicit: int | None, stage: str) -> int:
     return explicit if explicit is not None else derive_seed(_master_seed(), stage)
 
@@ -168,7 +179,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _add_split_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--split-seed", type=int, default=None,
+    parser.add_argument("--split-seed", type=_seed, default=None,
                         help="seed of the train/test shuffle (default: derived)")
     parser.add_argument("--ratio", type=float, default=0.8, help="train fraction")
     parser.add_argument("--stratify", action="store_true",
@@ -185,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic word-image dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--per-class", type=int, required=True, help="samples per class")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", help="extract HOG features for a manifest")
@@ -199,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input FMX1 path")
     p.add_argument("--method", choices=("pca", "grp", "srp"), required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--model", required=True, help="output model path")
     p.add_argument("--out", required=True, help="output FMX1 path")
     p.set_defaults(func=cmd_reduce)
@@ -209,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--classifier", choices=("mlp", "svm", "rf"), required=True)
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     _add_split_options(p)
     p.add_argument("--hidden", type=int, default=100, help="mlp hidden neurons")
     p.add_argument("--lr", type=float, default=0.01)

@@ -247,6 +247,22 @@ def size(doc: dict, key: str) -> int:
     return value
 
 
+def positive(name: str, value: float) -> None:
+    """Refuse a C, gamma or learning rate that is not finite and > 0, as model files do."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be {'finite' if value > 0 else '> 0'}, got {value}")
+
+
+def rows(X, d: int | None = None) -> np.ndarray:
+    """X as float64 rows for every model and trainer: a vector is one row, zero rows pass,
+    values are not read; another shape, or a width other than a given ``d``, is refused."""
+    arr = np.asarray(X, dtype=np.float64)
+    if arr.ndim not in (1, 2) or (d is not None and arr.shape[-1] != d):
+        columns = "" if d is None else f" of {d} columns"
+        raise ValueError(f"expected a row or rows{columns}, got shape {arr.shape}")
+    return np.atleast_2d(arr)
+
+
 def write_model(path: str | os.PathLike, doc: dict) -> None:
     """Write a model document, its "format" tag first, as one line of JSON."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -18,7 +18,8 @@ again:
 PCA and both projections reduce a batch one row at a time, each row by one
 BLAS product of the shape a lone row makes, so a reduced row has the same
 bits whatever the batch, the block or the worker that holds it: `hwr predict`
-reduces an image to the bits `hwr reduce` wrote for it.  `rp_reduce`, the
+reduces an image to the bits `hwr reduce` wrote for it.  A transform takes
+`dataset.rows`; a fit also refuses empty or non-finite data.  `rp_reduce`, the
 projection of `hwr reduce`, never holds the k x d matrix: it draws and applies
 it BLOCK rows at a time, to the same bits.
 
@@ -42,12 +43,12 @@ from . import dataset, rng, workers
 _SIXTH, _THIRD = (np.uint64(math.ceil(2.0**53 * p) << 11) for p in (1.0 / 6.0, 1.0 / 3.0))
 
 
-def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
+def _as_matrix(X: np.ndarray) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {arr.shape}")
+        raise ValueError(f"X must be a nonempty 2-D matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("X contains non-finite values")
     return arr
 
 
@@ -71,10 +72,7 @@ class PcaModel:
         return pca_transform(self, X)
 
     def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
-        Z = _as_matrix(Z, "Z")
-        if Z.shape[1] != self.k:
-            raise ValueError(f"Z has {Z.shape[1]} columns, model produces {self.k}")
-        return Z @ self.components + self.mean
+        return dataset.rows(Z, self.k) @ self.components + self.mean
 
     def save(self, path: str | os.PathLike) -> None:
         dataset.write_model(path, {
@@ -143,10 +141,7 @@ def _fit_centering(X: np.ndarray, k: int) -> tuple[PcaModel, np.ndarray]:
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    X = _as_matrix(X)
-    if X.shape[1] != model.d:
-        raise ValueError(f"X has {X.shape[1]} columns, model expects {model.d}")
-    return _rows_times(X - model.mean, model.components)
+    return _rows_times(dataset.rows(X, model.d) - model.mean, model.components)
 
 
 @dataclass
@@ -252,10 +247,7 @@ def _draw(kind: str, k: int, seed: int, first: int, rows: np.ndarray) -> None:
 
 def project(P: ProjectionMatrix, X: np.ndarray) -> np.ndarray:
     """The rows of X projected by P."""
-    X = _as_matrix(X)
-    if X.shape[1] != P.d:
-        raise ValueError(f"X has {X.shape[1]} columns, projection expects {P.d}")
-    return _rows_times(X, P.matrix)
+    return _rows_times(dataset.rows(X, P.d), P.matrix)
 
 
 def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:

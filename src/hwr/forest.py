@@ -144,7 +144,7 @@ def grow_tree(X: np.ndarray, labels: np.ndarray, tree_seed) -> tuple[list, list,
     """CART tree over 1-based labels, floor(sqrt(d)) candidate features per node, in
     preorder: features and thresholds (-1 and 0.0 at a leaf), and a row of counts per leaf.
     A split pushes its right rows under its left ones, so nodes come off the stack in preorder."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = dataset.rows(X)
     y = class_ids(labels, X.shape[0])
     if not y.size:
         raise ValueError("need at least one sample")
@@ -289,9 +289,7 @@ class ForestModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf class distribution of every row, shape (rows, N_CLASSES)."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"input has shape {X.shape[1:]}, forest expects length {self.d}")
+        X = dataset.rows(X, self.d)
         flat = X.ravel()
         row_start = np.arange(X.shape[0])[:, None] * self.d
         node = np.broadcast_to(self.roots, (X.shape[0], self.m))
@@ -333,7 +331,7 @@ def rf_train(X: np.ndarray, labels: np.ndarray, m: int, seed: int) -> ForestMode
     Tree b depends only on (seed, b) and the training rows, so the trees are
     grown by ``workers.map_jobs`` and their preorders concatenated in tree order.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = dataset.rows(X)
     labels = class_ids(labels, X.shape[0])
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
@@ -355,11 +353,10 @@ def bootstrap_indices(seed: int, tree_index: int, n: int) -> np.ndarray:
 
 
 def rf_predict_proba(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Unweighted mean of per-tree leaf class distributions of one sample."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.d:
-        raise ValueError(f"input has shape {x.shape}, forest expects length {model.d}")
-    return model.predict_proba(x[None])[0]
+    """Unweighted mean of per-tree leaf class distributions of one sample, a vector."""
+    if np.shape(x) != (model.d,):
+        raise ValueError(f"expected one sample of length {model.d}, got shape {np.shape(x)}")
+    return model.predict_proba(x)[0]
 
 
 def rf_predict(model: ForestModel, x: np.ndarray) -> int:

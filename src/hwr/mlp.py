@@ -93,9 +93,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lr = self.learning_rate
-        if not 0 < lr < math.inf:
-            raise ValueError(f"learning_rate must be {'finite' if lr > 0 else '> 0'}, got {lr}")
+        dataset.positive("learning_rate", self.learning_rate)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -115,27 +113,17 @@ def mlp_init(d: int, h: int, o: int, seed: int) -> MlpModel:
     return model
 
 
-def _check_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.d:
-        raise ValueError(f"X has shape {arr.shape}, model expects {model.d} columns")
-    return arr
-
-
 def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations (n, h) and output probabilities (n, o) of the rows of X.
-
-    X must be a 2-D matrix with one column per model input; a single
-    sample is a 1-row matrix.
-    """
-    hidden = np.maximum(0.0, _check_batch(model, X) @ model.w1.T + model.b1)
+    """Hidden activations (n, h) and output probabilities (n, o) of the rows of X,
+    ``dataset.rows`` of the model's width d."""
+    hidden = np.maximum(0.0, dataset.rows(X, model.d) @ model.w1.T + model.b1)
     logits = hidden @ model.w2.T + model.b2
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return hidden, e / e.sum(axis=1, keepdims=True)
 
 
 def _check_training_data(model: MlpModel, X, labels) -> tuple[np.ndarray, np.ndarray]:
-    X = _check_batch(model, X)
+    X = dataset.rows(X, model.d)
     y = class_ids(labels, X.shape[0])
     if not y.size:
         raise ValueError("need at least one training sample")

@@ -48,7 +48,6 @@ One-vs-one training and grid search run SMO to tol _TOL (1e-3).
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -82,22 +81,14 @@ class DegenerateDataError(TrainingError):
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """RBF Gram matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2)."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    A = dataset.rows(A)
     return _rbf(A, (A * A).sum(axis=1), B, gamma)
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Refuse a C or gamma that is not finite and > 0, as model files do."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be {'finite' if value > 0 else '> 0'}, got {value}")
 
 
 def _rbf(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """kernel_matrix(A, B, gamma) for a 2-D float64 A whose squared row norms are a_sq."""
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"feature dims differ: {A.shape[1]} vs {B.shape[1]}")
-    _check_positive("gamma", gamma)
+    B = dataset.rows(B, A.shape[1])
+    dataset.positive("gamma", gamma)
     sq = a_sq[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
@@ -155,7 +146,7 @@ class _Smo:
     def __init__(self, grams: list[np.ndarray], labels: list[np.ndarray],
                  costs: list[float], tol: float):
         for c in costs:
-            _check_positive("C", c)
+            dataset.positive("C", c)
         sizes = np.array([len(y) for y in labels])
         width = int(sizes.max())
         self.K = np.zeros((len(grams), width, width))
@@ -336,7 +327,7 @@ def smo_train(
 
     It may take 10*n^2 pair steps before raising ConvergenceError.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = dataset.rows(X)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
@@ -499,7 +490,7 @@ def _ovo_models(X: np.ndarray, labels: np.ndarray, costs: list[float],
     equal bytes share one column, numbered by first use over the sorted
     pairs; a column a machine holds twice gets the sum of its coefficients.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = dataset.rows(X)
     classes, pairs, rows_of, ys, byte_id = _ovo_problems(X, labels)
     # each Gram matrix from one array object (see the module docstring)
     grams = [kernel_matrix(Xp, Xp, gamma) for Xp in (X[rows] for rows in rows_of)]
@@ -556,7 +547,7 @@ def grid_search(X: np.ndarray, labels: np.ndarray, seed: int = 0) -> GridSearchR
     (fold, gamma) is one job of ``workers.map_jobs``, which trains the
     models of every C as one lockstep batch and scores the held-out rows.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = dataset.rows(X)
     labels = class_ids(labels, X.shape[0])
     n = labels.shape[0]
     c_values, gamma_values = sorted(DEFAULT_C_VALUES), sorted(DEFAULT_GAMMA_VALUES)

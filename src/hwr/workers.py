@@ -1,10 +1,11 @@
 """Independent jobs on the CPUs this process may run on.
 
 `map_jobs` forks one worker process per allowed CPU and maps a sized
-sequence of jobs (a list or a range) over them; `map_rows` fills the rows of
-one float64 matrix, BLOCK rows per job, for the per-image stages (synthesis,
-features) and the reducers.  Work that fits in one job runs inline, in this
-process, without a pool.
+sequence of jobs (a list or a range) over them, such as synthesis's `blocks`
+of images or `rp_reduce`'s blocks of projection rows, which write a shared
+`matrix`; `map_rows` fills the rows of one float64 matrix, BLOCK rows per
+job, for features and the reducers' transforms.  Work that fits in one job
+runs inline, in this process, without a pool.
 """
 
 from __future__ import annotations

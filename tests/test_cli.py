@@ -321,6 +321,26 @@ class TestTrainEvalPredict:
         assert code == 2
         assert "3780" in err and "8" in err  # both dims printed
 
+    @pytest.mark.parametrize("classifier, options", [
+        ("mlp", ["--hidden", "4", "--epochs", "1"]),
+        ("svm", ["--c", "1", "--gamma", "0.5"]),
+        ("rf", ["--trees", "2"]),
+    ])
+    def test_reducer_of_another_width_than_the_classifier_exit_2(
+            self, capsys, tmp_path, pipeline_dir, classifier, options):
+        """An srp reducer to 5 columns before a classifier of pca's 8: one `error:` line."""
+        model, reducer = tmp_path / f"{classifier}.json", tmp_path / "srp.json"
+        assert cli.main(["train", "--in", str(pipeline_dir / "reduced.fmx"),
+                         "--labels", str(pipeline_dir / "feat.fmx.labels"),
+                         "--classifier", classifier, "--out", str(model), *options]) == 0
+        assert cli.main(["reduce", "--in", str(pipeline_dir / "feat.fmx"), "--method", "srp",
+                         "--dim", "5", "--model", str(reducer),
+                         "--out", str(tmp_path / "srp.fmx")]) == 0
+        capsys.readouterr()
+        assert run(capsys, "predict", "--image", str(pipeline_dir / "imgs" / "c01_s000.pgm"),
+                   "--model", str(model), "--reducer", str(reducer)) == (
+            2, "", "error: expected a row or rows of 8 columns, got shape (1, 5)\n")
+
     @pytest.mark.parametrize("header", [b"P5 " + b"1" * 5000 + b" 1 255\n",
                                         b"P5 1 1 " + b"2" * 4301 + b"\n"],
                              ids=["width-5000", "maxval-4301"])
@@ -615,3 +635,35 @@ class TestTopLevel:
         a = (tmp_path / "a" / "c01_s000.pgm").read_bytes()
         b = (tmp_path / "b" / "c01_s000.pgm").read_bytes()
         assert a != b  # different master seeds give different images
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--out", "{tmp}/d", "--per-class", "1", "--seed", "-1"], "--seed"),
+        (["reduce", "--in", "{tmp}/x.fmx", "--method", "srp", "--dim", "3", "--seed=-1",
+          "--model", "{tmp}/m.json", "--out", "{tmp}/r.fmx"], "--seed"),
+        (["train", "--in", "{tmp}/x.fmx", "--labels", "{tmp}/x.labels", "--classifier", "rf",
+          "--out", "{tmp}/m.json", "--seed", "-1"], "--seed"),
+        (["train", "--in", "{tmp}/x.fmx", "--labels", "{tmp}/x.labels", "--classifier", "rf",
+          "--out", "{tmp}/m.json", "--split-seed", "-1"], "--split-seed"),
+        (["eval", "--in", "{tmp}/x.fmx", "--labels", "{tmp}/x.labels", "--model",
+          "{tmp}/m.json", "--split-seed", "-1"], "--split-seed"),
+    ], ids=["synth", "reduce", "train", "train-split", "eval-split"])
+    def test_negative_seed_is_a_usage_error_before_any_file(self, capsys, tmp_path, argv, flag):
+        """The inputs do not exist: exit 2, not a read's exit 1, and nothing is written."""
+        code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: expected a non-negative integer, got -1\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_that_is_not_an_integer(self, capsys, tmp_path):
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "d"), "--per-class", "1",
+                           "--seed", "1.5")
+        assert code == 2
+        assert err.endswith("error: argument --seed: invalid int value: '1.5'\n")
+
+    def test_projection_file_of_a_negative_seed_still_loads(self, tmp_path):
+        path = tmp_path / "srp.json"
+        dataset.write_model(path, {"format": "hwr-rp/2", "kind": "sparse",
+                                   "generator": "splitmix64", "seed": -1, "d": 9, "k": 4})
+        loaded = dimred.load_reducer(path)
+        assert loaded.seed == -1
+        assert loaded.matrix.tobytes() == dimred.rp_fit("sparse", 9, 4, -1).matrix.tobytes()

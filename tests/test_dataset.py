@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hwr import cli, svm
+from hwr import cli, dimred, forest, mlp, svm
 from hwr.dataset import (
     FmxError,
     Manifest,
@@ -26,6 +27,7 @@ from hwr.dataset import (
     pack,
     read_fmx,
     read_label_file,
+    rows,
     split,
     stratified_folds,
     unpack,
@@ -66,6 +68,13 @@ class TestManifest:
         with pytest.raises(ManifestError) as info:
             load_manifest(path)
         assert str(info.value) == f"{path}: no records"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: empty manifest"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -319,6 +328,14 @@ class TestFmx:
         with pytest.raises(FmxError):
             write_fmx(np.zeros((0, 5)), tmp_path / "bad.fmx")
 
+    @pytest.mark.parametrize("rows, cols", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_shape_rejected_on_read(self, tmp_path, rows, cols):
+        path = tmp_path / "empty.fmx"
+        path.write_bytes(b"FMX1" + struct.pack("<II", rows, cols))
+        with pytest.raises(FmxError) as info:
+            read_fmx(path)
+        assert str(info.value) == f"{path}: empty shape {rows}x{cols}"
+
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(FmxError, match="non-finite"):
             write_fmx(np.array([[np.nan]]), tmp_path / "bad.fmx")
@@ -527,3 +544,81 @@ class TestPayload:
         with pytest.raises(error):
             unpack(text, 1)
         assert unpack(pack([0.5]), 1).tolist() == [0.5]
+
+
+
+class TestRows:
+    """`rows` is the one row rule of every model input: a vector is one row, zero rows
+    pass, any other shape or width is refused with one message naming both widths."""
+
+    D = 6
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        """Each model kind over input width D, as the function that gives its result for rows."""
+        gen = np.random.default_rng(3)
+        X, y = gen.normal(size=(12, self.D)), np.repeat([2, 5, 9], 4)
+        net = mlp.mlp_init(self.D, 4, mlp.N_CLASSES, seed=0)
+        machines = svm.ovo_train(X, y, c=1.0, gamma=0.5)
+        return {
+            "pca": dimred.pca_fit(X, 2).transform,
+            "grp": dimred.rp_fit("gaussian", self.D, 3, seed=4).transform,
+            "srp": dimred.rp_fit("sparse", self.D, 3, seed=4).transform,
+            "mlp": lambda rows: mlp.forward(net, rows)[1],
+            "svm": lambda rows: machines.decisions(rows).T,
+            "rf": forest.rf_train(X, y, m=3, seed=1).predict_proba,
+        }
+
+    @pytest.mark.parametrize("kind", ["pca", "grp", "srp", "mlp", "svm", "rf"])
+    def test_every_model_takes_the_one_rule(self, models, kind):
+        result = models[kind]
+        x = np.random.default_rng(8).normal(size=self.D)
+        one = result(x[None, :])
+        assert one.shape[0] == 1
+        assert result(x).tobytes() == one.tobytes()
+        assert result(list(x)).tobytes() == one.tobytes()
+        assert result(np.zeros((0, self.D))).shape == (0, one.shape[1])
+        for shape in [(2, self.D - 1), (2, self.D + 1), (self.D + 1,), (2, 3, self.D), ()]:
+            message = f"expected a row or rows of {self.D} columns, got shape {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                result(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["mlp", "svm", "rf"])
+    def test_predict_batch_of_a_vector_is_that_of_its_row(self, kind):
+        gen = np.random.default_rng(5)
+        X, y = gen.normal(size=(12, self.D)), np.repeat([2, 5, 9], 4)
+        model = {"mlp": lambda: mlp.train(mlp.mlp_init(self.D, 4, mlp.N_CLASSES, seed=0), X, y,
+                                          mlp.TrainConfig(epochs=3, seed=0)),
+                 "svm": lambda: svm.ovo_train(X, y, c=1.0, gamma=0.5),
+                 "rf": lambda: forest.rf_train(X, y, m=3, seed=1)}[kind]()
+        assert model.predict_batch(X[4]).tolist() == model.predict_batch(X[4:5]).tolist()
+        assert model.predict_batch(np.zeros((0, self.D))).shape == (0,)
+
+    def test_pca_inverse_takes_rows_of_width_k(self):
+        model = dimred.pca_fit(np.random.default_rng(2).normal(size=(10, self.D)), 3)
+        z = np.array([0.5, -1.0, 2.0])
+        assert model.inverse_transform(z).tobytes() == model.inverse_transform(z[None]).tobytes()
+        assert model.inverse_transform(np.zeros((0, 3))).shape == (0, self.D)
+        with pytest.raises(ValueError, match=re.escape("rows of 3 columns, got shape (1, 4)")):
+            model.inverse_transform(np.zeros((1, 4)))
+
+    def test_without_a_width(self):
+        assert rows([1, 2]).dtype == np.float64 and rows([1, 2]).shape == (1, 2)
+        assert rows(np.zeros((0, 4))).shape == (0, 4)
+        X = np.array([[np.nan, np.inf]])
+        assert rows(X) is X  # float64 rows pass as they are, their values unread
+        for shape in [(), (2, 2, 2)]:
+            with pytest.raises(ValueError, match=re.escape(f"rows, got shape {shape}")):
+                rows(np.zeros(shape))
+
+    @pytest.mark.parametrize("train", [
+        lambda X: svm.kernel_matrix(X, X, 1.0),
+        lambda X: svm.smo_train(X, [1, -1], c=1.0),
+        lambda X: svm.ovo_train(X, [1, 2], c=1.0, gamma=1.0),
+        lambda X: svm.grid_search(X, [1, 2]),
+        lambda X: forest.grow_tree(X, [1, 2], 0),
+        lambda X: forest.rf_train(X, [1, 2], m=1, seed=0),
+    ], ids=["kernel_matrix", "smo_train", "ovo_train", "grid_search", "grow_tree", "rf_train"])
+    def test_trainers_refuse_what_is_not_rows(self, train):
+        with pytest.raises(ValueError, match=re.escape("rows, got shape (2, 1, 3)")):
+            train(np.zeros((2, 1, 3)))

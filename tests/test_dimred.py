@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import centered_copy_pca, sparse_projection
+from oracles import centered_copy_pca, sparse_projection, uniforms
 
 from hwr import dataset, dimred, workers
 from hwr.dimred import (
@@ -216,6 +216,15 @@ class TestRandomProjection:
         P = rp_fit("gaussian", 200, 50, seed=5)
         std = _dense(P).std()
         assert abs(std - 1 / math.sqrt(50)) < 0.01
+
+    def test_gaussian_entries_are_the_documented_draw_pairs(self):
+        """Entry t is sqrt(-2 ln(1 - u[2t])) cos(2 pi u[2t+1]) / sqrt(k), over more than one
+        rng.CHUNK of draw pairs."""
+        d, k = 200, 100
+        u = uniforms(7, 2 * d * k)
+        want = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2]) / math.sqrt(k)
+        got = rp_fit("gaussian", d, k, seed=7).matrix.ravel()
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_determinism(self):
         a = rp_fit("sparse", 40, 10, seed=7)

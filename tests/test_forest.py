@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -448,7 +450,8 @@ class TestFlatWalk:
     def test_wrong_width_raises(self, data, shape):
         X, y, _ = data
         model = rf_train(X, y, m=3, seed=2)
-        with pytest.raises(ValueError, match="forest expects length 6"):
+        message = f"expected a row or rows of 6 columns, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             model.predict_batch(np.zeros(shape))
 
     def test_empty_forest_refused(self):

@@ -80,6 +80,11 @@ class TestConfusion:
 
 
 class TestReport:
+    def test_precision_over_predictions_recall_over_truths(self):
+        rep = report(confusion([1, 1, 1, 2], [1, 1, 2, 2]))
+        assert rep.precision[:2].tolist() == [1.0, 0.5]
+        assert rep.recall[:2].tolist() == [2 / 3, 1.0]
+
     def test_f1_paper_row_1(self):
         # P=0.75, R=1.00 -> f1 0.857..., rendered 0.86
         assert round_half_up(_f1(0.75, 1.00)) == 0.86
@@ -189,6 +194,11 @@ class TestRenderReport:
     def test_accuracy_line(self):
         text = render_report(self._sample_report())
         assert text.rstrip().splitlines()[-1].startswith("accuracy: ")
+
+    def test_accuracy_line_text(self):
+        """5 of 11 is 0.454545...: four places half-up, not five then four."""
+        rep = report(confusion([1] * 11, [1] * 5 + [2] * 6))
+        assert render_report(rep).splitlines()[-1] == "accuracy: 0.4545"
 
     def test_json_twin_full_precision(self):
         rep = self._sample_report()

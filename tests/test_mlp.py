@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hwr import mlp
+from hwr import cli, mlp
 from hwr.mlp import (
     MlpModel,
     TrainConfig,
@@ -58,6 +58,28 @@ class TestInit:
         model = mlp_init(50, 30, 14, seed=2)
         assert np.abs(model.w1).max() <= math.sqrt(6 / 80)
         assert np.abs(model.w2).max() <= math.sqrt(6 / 44)
+
+
+class TestTrainConfig:
+    def test_defaults_are_the_documented_ones_and_the_cli_defaults(self):
+        """lr 0.01, batch size 32, 200 epochs, as the module docstring and `hwr train` say."""
+        cfg = TrainConfig()
+        assert (cfg.learning_rate, cfg.epochs, cfg.batch_size, cfg.seed) == (0.01, 200, 32, 0)
+        args = cli.build_parser().parse_args(["train", "--in", "x", "--labels", "y",
+                                              "--classifier", "mlp", "--out", "z"])
+        assert (args.lr, args.epochs, args.batch_size) == (0.01, 200, 32)
+
+    @pytest.mark.parametrize("d, h", [(0, 3), (4, 0)])
+    def test_layer_of_size_0_refused(self, d, h):
+        with pytest.raises(ValueError, match=f"^layer sizes must be >= 1, got d={d}, h={h}$"):
+            mlp_init(d, h, 14, seed=0)
+
+    def test_smallest_epochs_and_batch_size(self):
+        assert TrainConfig(epochs=0, batch_size=1).batch_size == 1
+        with pytest.raises(ValueError, match=r"^epochs must be >= 0, got -1$"):
+            TrainConfig(epochs=-1)
+        with pytest.raises(ValueError, match=r"^batch_size must be >= 1, got 0$"):
+            TrainConfig(batch_size=0)
 
 
 class TestForward:

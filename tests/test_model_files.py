@@ -249,6 +249,15 @@ def _first_pairs(doc: dict, keep: int, classes: list[int] | None = None) -> None
         doc["classes"] = classes
 
 
+def _extra_pair(doc: dict, pair: list[int]) -> None:
+    """Add a pair to an svm file that lists all its pairs, with a zero coefficient row and bias,
+    so that only the pair itself is wrong."""
+    coef = np.frombuffer(base64.b64decode(doc["coef"])).reshape(-1, doc["n_support"])
+    doc["coef"] = dataset.pack(np.vstack([coef, np.zeros(doc["n_support"])]))
+    doc["bias"] = dataset.pack(np.append(np.frombuffer(base64.b64decode(doc["bias"])), 0.0))
+    doc["pairs"].append(pair)
+
+
 # Each edit makes a saved model disagree with itself or with the format: a
 # payload one float shorter than its stated shape (pca d and k, mlp h and o,
 # svm n_support, dim and pairs), svm coefficients with a row more than there
@@ -285,6 +294,8 @@ INCONSISTENT = {
     "svm-pair-equal": ("hwr-svm/3", lambda doc: doc["pairs"][0].__setitem__(1, 1)),
     "svm-pair-unknown-class": ("hwr-svm/3", lambda doc: doc["pairs"][0].__setitem__(1, 4)),
     "svm-pair-twice": ("hwr-svm/3", lambda doc: doc["pairs"].__setitem__(1, [1, 2])),
+    "svm-pair-extra-reversed": ("hwr-svm/3", lambda doc: _extra_pair(doc, [2, 1])),
+    "svm-pair-extra-equal": ("hwr-svm/3", lambda doc: _extra_pair(doc, [3, 3])),
     "pca-not-base64": ("hwr-pca/2", lambda doc: doc.update(components="not base64!")),
     "svm-list-payload": ("hwr-svm/3", lambda doc: doc.update(
         support_vectors=np.frombuffer(base64.b64decode(doc["support_vectors"])).tolist())),

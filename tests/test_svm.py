@@ -285,6 +285,11 @@ class TestGridSearch:
             assert len(set(values)) == 5 and list(values) == sorted(values)
         assert svm.FOLDS == 3
 
+    def test_default_grid_values(self):
+        """The practical guide's coarse powers of two."""
+        assert svm.DEFAULT_C_VALUES == (2**-1, 2**1, 2**3, 2**5, 2**7)
+        assert svm.DEFAULT_GAMMA_VALUES == (2**-9, 2**-7, 2**-5, 2**-3, 2**-1)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
