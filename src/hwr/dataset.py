@@ -231,12 +231,12 @@ def unpack(text: str, *shape: int) -> np.ndarray:
 
 def number(value, kind: type = int):
     """A model file's header number as ``kind``: an int field takes a Python or
-    numpy integer (not a bool), a float field a finite positive integer or float."""
+    numpy integer (not a bool), a float field any integer or float (not a bool)."""
     if kind is int and np.issubdtype(type(value), np.integer):
         return int(value)
-    if kind is float and np.issubdtype(type(value), np.number) and 0 < value < math.inf:
+    if kind is float and np.issubdtype(type(value), np.number):
         return float(value)
-    raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a positive number'}")
+    raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
 
 
 def size(doc: dict, key: str) -> int:
@@ -247,10 +247,11 @@ def size(doc: dict, key: str) -> int:
     return value
 
 
-def positive(name: str, value: float) -> None:
-    """Refuse a C, gamma or learning rate that is not finite and > 0, as model files do."""
+def positive(name: str, value: float) -> float:
+    """``value`` if finite and > 0: the one check of a C, gamma or learning rate, given or read."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be {'finite' if value > 0 else '> 0'}, got {value}")
+    return value
 
 
 def rows(X, d: int | None = None) -> np.ndarray:

@@ -440,7 +440,8 @@ class SvmModel:
                             len(doc["classes"])).tolist()
         if len(classes) < 2 or len(set(classes)) != len(classes):
             raise ValueError(f"classes {classes} are not 2 or more distinct ids")
-        c, gamma = dataset.number(doc["c"], float), dataset.number(doc["gamma"], float)
+        c = dataset.positive("C", dataset.number(doc["c"], float))
+        gamma = dataset.positive("gamma", dataset.number(doc["gamma"], float))
         pairs = [(dataset.number(a), dataset.number(b)) for a, b in doc["pairs"]]
         for a, b in pairs:
             if not (a in classes and b in classes and a < b):

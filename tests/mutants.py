@@ -19,8 +19,8 @@ anywhere::
 
     python tests/mutants.py dimred svm --count 10 --seed 0
 
-With no module named it samples every module of ``src/hwr``.  ``--work DIR``
-puts the copy in DIR (default: a new temporary directory).
+With no module named it samples every module of ``src/hwr``.  The copy lives
+in a temporary directory that is removed when the run ends.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 900.0  # seconds per pytest run: a mutant that loops forever is killed by it
 
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -84,7 +85,7 @@ def mutate(source: str, number: int, j: int) -> str:
     return ast.unparse(tree)
 
 
-def pytest(work: Path, args: list[str], timeout: float) -> str:
+def pytest(work: Path, args: list[str]) -> str:
     """'passed', 'failed', 'error N' (another pytest exit code) or 'timeout'."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)  # the copy's pyproject.toml puts its own src first
@@ -92,7 +93,7 @@ def pytest(work: Path, args: list[str], timeout: float) -> str:
                              *args], cwd=work, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        code = proc.wait(timeout=timeout)
+        code = proc.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # pytest and any worker it forked
         proc.wait()
@@ -105,27 +106,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("modules", nargs="*", help="modules of src/hwr (default: all)")
     parser.add_argument("--count", type=int, default=10, help="mutants per module")
     parser.add_argument("--seed", type=int, default=0, help="seed of the site samples")
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per pytest run")
-    parser.add_argument("--work", type=Path, default=None, help="directory for the copy")
     args = parser.parse_args(argv)
     modules = args.modules or sorted(p.stem for p in (ROOT / "src" / "hwr").glob("*.py")
                                      if p.stem != "__init__")
-    work = args.work or Path(tempfile.mkdtemp(prefix="hwr-mutants-"))
-    shutil.rmtree(work / "repo", ignore_errors=True)
-    work = work / "repo"
-    shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".work"))
+    with tempfile.TemporaryDirectory(prefix="hwr-mutants-") as tmp:
+        work = Path(tmp) / "repo"
+        shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".work"))
+        totals = probe(work, modules, args.count, args.seed)
+    print(f"{sum(totals.values())} mutants: {totals['test file']} killed by their test file, "
+          f"{totals['tier-1']} by tier-1 only, {totals['survived']} survived")
+    return 0
+
+
+def probe(work: Path, modules: list[str], count: int, seed: int) -> dict[str, int]:
+    """Run the sampled mutants of each module in the copy ``work``; the counts of their fates."""
     totals = {"test file": 0, "tier-1": 0, "survived": 0}
     for module in modules:
         path = work / "src" / "hwr" / f"{module}.py"
         source = path.read_text(encoding="utf-8")
         found = sites(ast.parse(source))
-        picked = random.Random(f"{args.seed}:{module}").sample(found, min(args.count, len(found)))
+        picked = random.Random(f"{seed}:{module}").sample(found, min(count, len(found)))
         test_file = Path("tests") / f"test_{module}.py"
         first = [str(test_file)] if (work / test_file).exists() else []
         path.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
         try:
-            unparsed = pytest(work, first, args.timeout)
+            unparsed = pytest(work, first)
         finally:
             path.write_text(source, encoding="utf-8")
         if unparsed != "passed":
@@ -135,9 +141,9 @@ def main(argv: list[str] | None = None) -> int:
             path.write_text(mutate(source, number, j), encoding="utf-8")
             start = time.monotonic()
             try:
-                runs = [(test_file.name, pytest(work, first, args.timeout))] if first else []
+                runs = [(test_file.name, pytest(work, first))] if first else []
                 if not runs or runs[-1][1] == "passed":
-                    runs.append(("tier-1", pytest(work, [], args.timeout)))
+                    runs.append(("tier-1", pytest(work, [])))
             finally:
                 path.write_text(source, encoding="utf-8")
             verdict = "survived" if runs[-1][1] == "passed" else f"killed by {runs[-1][0]}"
@@ -146,9 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             outcomes = ", ".join(f"{name} {result}" for name, result in runs)
             print(f"{module}.py:{line}  {change}  {verdict}  ({outcomes}; "
                   f"{time.monotonic() - start:.0f} s)", flush=True)
-    print(f"{sum(totals.values())} mutants: {totals['test file']} killed by their test file, "
-          f"{totals['tier-1']} by tier-1 only, {totals['survived']} survived")
-    return 0
+    return totals
 
 
 if __name__ == "__main__":

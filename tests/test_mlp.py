@@ -74,13 +74,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^layer sizes must be >= 1, got d={d}, h={h}$"):
             mlp_init(d, h, 14, seed=0)
 
-    def test_smallest_epochs_and_batch_size(self):
-        assert TrainConfig(epochs=0, batch_size=1).batch_size == 1
-        with pytest.raises(ValueError, match=r"^epochs must be >= 0, got -1$"):
-            TrainConfig(epochs=-1)
-        with pytest.raises(ValueError, match=r"^batch_size must be >= 1, got 0$"):
-            TrainConfig(batch_size=0)
-
 
 class TestForward:
     def test_zero_model_uniform_probs(self):
@@ -251,9 +244,11 @@ class TestSerialization:
             MlpModel.load(tmp_path / "bad.json")
 
     def test_config_validation(self):
+        smallest = TrainConfig(epochs=0, batch_size=1)  # the boundaries are accepted
+        assert (smallest.epochs, smallest.batch_size) == (0, 1)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^batch_size must be >= 1, got 0$"):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^epochs must be >= 0, got -1$"):
             TrainConfig(epochs=-1)
